@@ -33,6 +33,7 @@ from .config import (
     parse_sweep,
     _get,
     _number,
+    _optional,
 )
 from .errors import ConfigError, PolmodesError
 from .verify import run_all
@@ -135,7 +136,9 @@ def mode_cmd(config_path, out_dir, units, tol):
         cfg = load_json(config_path)
         geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
         idx = _parse_mode_spec(_get(cfg, "mode", "", dict), "/mode")
-        z_num = int(cfg.get("samples", {}).get("z_num", 401))
+        z_num = _optional(_optional(cfg, "samples", "", dict, {}), "z_num", "/samples", int, 401)
+        if z_num < 1:
+            raise ConfigError("z_num must be positive", "/samples/z_num")
     except ConfigError as exc:
         _fail(exc, 2)
     try:
@@ -187,11 +190,14 @@ def solve_cmd(config_path, out_dir, units, tol):
         pol = _get(cfg, "polarization", "", str)
         if pol not in ("TE", "TM"):
             raise ConfigError("polarization must be 'TE' or 'TM'", "/polarization")
-        window = cfg.get("window")
-        if window is not None and (not isinstance(window, list) or len(window) != 2
-                                   or window[0] >= window[1]):
-            raise ConfigError("window must be [lo, hi] with lo < hi", "/window")
-        n_profiles = int(cfg.get("profiles", 0))
+        window = _optional(cfg, "window", "", list, None)
+        if window is not None:
+            window = [_number(window, i, "/window") for i in range(len(window))]
+            if len(window) != 2 or window[0] >= window[1]:
+                raise ConfigError("window must be [lo, hi] with lo < hi", "/window")
+        n_profiles = _optional(cfg, "profiles", "", int, 0)
+        if n_profiles < 0:
+            raise ConfigError("profiles must be non-negative", "/profiles")
     except ConfigError as exc:
         _fail(exc, 2)
     try:
@@ -293,7 +299,22 @@ def lossy_cmd(config_path, out_dir, units):
         num = _get(om_cfg, "num", "/omega", int)
         if not (0 < w_min < w_max) or num < 2:
             raise ConfigError("omega sweep needs 0 < min < max and num >= 2", "/omega")
-        driven_cfg = cfg.get("driven")
+        driven_cfg = _optional(cfg, "driven", "", (dict, type(None)), None)
+        if driven_cfg is not None:
+            w_d = us.to_internal(_number(driven_cfg, "omega", "/driven"))
+            k_d = 0.0
+            if "k_par" in driven_cfg:
+                k_d = us.to_internal(_number(driven_cfg, "k_par", "/driven"))
+            sheets = []
+            for i, row in enumerate(_get(driven_cfg, "sheets", "/driven", list)):
+                rp = f"/driven/sheets/{i}"
+                if not isinstance(row, list) or len(row) not in (2, 3):
+                    raise ConfigError("sheet rows are [z, Re J] or [z, Re J, Im J]", rp)
+                im = _number(row, 2, rp) if len(row) > 2 else 0.0
+                sheets.append((_number(row, 0, rp), complex(_number(row, 1, rp), im)))
+            z_num = _optional(driven_cfg, "z_num", "/driven", int, 801)
+            if z_num < 1:
+                raise ConfigError("z_num must be positive", "/driven/z_num")
     except ConfigError as exc:
         _fail(exc, 2)
     try:
@@ -301,24 +322,19 @@ def lossy_cmd(config_path, out_dir, units):
         for w in np.linspace(w_min, w_max, num):
             e = diss.lossy_epsilon(medium, bath, float(w))
             rows.append((us.from_internal(float(w)), float(e.real), float(e.imag)))
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "lossy_epsilon.csv", ["omega", "Re_eps", "Im_eps"], rows)
-        click.echo(f"wrote {out / 'lossy_epsilon.csv'} ({len(rows)} rows)")
         if driven_cfg is not None:
-            w_d = us.to_internal(_number(driven_cfg, "omega", "/driven"))
-            k_par = float(driven_cfg.get("k_par", 0.0))
-            sheets = [(float(s[0]), complex(s[1], s[2] if len(s) > 2 else 0.0))
-                      for s in _get(driven_cfg, "sheets", "/driven", list)]
-            z_num = int(driven_cfg.get("z_num", 801))
-            sol = diss.driven_field(geom, bath, w_d, sheets, k_par=us.to_internal(k_par))
             zs = np.linspace(-geom.lz / 2, geom.lz / 2, z_num)
-            th = sol.evaluate(zs)
-            _write_csv(out / "driven_field.csv", ["z", "Re_theta", "Im_theta"],
-                       [(float(z), float(t.real), float(t.imag)) for z, t in zip(zs, th)])
-            click.echo(f"wrote {out / 'driven_field.csv'}")
+            th = diss.driven_field(geom, bath, w_d, sheets, k_par=k_d).evaluate(zs)
     except PolmodesError as exc:
         _fail(exc, 3)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "lossy_epsilon.csv", ["omega", "Re_eps", "Im_eps"], rows)
+    click.echo(f"wrote {out / 'lossy_epsilon.csv'} ({len(rows)} rows)")
+    if driven_cfg is not None:
+        _write_csv(out / "driven_field.csv", ["z", "Re_theta", "Im_theta"],
+                   [(float(z), float(t.real), float(t.imag)) for z, t in zip(zs, th)])
+        click.echo(f"wrote {out / 'driven_field.csv'}")
 
 
 @main.command("verify")

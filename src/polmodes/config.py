@@ -29,8 +29,13 @@ def load_json(path: str) -> dict:
         raise ConfigError(f"malformed JSON: {exc.msg}", f"/line/{exc.lineno}") from exc
 
 
-def _get(cfg: Any, key: str, pointer: str, expect=None):
-    if not isinstance(cfg, dict) or key not in cfg:
+def _get(cfg: Any, key, pointer: str, expect=None):
+    """cfg[key] for a dict key or a list index; pointer locates cfg itself."""
+    if isinstance(cfg, list):
+        present = isinstance(key, int) and 0 <= key < len(cfg)
+    else:
+        present = isinstance(cfg, dict) and key in cfg
+    if not present:
         raise ConfigError(f"missing required key '{key}'", pointer)
     val = cfg[key]
     if expect is not None and not isinstance(val, expect):
@@ -38,7 +43,12 @@ def _get(cfg: Any, key: str, pointer: str, expect=None):
     return val
 
 
-def _number(cfg: dict, key: str, pointer: str) -> float:
+def _optional(cfg: dict, key: str, pointer: str, expect, default):
+    """Like _get, but an absent key gives default."""
+    return _get(cfg, key, pointer, expect) if key in cfg else default
+
+
+def _number(cfg, key, pointer: str) -> float:
     val = _get(cfg, key, pointer)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"'{key}' must be a number", f"{pointer}/{key}")

@@ -45,6 +45,7 @@ from scipy.integrate import quad
 
 from .errors import (
     DivergentBathIntegral,
+    InvalidDrive,
     NonConvergentTransfer,
     SingularEndpoint,
 )
@@ -273,10 +274,11 @@ def driven_field(
     Radiation conditions: purely outgoing/decaying waves in the outermost
     layers. With Im eps_tilde > 0 the operator is invertible for every
     omega > 0 (no resonance catastrophe); a singular layer system raises
-    NonConvergentTransfer.
+    NonConvergentTransfer, and omega <= 0 or a sheet outside the box raises
+    InvalidDrive.
     """
     if omega <= 0:
-        raise ValueError("driven_field requires omega > 0")
+        raise InvalidDrive("driven_field requires omega > 0")
     u = (omega / C) ** 2
     z_breaks = sorted({lay.z_min for lay in geom.layers}
                       | {lay.z_max for lay in geom.layers}
@@ -284,7 +286,7 @@ def driven_field(
     lo, hi = z_breaks[0], z_breaks[-1]
     for z_s, _ in sheets:
         if not (lo < z_s < hi):
-            raise ValueError("source sheets must lie strictly inside the box")
+            raise InvalidDrive("source sheets must lie strictly inside the box")
     segs: List[Tuple[float, float, complex]] = []
     for z0, z1 in zip(z_breaks[:-1], z_breaks[1:]):
         zc = 0.5 * (z0 + z1)

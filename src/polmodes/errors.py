@@ -60,6 +60,11 @@ class NonConvergentTransfer(PolmodesError):
     """Driven-field layer solve failed (singular or ill-conditioned system)."""
 
 
+class InvalidDrive(PolmodesError, ValueError):
+    """Driven-field request outside the solvable domain: omega <= 0 or a source
+    sheet not strictly inside the box."""
+
+
 class ConfigError(PolmodesError):
     """Invalid run configuration. Carries a JSON-pointer path to the offending entry."""
 

@@ -197,9 +197,6 @@ class LayeredGeometry:
         med = self.medium_at(z)
         return 1.0 if med is None else epsilon(med, omega, guard)
 
-    def matter_layers(self) -> tuple:
-        return tuple(l for l in self.layers if l.medium is not None)
-
     @property
     def is_homogeneous(self) -> bool:
         meds = {id(l.medium) if l.medium is None else (l.medium.omega_T, l.medium.rho, l.medium.kappa)

@@ -40,10 +40,13 @@ from an equivalent Hermitian problem via a Cholesky factor: eigenvalues come
 out real, Krein orthonormality and the signed completeness relation hold to
 roundoff, and the spectrum splits into exact +/- pairs.
 
-Large production solves (surface-mode sweeps) use an unprojected sparse
-variant with shift-invert: away from omega = 0 its eigenvalues coincide with
-the projected operator's (the longitudinal alpha component is slaved and can
-be removed afterwards by one tridiagonal solve).
+B0 and K are assembled once, from sparse blocks, with the unprojected
+coupling; K stays sparse. The full spectrum densifies that B0 and swaps in
+the transverse-projected coupling block. Large production solves
+(surface-mode sweeps) use the sparse B0 directly with shift-invert: away from
+omega = 0 its eigenvalues coincide with the projected operator's (the
+longitudinal alpha component is slaved and can be removed afterwards by one
+tridiagonal solve).
 """
 
 from __future__ import annotations
@@ -75,13 +78,10 @@ class Grid1D:
 
     n: int
     lz: float
-    bc: str = "pec"
 
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("grid needs at least 16 cells")
-        if self.bc != "pec":
-            raise ValueError("only PEC boundaries are implemented")
 
     @property
     def h(self) -> float:
@@ -161,6 +161,11 @@ class FieldLayout:
     def block(self, name: str, vec: np.ndarray) -> np.ndarray:
         return vec[..., self.slices[name]]
 
+    def _span(self, name: str) -> slice:
+        """Contiguous slice over every block of one field, e.g. alpha_par and alpha_z."""
+        names = [nm for nm in self.blocks if nm.split("_")[0] == name]
+        return slice(self.slices[names[0]].start, self.slices[names[-1]].stop)
+
 
 def _build_layout(grid: Grid1D, mats: _Materials, polarization: str) -> FieldLayout:
     n = grid.n
@@ -198,77 +203,50 @@ def _build_layout(grid: Grid1D, mats: _Materials, polarization: str) -> FieldLay
     return FieldLayout(polarization, names, slices, positions, matter, off)
 
 
-def _diff_half_to_int(n: int, h: float) -> np.ndarray:
-    """(n-1) x n forward difference taking half-point values to interior nodes."""
-    d = np.zeros((n - 1, n))
-    for j in range(n - 1):
-        d[j, j] = -1.0 / h
-        d[j, j + 1] = 1.0 / h
-    return d
-
-
 @dataclass
 class _Operators:
-    """Polarization-specific building blocks (dense)."""
+    """Polarization-specific building blocks (sparse)."""
 
-    curl_ba: np.ndarray  # beta-space -> alpha-space  (C)
-    curl_ab: np.ndarray  # alpha-space -> beta-space  (G = C^H)
-    div: Optional[np.ndarray]  # alpha-space -> potential space, or None (TE)
-    grad: Optional[np.ndarray]
-    lap: Optional[np.ndarray]
-    alpha_names: List[str]
-    beta_names: List[str]
+    curl_ba: sp.csr_matrix  # beta-space -> alpha-space  (C)
+    curl_ab: sp.csr_matrix  # alpha-space -> beta-space  (G = C^H)
+    div: Optional[sp.csr_matrix]  # alpha-space -> potential space, or None (TE)
 
 
 def _build_operators(grid: Grid1D, k_par: float, polarization: str) -> _Operators:
     n, h = grid.n, grid.h
-    d_hi = _diff_half_to_int(n, h)
+    d_hi = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n), format="csr")  # halves -> nodes
     if polarization == "TE":
-        c = np.hstack([d_hi, 1j * k_par * np.eye(n - 1)])
-        g = c.conj().T
-        return _Operators(c, g, None, None, None, ["alpha"], ["beta_par", "beta_z"])
-    c = np.vstack([-d_hi, -1j * k_par * np.eye(n)])
-    g = c.conj().T
-    div = np.hstack([-1j * k_par * np.eye(n - 1), d_hi])
+        c = sp.hstack([d_hi, 1j * k_par * sp.eye(n - 1)], format="csr")
+        div = None
+    else:
+        c = sp.vstack([-d_hi, -1j * k_par * sp.eye(n)], format="csr")
+        # [-i k_par I, d_hi]: alpha_par and alpha_z to interior nodes
+        div = sp.diags([-1j * k_par, -1.0 / h, 1.0 / h], [0, n - 1, n], shape=(n - 1, 2 * n - 1),
+                       format="csr")
+    return _Operators(c, c.conj().T.tocsr(), div)
+
+
+def _longitudinal(div: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """GRAD LAP^{-1} DIV v: the part of alpha-space vectors that the transverse projection removes."""
     grad = -div.conj().T
-    lap = div @ grad
-    return _Operators(c, g, div, grad, lap, ["alpha_par", "alpha_z"], ["beta"])
+    return grad @ spla.splu((div @ grad).tocsc()).solve(div @ v)
 
 
-def _matter_embedding(layout: FieldLayout, ops: _Operators, mats: _Materials, grid: Grid1D) -> np.ndarray:
-    """alpha-space x matter-space matrix with kappa at matching positions."""
-    a_dim = sum(layout.slices[nm].stop - layout.slices[nm].start for nm in ops.alpha_names)
+def _matter_coefficients(layout: FieldLayout, mats: _Materials):
+    """(alpha-space row, kappa, rho, omega_T) of every matter degree of freedom, stacked."""
+    node = (mats.kappa_node, mats.rho_node, mats.omega_T_node)
+    half = (mats.kappa_half, mats.rho_half, mats.omega_T_half)
     if layout.polarization == "TE":
-        idx = layout.matter_index["gamma"]
-        e = np.zeros((a_dim, idx.size))
-        for col, j in enumerate(idx):
-            e[j, col] = mats.kappa_node[j]
-        return e
-    idx_p = layout.matter_index["gamma_par"]
-    idx_z = layout.matter_index["gamma_z"]
-    n = grid.n
-    e = np.zeros((2 * n - 1, idx_p.size + idx_z.size))
-    for col, j in enumerate(idx_p):
-        e[j, col] = mats.kappa_node[j]
-    for col, j in enumerate(idx_z):
-        e[n - 1 + j, idx_p.size + col] = mats.kappa_half[j]
-    return e
-
-
-def _matter_diagonals(layout: FieldLayout, mats: _Materials):
-    """(1/rho, rho*omega_L^2) at every matter degree of freedom, stacked."""
-    if layout.polarization == "TE":
-        idx = layout.matter_index["gamma"]
-        rho = mats.rho_node[idx]
-        wl2 = _Materials.omega_L2(mats.kappa_node[idx], rho, mats.omega_T_node[idx])
-        return 1.0 / rho, rho * wl2
-    idx_p = layout.matter_index["gamma_par"]
-    idx_z = layout.matter_index["gamma_z"]
-    rho = np.concatenate([mats.rho_node[idx_p], mats.rho_half[idx_z]])
-    kap = np.concatenate([mats.kappa_node[idx_p], mats.kappa_half[idx_z]])
-    w_t = np.concatenate([mats.omega_T_node[idx_p], mats.omega_T_half[idx_z]])
-    wl2 = _Materials.omega_L2(kap, rho, w_t)
-    return 1.0 / rho, rho * wl2
+        parts = [("alpha", "gamma", node)]
+    else:
+        parts = [("alpha_par", "gamma_par", node), ("alpha_z", "gamma_z", half)]
+    rows, coeffs = [], []
+    for a_name, g_name, arrays in parts:
+        idx = layout.matter_index[g_name]
+        rows.append(layout.slices[a_name].start + idx)
+        coeffs.append([arr[idx] for arr in arrays])
+    kap, rho, w_t = (np.concatenate(c) for c in zip(*coeffs))
+    return np.concatenate(rows), kap, rho, w_t
 
 
 def _resolution_check(geom: LayeredGeometry, grid: Grid1D, k_par: float, strict: bool):
@@ -288,9 +266,41 @@ def _resolution_check(geom: LayeredGeometry, grid: Grid1D, k_par: float, strict:
         warnings.warn(msg)
 
 
+def _block_layout(ab, ag, ba, ge, eb, eg, fmt: str):
+    """Sparse matrix over the blocks (alpha, beta, gamma, eta) with the pattern shared by
+    B0 and K: alpha-beta, alpha-gamma, beta-alpha, gamma-eta, eta-beta and eta-gamma."""
+    return sp.bmat([
+        [None, ab, ag, None],
+        [ba, None, None, None],
+        [None, None, None, ge],
+        [None, eb, eg, None],
+    ], format=fmt, dtype=complex)
+
+
+def _assemble(geom: LayeredGeometry, grid: Grid1D, k_par: float, polarization: str,
+              strict_resolution: bool):
+    """Sparse B0 with the unprojected matter coupling, plus the layout, operators,
+    media and kappa embedding."""
+    _resolution_check(geom, grid, k_par, strict_resolution)
+    mats = _sample_materials(geom, grid)
+    layout = _build_layout(grid, mats, polarization)
+    ops = _build_operators(grid, k_par, polarization)
+    rows, kap, rho, w_t = _matter_coefficients(layout, mats)
+    c_mat = ops.curl_ba
+    # alpha-space x matter-space matrix with kappa at matching positions
+    e_kappa = sp.csr_matrix((kap, (rows, np.arange(rows.size))), shape=(c_mat.shape[0], rows.size))
+    rho_wl2 = rho * _Materials.omega_L2(kap, rho, w_t)
+    b0 = _block_layout(-1j * C**2 * c_mat, (1j / EPS0) * e_kappa, 1j * ops.curl_ab,
+                       1j * sp.diags(1.0 / rho), 1j * C**2 * (e_kappa.conj().T @ c_mat),
+                       -1j * sp.diags(rho_wl2), "csc")
+    if b0.shape != (layout.dim, layout.dim):
+        raise SolverContractViolation("sparse assembly dimension mismatch")
+    return layout, ops, mats, e_kappa, b0
+
+
 @dataclass
 class DiscreteOperator:
-    """Assembled eigensystem: B0 (projected), Krein matrix K, and metadata."""
+    """Assembled eigensystem: B0 (projected, dense), Krein matrix K (sparse), and metadata."""
 
     geom: LayeredGeometry
     grid: Grid1D
@@ -298,10 +308,10 @@ class DiscreteOperator:
     polarization: str
     layout: FieldLayout
     b0: np.ndarray
-    krein: np.ndarray
+    krein: sp.csr_matrix
     ops: _Operators = field(repr=False)
     mats: _Materials = field(repr=False)
-    kappa_embed: np.ndarray = field(repr=False)
+    kappa_embed: sp.csr_matrix = field(repr=False)
 
 
 def assemble_operator(
@@ -311,88 +321,58 @@ def assemble_operator(
     polarization: str,
     strict_resolution: bool = True,
 ) -> DiscreteOperator:
-    """Dense reference assembly of B0 and the Krein inner-product matrix."""
-    _resolution_check(geom, grid, k_par, strict_resolution)
-    mats = _sample_materials(geom, grid)
-    layout = _build_layout(grid, mats, polarization)
-    ops = _build_operators(grid, k_par, polarization)
-    inv_rho, rho_wl2 = _matter_diagonals(layout, mats)
-    e_kappa = _matter_embedding(layout, ops, mats, grid)
-
-    dim = layout.dim
-    b0 = np.zeros((dim, dim), dtype=complex)
-    a_sl = slice(layout.slices[ops.alpha_names[0]].start, layout.slices[ops.alpha_names[-1]].stop)
-    b_sl = slice(layout.slices[ops.beta_names[0]].start, layout.slices[ops.beta_names[-1]].stop)
-    g_names = [nm for nm in layout.blocks if nm.startswith("gamma")]
-    e_names = [nm for nm in layout.blocks if nm.startswith("eta")]
-    g_sl = slice(layout.slices[g_names[0]].start, layout.slices[g_names[-1]].stop)
-    e_sl = slice(layout.slices[e_names[0]].start, layout.slices[e_names[-1]].stop)
-
-    c_mat, g_mat = ops.curl_ba, ops.curl_ab
+    """Dense B0 with the transverse-projected coupling, and the sparse Krein matrix."""
+    layout, ops, mats, e_kappa, b0_sparse = _assemble(geom, grid, k_par, polarization,
+                                                      strict_resolution)
+    w = HBAR * grid.h * geom.area
+    eye = sp.eye(e_kappa.shape[1])
+    krein = _block_layout(-1j * w * ops.curl_ba, None, 1j * w * ops.curl_ab,  # 1/mu0 = 1
+                          1j * w * eye, None, -1j * w * eye, "csr")
+    b0 = b0_sparse.toarray()
     # transverse projection of the matter coupling (TE coupling is already transverse)
     if ops.div is not None and e_kappa.shape[1] > 0:
-        x = sla.solve(ops.lap, ops.div @ e_kappa, assume_a="her")
-        e_kappa_t = e_kappa - ops.grad @ x
-    else:
-        e_kappa_t = e_kappa
-
-    b0[a_sl, b_sl] = -1j * C**2 * c_mat
-    b0[a_sl, g_sl] = (1j / EPS0) * e_kappa_t
-    b0[b_sl, a_sl] = 1j * g_mat
-    if inv_rho.size:
-        b0[g_sl, e_sl] = 1j * np.diag(inv_rho)
-        b0[e_sl, b_sl] = 1j * C**2 * (e_kappa.conj().T @ c_mat)
-        b0[e_sl, g_sl] = -1j * np.diag(rho_wl2)
-
-    w = HBAR * grid.h * geom.area
-    krein = np.zeros((dim, dim), dtype=complex)
-    krein[a_sl, b_sl] = -1j * w / 1.0 * c_mat  # 1/mu0 = 1
-    krein[b_sl, a_sl] = 1j * w * g_mat
-    if inv_rho.size:
-        nm = inv_rho.size
-        krein[g_sl, e_sl] = 1j * w * np.eye(nm)
-        krein[e_sl, g_sl] = -1j * w * np.eye(nm)
-
+        e = e_kappa.toarray()
+        e_kappa_t = e - _longitudinal(ops.div, e)
+        b0[layout._span("alpha"), layout._span("gamma")] = (1j / EPS0) * e_kappa_t
     return DiscreteOperator(geom, grid, k_par, polarization, layout, b0, krein, ops, mats, e_kappa)
 
 
 def self_adjointness_defect(op: DiscreteOperator) -> float:
     """max |K B0 - B0^H K| entry: zero for an exactly Krein-self-adjoint pair."""
-    m = op.krein @ op.b0 - op.b0.conj().T @ op.krein
-    return float(np.max(np.abs(m)))
+    kb = op.krein @ op.b0
+    bk = (op.krein.conj().T @ op.b0).conj().T  # B0^H K = (K^H B0)^H
+    return float(np.max(np.abs(kb - bk)))
 
 
 def _physical_basis(op: DiscreteOperator) -> np.ndarray:
     """Orthonormal basis (columns) of the dynamical subspace of the full state space."""
     layout, ops = op.layout, op.ops
-    a_sl = slice(layout.slices[ops.alpha_names[0]].start, layout.slices[ops.alpha_names[-1]].stop)
-    b_sl = slice(layout.slices[ops.beta_names[0]].start, layout.slices[ops.beta_names[-1]].stop)
-    a_dim = a_sl.stop - a_sl.start
+    a_sl, b_sl = layout._span("alpha"), layout._span("beta")
+    g_mat = ops.curl_ab.toarray()
     if ops.div is None:
-        z = np.eye(a_dim)
+        z = np.eye(a_sl.stop - a_sl.start)
     else:
-        z = sla.null_space(ops.div)
-    u = ops.curl_ab @ z
+        z = sla.null_space(ops.div.toarray())
+    u = g_mat @ z
     if u.shape[1]:
         _, s, vh = sla.svd(u, full_matrices=False)
         keep = s > _NULL_TOL * (s[0] if s.size else 1.0)
         q_alpha = z @ vh.conj().T[:, keep]
     else:
         q_alpha = z[:, :0]
-    q_beta = sla.orth(ops.curl_ab, rcond=_NULL_TOL)
+    q_beta = sla.orth(g_mat, rcond=_NULL_TOL)
     if q_alpha.shape[1] != q_beta.shape[1]:
         raise SolverContractViolation(
             f"alpha/beta physical dimensions differ: {q_alpha.shape[1]} vs {q_beta.shape[1]}"
         )
     dim = layout.dim
-    n_phys = q_alpha.shape[1] + q_beta.shape[1] + (dim - (a_sl.stop - a_sl.start) - (b_sl.stop - b_sl.start))
-    q = np.zeros((dim, n_phys), dtype=complex)
+    rest = dim - b_sl.stop
+    q = np.zeros((dim, q_alpha.shape[1] + q_beta.shape[1] + rest), dtype=complex)
     col = 0
     q[a_sl, col:col + q_alpha.shape[1]] = q_alpha
     col += q_alpha.shape[1]
     q[b_sl, col:col + q_beta.shape[1]] = q_beta
     col += q_beta.shape[1]
-    rest = dim - b_sl.stop
     if rest:
         q[b_sl.stop:, col:col + rest] = np.eye(rest)
     return q
@@ -409,7 +389,7 @@ class DiscreteEigenSolution:
     complete: bool = True
 
     @property
-    def krein(self) -> np.ndarray:
+    def krein(self) -> sp.csr_matrix:
         return self.operator.krein
 
 
@@ -508,35 +488,6 @@ def completeness_check(sol: DiscreteEigenSolution, test_vectors: np.ndarray) -> 
 # sparse windowed path for production sweeps
 
 
-def _sparse_diff_half_to_int(n: int, h: float) -> sp.csr_matrix:
-    return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n), format="csr")
-
-
-def _sparse_operators(grid: Grid1D, k_par: float, polarization: str):
-    """Sparse (C, G) curls matching _build_operators."""
-    n, h = grid.n, grid.h
-    d_hi = _sparse_diff_half_to_int(n, h)
-    if polarization == "TE":
-        c = sp.hstack([d_hi, 1j * k_par * sp.eye(n - 1)], format="csr")
-    else:
-        c = sp.vstack([-d_hi, -1j * k_par * sp.eye(n)], format="csr")
-    return c, c.conj().T.tocsr()
-
-
-def _sparse_matter_embedding(layout: FieldLayout, mats: _Materials, grid: Grid1D) -> sp.csr_matrix:
-    n = grid.n
-    if layout.polarization == "TE":
-        idx = layout.matter_index["gamma"]
-        rows, cols, vals = idx, np.arange(idx.size), mats.kappa_node[idx]
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n - 1, idx.size))
-    idx_p = layout.matter_index["gamma_par"]
-    idx_z = layout.matter_index["gamma_z"]
-    rows = np.concatenate([idx_p, n - 1 + idx_z])
-    cols = np.arange(idx_p.size + idx_z.size)
-    vals = np.concatenate([mats.kappa_node[idx_p], mats.kappa_half[idx_z]])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n - 1, idx_p.size + idx_z.size))
-
-
 def assemble_sparse(
     geom: LayeredGeometry,
     grid: Grid1D,
@@ -550,29 +501,7 @@ def assemble_sparse(
     operator; eigenvectors differ only by a slaved longitudinal alpha
     component.
     """
-    _resolution_check(geom, grid, k_par, strict_resolution)
-    mats = _sample_materials(geom, grid)
-    layout = _build_layout(grid, mats, polarization)
-    c_mat, g_mat = _sparse_operators(grid, k_par, polarization)
-    inv_rho, rho_wl2 = _matter_diagonals(layout, mats)
-    e_kappa = _sparse_matter_embedding(layout, mats, grid)
-
-    a_dim = c_mat.shape[0]
-    b_dim = c_mat.shape[1]
-    m_dim = inv_rho.size
-    zero_aa = sp.csr_matrix((a_dim, a_dim))
-    blocks = [
-        [zero_aa, -1j * C**2 * c_mat, (1j / EPS0) * e_kappa, None],
-        [1j * g_mat, None, None, None],
-        [None, None, None, 1j * sp.diags(inv_rho)] if m_dim else None,
-        [None, 1j * C**2 * (e_kappa.conj().T @ c_mat), -1j * sp.diags(rho_wl2), None] if m_dim else None,
-    ]
-    blocks = [row for row in blocks if row is not None]
-    if not m_dim:
-        blocks = [row[:2] for row in blocks]
-    b0 = sp.bmat(blocks, format="csc", dtype=complex)
-    if b0.shape != (layout.dim, layout.dim):
-        raise SolverContractViolation("sparse assembly dimension mismatch")
+    layout, _, _, _, b0 = _assemble(geom, grid, k_par, polarization, strict_resolution)
     return b0, layout
 
 
@@ -689,12 +618,8 @@ def reconstruct_node_fields(op: DiscreteOperator, vec: np.ndarray, omega: float)
         full_z[lay.matter_index[f"{base}_z"]] = lay.block(f"{base}_z", vec)
         out[base][:, 2] = _half_to_node(full_z)
     # theta = alpha + i/(omega eps0) * longitudinal part of kappa*gamma
-    g_names = [nm for nm in lay.blocks if nm.startswith("gamma")]
-    g_sl = slice(lay.slices[g_names[0]].start, lay.slices[g_names[-1]].stop)
-    kg = op.kappa_embed @ vec[g_sl]
-    x = sla.solve(op.ops.lap, op.ops.div @ kg, assume_a="her")
-    kg_long = op.ops.grad @ x
-    corr = (1j / (omega * EPS0)) * kg_long
+    kg = op.kappa_embed @ vec[lay._span("gamma")]
+    corr = (1j / (omega * EPS0)) * _longitudinal(op.ops.div, kg)
     out["theta"][:, 0] = out["alpha"][:, 0] + pad_interior(corr[: n - 1])
     out["theta"][:, 2] = out["alpha"][:, 2] + _half_to_node(corr[n - 1:])
     out["theta"][:, 1] = out["alpha"][:, 1]

@@ -93,6 +93,32 @@ class TestErrorHandling:
         assert res.exit_code == 2
         assert "/mode/class" in res.output
 
+    @pytest.mark.parametrize("command,extra,pointer", [
+        ("mode", {"samples": 5}, "/samples"),
+        ("mode", {"samples": {"z_num": "many"}}, "/samples/z_num"),
+        ("solve", {"profiles": "one"}, "/profiles"),
+        ("solve", {"window": [0.2, "hi"]}, "/window/1"),
+        ("lossy", {"driven": {"omega": 1.1, "k_par": "x", "sheets": []}}, "/driven/k_par"),
+        ("lossy", {"driven": {"omega": 1.1, "sheets": [], "z_num": 1.5}}, "/driven/z_num"),
+        ("lossy", {"driven": {"omega": 1.1, "sheets": [[5.0]]}}, "/driven/sheets/0"),
+        ("lossy", {"driven": {"omega": 1.1, "sheets": [["a", 1.0]]}}, "/driven/sheets/0/0"),
+    ])
+    def test_malformed_optional_field_exit_2(self, runner, tmp_path, command, extra, pointer):
+        base = {
+            "material": MATERIAL,
+            "mode": {"class": "S", "k_par": [2.0, 0.0]},
+            "grid": {"n": 128}, "k_par": 2.0, "polarization": "TM",
+            "bath": {"type": "flat", "upsilon": 0.05, "zeta_min": 0.5, "zeta_max": 3.0},
+            "omega": {"min": 0.2, "max": 2.9, "num": 5},
+        }
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, dict(base, **extra))
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert f"(at {pointer})" in res.stderr
+        assert not out.exists()
+
     def test_numeric_error_exit_3(self, runner, tmp_path):
         # surface mode below the light-line edge is a numeric-domain error
         cfg = write_cfg(tmp_path, {"material": MATERIAL,
@@ -190,6 +216,20 @@ class TestLossyCommand:
         ims = [float(line.split(",")[2]) for line in lines[1:]]
         assert min(ims) >= 0.0  # passivity in the emitted table
         assert (tmp_path / "driven_field.csv").exists()
+
+    def test_source_outside_box_exit_3(self, runner, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "material": MATERIAL,
+            "bath": {"type": "flat", "upsilon": 0.05, "zeta_min": 0.5, "zeta_max": 3.0},
+            "omega": {"min": 0.2, "max": 2.9, "num": 30},
+            "driven": {"omega": 1.1, "sheets": [[25.0, 1.0, 0.0]]},
+        })
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["lossy", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "strictly inside the box" in res.stderr
+        assert not out.exists()  # neither lossy_epsilon.csv nor driven_field.csv
 
 
 class TestVerifyCommand:

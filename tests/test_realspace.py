@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from polmodes import (
     MediumParams,
@@ -156,6 +157,35 @@ class TestKreinStructure:
         v = sol.vectors[:, 3]
         rep = completeness_check(sol, v[:, None])
         assert rep.max_deviation < 1e-10
+
+
+class TestSingleAssembly:
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    @pytest.mark.parametrize("with_matter", [False, True])
+    def test_dense_operator_is_sparse_with_projected_coupling(self, medium, polarization,
+                                                              with_matter):
+        geom = vacuum_interface(medium, 40.0) if with_matter else homogeneous_box(None, 40.0)
+        grid = Grid1D(96, 40.0)
+        op = assemble_operator(geom, grid, 0.8, polarization, strict_resolution=False)
+        b0_sparse, layout = assemble_sparse(geom, grid, 0.8, polarization,
+                                            strict_resolution=False)
+        a_sl, g_sl = layout._span("alpha"), layout._span("gamma")
+        assert (g_sl.stop > g_sl.start) == with_matter
+        # every block but the (alpha, gamma) coupling is the sparse B0 itself
+        diff = op.b0 - b0_sparse.toarray()
+        coupling = b0_sparse.toarray()[a_sl, g_sl]
+        delta = diff[a_sl, g_sl].copy()
+        diff[a_sl, g_sl] = 0
+        assert np.all(diff == 0)
+        if polarization == "TM" and with_matter:
+            # the projection removes a discrete gradient: curl-free, and the result is div-free
+            div, curl = op.ops.div, op.ops.curl_ab
+            assert np.linalg.norm(div @ op.b0[a_sl, g_sl]) <= 1e-12 * np.linalg.norm(div @ coupling)
+            assert np.linalg.norm(curl @ delta) <= 1e-12 * np.linalg.norm(curl @ coupling)
+        else:
+            assert np.all(delta == 0)
+        assert sp.issparse(op.krein)
+        assert op.krein.nnz <= 4 * layout.dim
 
 
 class TestSurfaceMode:

@@ -35,7 +35,7 @@ from .config import (
     _number,
     _optional,
 )
-from .errors import ConfigError, PolmodesError
+from .errors import ConfigError, InvalidGrid, PolmodesError
 from .verify import run_all
 
 
@@ -206,6 +206,8 @@ def solve_cmd(config_path, out_dir, units, tol):
                                   strict_resolution=bool(cfg.get("strict_resolution", True)))
         win = None if window is None else (us.to_internal(window[0]), us.to_internal(window[1]))
         sol = rs.solve_spectrum(op, window=win, norm_tol=tol)
+    except InvalidGrid as exc:
+        _fail(ConfigError(str(exc), "/grid/n"), 2)
     except PolmodesError as exc:
         _fail(exc, 3)
     out = Path(out_dir)
@@ -243,7 +245,11 @@ def scatter_cmd(config_path, out_dir, units, tol):
         else:
             phi_cfg = _get(cfg, "phi", "", dict)
         order = _get(phi_cfg, "order", "/phi", int)
-        comps = np.asarray(_get(phi_cfg, "components", "/phi", list), dtype=float)
+        try:
+            comps = np.asarray(_get(phi_cfg, "components", "/phi", list), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("phi components must be a regular array of numbers",
+                              "/phi/components") from exc
         if comps.shape != (3,) * order:
             raise ConfigError(f"phi components must have shape {(3,) * order}", "/phi/components")
         phi = nl.NonlinearTensor.from_array(comps)

@@ -149,7 +149,7 @@ def _bath_shift_integral(bath: BathModel) -> float:
         _warnings.simplefilter("error", IntegrationWarning)
         try:
             val, err = quad(lambda z: bath.upsilon_at(z) ** 2 / (2 * rho2),
-                            bath.zeta_min, hi, limit=400)
+                            bath.zeta_min, hi, limit=400, epsabs=0, epsrel=1e-10)
         except IntegrationWarning as exc:
             raise DivergentBathIntegral(f"renormalization integral: {exc}") from exc
     if not math.isfinite(val) or err > 1e-8 * max(abs(val), 1e-30) + 1e-12:

@@ -65,6 +65,11 @@ class InvalidDrive(PolmodesError, ValueError):
     sheet not strictly inside the box."""
 
 
+class InvalidGrid(PolmodesError, ValueError):
+    """Staggered grid unusable for the geometry: fewer than 16 cells, a length other
+    than the box's, or a layer boundary off the nodes."""
+
+
 class ConfigError(PolmodesError):
     """Invalid run configuration. Carries a JSON-pointer path to the offending entry."""
 

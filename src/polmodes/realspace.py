@@ -34,11 +34,17 @@ indefinite inner-product matrix, then satisfies K B0 = B0^H K to machine zeros.
 
 Physical subspace: alpha is restricted to ker(DIV) minus ker(curl) (the
 latter removes the non-dynamical k_par = 0 capacitor direction), beta to
-range(curl). On that subspace the energy form A = K B0 is positive definite
-(this is the omega_T > 0 stability condition), so the spectrum is obtained
-from an equivalent Hermitian problem via a Cholesky factor: eigenvalues come
-out real, Krein orthonormality and the signed completeness relation hold to
-roundoff, and the spectrum splits into exact +/- pairs.
+range(curl). Both come from the exact discrete sequence (div curl = 0,
+ker div = range curl), not from a rank threshold. B0 and K couple only
+P = (alpha, eta) to Q = (beta, gamma), so the energy form A = K B0 is block
+diagonal, diag(T, V), with sparse blocks that the transverse projection does
+not change (curl grad = 0). T = w diag(curl curl, 1/rho), with w = hbar h A,
+is positive definite in TE and V in TM (except the constant beta vector at
+k_par = 0): this is the omega_T > 0 stability condition. omega^2 is the
+spectrum of B0[P, Q] B0[Q, P], and the full spectrum is one half-size real
+SVD (Colpa's bosonic reduction): eigenvalues come out real, the spectrum
+splits into exact +/- pairs, and Krein orthonormality and the signed
+completeness relation hold to roundoff.
 
 B0 and K are assembled once, from sparse blocks, with the unprojected
 coupling; K stays sparse. The full spectrum densifies that B0 and swaps in
@@ -64,12 +70,11 @@ import scipy.sparse.linalg as spla
 from .errors import (
     DegenerateKreinNorm,
     IncompleteSpectrum,
+    InvalidGrid,
     ResolutionTooCoarse,
     SolverContractViolation,
 )
 from .media import C, EPS0, HBAR, LayeredGeometry, MediumParams, epsilon
-
-_NULL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class Grid1D:
 
     def __post_init__(self):
         if self.n < 16:
-            raise ValueError("grid needs at least 16 cells")
+            raise InvalidGrid("grid needs at least 16 cells")
 
     @property
     def h(self) -> float:
@@ -121,12 +126,12 @@ class _Materials:
 
 def _sample_materials(geom: LayeredGeometry, grid: Grid1D) -> _Materials:
     if abs(geom.lz - grid.lz) > 1e-9 * geom.lz:
-        raise ValueError("grid length must match the geometry box")
+        raise InvalidGrid("grid length must match the geometry box")
     for lay in geom.layers:
         for zb in (lay.z_min, lay.z_max):
             j = (zb + grid.lz / 2) / grid.h
             if abs(j - round(j)) > 1e-9:
-                raise ValueError("material discontinuities must be grid-aligned")
+                raise InvalidGrid("material discontinuities must be grid-aligned")
     centers = grid.halves
     kap = np.zeros(grid.n)
     rho = np.zeros(grid.n)
@@ -277,6 +282,15 @@ def _block_layout(ab, ag, ba, ge, eb, eg, fmt: str):
     ], format=fmt, dtype=complex)
 
 
+def _sparse_b0(ops: _Operators, e_kappa: sp.csr_matrix, kap, rho, w_t, fmt: str):
+    """B0 from sparse blocks, with the unprojected matter coupling."""
+    c_mat = ops.curl_ba
+    rho_wl2 = rho * _Materials.omega_L2(kap, rho, w_t)
+    return _block_layout(-1j * C**2 * c_mat, (1j / EPS0) * e_kappa, 1j * ops.curl_ab,
+                         1j * sp.diags(1.0 / rho), 1j * C**2 * (e_kappa.conj().T @ c_mat),
+                         -1j * sp.diags(rho_wl2), fmt)
+
+
 def _assemble(geom: LayeredGeometry, grid: Grid1D, k_par: float, polarization: str,
               strict_resolution: bool):
     """Sparse B0 with the unprojected matter coupling, plus the layout, operators,
@@ -286,13 +300,10 @@ def _assemble(geom: LayeredGeometry, grid: Grid1D, k_par: float, polarization: s
     layout = _build_layout(grid, mats, polarization)
     ops = _build_operators(grid, k_par, polarization)
     rows, kap, rho, w_t = _matter_coefficients(layout, mats)
-    c_mat = ops.curl_ba
     # alpha-space x matter-space matrix with kappa at matching positions
-    e_kappa = sp.csr_matrix((kap, (rows, np.arange(rows.size))), shape=(c_mat.shape[0], rows.size))
-    rho_wl2 = rho * _Materials.omega_L2(kap, rho, w_t)
-    b0 = _block_layout(-1j * C**2 * c_mat, (1j / EPS0) * e_kappa, 1j * ops.curl_ab,
-                       1j * sp.diags(1.0 / rho), 1j * C**2 * (e_kappa.conj().T @ c_mat),
-                       -1j * sp.diags(rho_wl2), "csc")
+    e_kappa = sp.csr_matrix((kap, (rows, np.arange(rows.size))),
+                            shape=(ops.curl_ba.shape[0], rows.size))
+    b0 = _sparse_b0(ops, e_kappa, kap, rho, w_t, "csc")
     if b0.shape != (layout.dim, layout.dim):
         raise SolverContractViolation("sparse assembly dimension mismatch")
     return layout, ops, mats, e_kappa, b0
@@ -344,38 +355,46 @@ def self_adjointness_defect(op: DiscreteOperator) -> float:
     return float(np.max(np.abs(kb - bk)))
 
 
-def _physical_basis(op: DiscreteOperator) -> np.ndarray:
-    """Orthonormal basis (columns) of the dynamical subspace of the full state space."""
-    layout, ops = op.layout, op.ops
-    a_sl, b_sl = layout._span("alpha"), layout._span("beta")
-    g_mat = ops.curl_ab.toarray()
-    if ops.div is None:
-        z = np.eye(a_sl.stop - a_sl.start)
+def _half_problem(op: DiscreteOperator):
+    """Split the state into P = (alpha, eta) and Q = (beta, gamma), where B0 and K are
+    block off-diagonal and A = K B0 = diag(T, V) is block diagonal.
+
+    Returns the index arrays of the side S whose energy block is positive definite
+    (P with T for TE, Q with V for TM) and of the other side O, the sparse B0 with
+    the unprojected coupling, and a sparse root Z of the other energy block,
+    A[O, O] = Z^H Z.
+    """
+    layout = op.layout
+    p_idx = np.r_[layout._span("alpha"), layout._span("eta")]
+    q_idx = np.r_[layout._span("beta"), layout._span("gamma")]
+    _, kap, rho, w_t = _matter_coefficients(layout, op.mats)
+    b0 = _sparse_b0(op.ops, op.kappa_embed, kap, rho, w_t, "csr")
+    rw = math.sqrt(HBAR * op.grid.h * op.geom.area)
+    if op.polarization == "TE":
+        # V = Z^H Z with Z = sqrt(w) [[c C, -E / (c eps0)], [0, sqrt(rho) omega_T]] (c^2 eps0 = 1)
+        e = op.kappa_embed
+        z = rw * sp.bmat([[C * op.ops.curl_ba, -e / (C * EPS0)],
+                          [None, sp.diags(np.sqrt(rho) * w_t)]], format="csr")
+        side, other = p_idx, q_idx
     else:
-        z = sla.null_space(ops.div.toarray())
-    u = g_mat @ z
-    if u.shape[1]:
-        _, s, vh = sla.svd(u, full_matrices=False)
-        keep = s > _NULL_TOL * (s[0] if s.size else 1.0)
-        q_alpha = z @ vh.conj().T[:, keep]
-    else:
-        q_alpha = z[:, :0]
-    q_beta = sla.orth(g_mat, rcond=_NULL_TOL)
-    if q_alpha.shape[1] != q_beta.shape[1]:
-        raise SolverContractViolation(
-            f"alpha/beta physical dimensions differ: {q_alpha.shape[1]} vs {q_beta.shape[1]}"
-        )
-    dim = layout.dim
-    rest = dim - b_sl.stop
-    q = np.zeros((dim, q_alpha.shape[1] + q_beta.shape[1] + rest), dtype=complex)
-    col = 0
-    q[a_sl, col:col + q_alpha.shape[1]] = q_alpha
-    col += q_alpha.shape[1]
-    q[b_sl, col:col + q_beta.shape[1]] = q_beta
-    col += q_beta.shape[1]
-    if rest:
-        q[b_sl.stop:, col:col + rest] = np.eye(rest)
-    return q
+        # T = Z^H Z with Z = sqrt(w) diag(G, rho^-1/2)
+        z = rw * sp.block_diag([op.ops.curl_ab, sp.diags(1.0 / np.sqrt(rho))], format="csr")
+        side, other = q_idx, p_idx
+    return side, other, b0, z
+
+
+def _gauge(layout: FieldLayout) -> np.ndarray:
+    """Diagonal phases that make B0 and K real: i on beta and gamma, times i on z components."""
+    phase = np.empty(layout.dim, dtype=complex)
+    for name in layout.blocks:
+        fld, _, comp = name.partition("_")
+        phase[layout.slices[name]] = 1j ** ((fld in ("beta", "gamma")) + (comp == "z"))
+    return phase
+
+
+def _reflect(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a H for the Householder reflector H = I - 2 v v^T / v^T v of a real v."""
+    return a - np.outer(a @ v, v) * (2.0 / (v @ v))
 
 
 @dataclass
@@ -385,7 +404,6 @@ class DiscreteEigenSolution:
     operator: DiscreteOperator
     omegas: np.ndarray
     vectors: np.ndarray  # columns, Krein-normalized: <<v|v>> = sgn(omega)
-    basis: np.ndarray = field(repr=False)
     complete: bool = True
 
     @property
@@ -400,56 +418,115 @@ def solve_spectrum(
 ) -> DiscreteEigenSolution:
     """All eigenpairs of the restricted operator (optionally filtered to a window).
 
-    Solved via the equivalent Hermitian pencil: A = K B0 restricted to the
-    physical subspace is positive definite, so with the Cholesky factor
-    A = L L^H the Hermitian matrix L^{-1} K L^{-H} has eigenvalues 1/omega.
-    Eigenvectors are returned Krein-normalized, <<v|v>> = sgn(omega); a
-    degenerate indefinite norm raises DegenerateKreinNorm.
+    B0 couples only P = (alpha, eta) to Q = (beta, gamma), so omega^2 is the
+    spectrum of B0[P, Q] B0[Q, P] and the +/- pairs share one half. The energy
+    block A[S, S] = K[S, O] B0[O, S] of one side S (P for TE, Q for TM) is
+    positive definite; with its Cholesky factor L and a sparse root
+    A[O, O] = Z^H Z of the other, omega are the singular values of the
+    half-size matrix Z B0[O, S] L^{-H} (real in the diagonal phase gauge of
+    _gauge), s = L^{-H} w on S for its right singular vectors w, and
+    B0[O, S] s / omega on O (with the transverse-projected coupling). At k_par = 0 in TM the one
+    null direction of V, the constant beta vector, is reflected out first.
+    Eigenvectors are returned Krein-normalized, <<v|v>> = sgn(omega); an
+    indefinite norm below norm_tol in the energy normalization (|omega| above
+    1/norm_tol) raises DegenerateKreinNorm.
     """
-    q = _physical_basis(op)
-    b_red = q.conj().T @ (op.b0 @ q)
-    k_red = q.conj().T @ (op.krein @ q)
-    a = k_red @ b_red
-    asym = np.max(np.abs(a - a.conj().T))
-    scale = max(np.max(np.abs(a)), 1e-300)
-    if asym > 1e-10 * scale:
-        raise SolverContractViolation(f"energy form not Hermitian: defect {asym}")
-    a = 0.5 * (a + a.conj().T)
+    layout = op.layout
+    side, other, b0, z = _half_problem(op)
+    b_os = b0[other][:, side]
+    # in the i^n gauge B0 and K are real: so are A[S, S] and (Z B0[O, S])^H (Z B0[O, S])
+    phase = _gauge(layout)[side]
+    b_gauge = b_os @ sp.diags(phase)
+    a = sp.diags(phase.conj()) @ (op.krein[side][:, other] @ b_gauge)
+    if np.any(a.data.imag):
+        raise SolverContractViolation("energy form is not real in the i^n gauge")
+    a = a.real.toarray()
+    # rows of real and imaginary parts with the same Gram matrix, hence the same singular
+    # values and right singular vectors; each row has one phase, so half of them are empty
+    zb = z @ b_gauge
+    zb = sp.vstack([zb.real, zb.imag], format="csr")
+    zb.eliminate_zeros()
+    zb = zb[np.diff(zb.indptr) > 0].toarray()
+    null = None
+    if op.polarization == "TM" and op.k_par == 0:
+        n_beta = layout._span("beta").stop - layout._span("beta").start
+        null = np.zeros(side.size)
+        null[:n_beta] = 1.0 / math.sqrt(n_beta)
+        null[0] += 1.0  # H maps the null vector to -e_0
+        a = _reflect(_reflect(a, null).T, null)[1:, 1:]
+        zb = _reflect(zb, null)[:, 1:]
     try:
         l_fac = sla.cholesky(a, lower=True)
     except sla.LinAlgError as exc:
         raise SolverContractViolation(
             "energy form not positive definite (omega_T > 0 violated or null mode present)"
         ) from exc
-    m_half = sla.solve_triangular(l_fac, k_red, lower=True)
-    m = sla.solve_triangular(l_fac, m_half.conj().T, lower=True).conj().T
-    m = 0.5 * (m + m.conj().T)
-    mu, phi = sla.eigh(m)
-    if np.any(np.abs(mu) < norm_tol):
-        bad = int(np.argmin(np.abs(mu)))
-        raise DegenerateKreinNorm(f"eigenvector {bad} has vanishing indefinite norm")
-    omegas = 1.0 / mu
-    psi = sla.solve_triangular(l_fac.conj().T, phi, lower=False)
-    psi = psi * np.sqrt(np.abs(omegas))[None, :]
-    vectors = q @ psi
-    # reattach slaved components invisible to both K and the reduced basis
-    resid = op.b0 @ vectors - vectors * omegas[None, :]
-    resid -= q @ (q.conj().T @ resid)
-    vectors = vectors + resid / omegas[None, :]
-    order = np.argsort(omegas)
-    omegas, vectors = omegas[order], vectors[:, order]
+    # M^T = L^{-1} (Z B0[O, S])^T: its left singular vectors are the right ones of M
+    w_vecs, sigma, _ = sla.svd(sla.solve_triangular(l_fac, zb.T, lower=True),
+                               full_matrices=False)
+    if sigma[-1] <= np.finfo(float).eps * sigma.size * sigma[0]:
+        raise SolverContractViolation("zero frequency: energy form singular on the other half")
+    if sigma[0] * norm_tol > 1.0:
+        raise DegenerateKreinNorm("eigenvector 0 has vanishing indefinite norm")
+    s_vecs = sla.solve_triangular(l_fac, w_vecs, lower=True, trans="T")
+    if null is not None:
+        s_vecs = _reflect(np.vstack([np.zeros((1, sigma.size)), s_vecs]).T, null).T
+    s_vecs = phase[:, None] * s_vecs
+    o_vecs = b_os @ s_vecs
+    if op.polarization == "TM" and op.kappa_embed.shape[1] > 0:
+        a_sl, g_sl = layout._span("alpha"), layout._span("gamma")
+        b_sl = layout._span("beta")
+        kg = op.kappa_embed @ s_vecs[g_sl.start - b_sl.start:]
+        o_vecs[: a_sl.stop] -= (1j / EPS0) * _longitudinal(op.ops.div, kg)
+    # psi_+- = (o, +-s) on (O, S), scaled to Krein norm +-1; omegas ascending
+    scale = np.sqrt(0.5 * sigma)
+    o_vecs *= scale / sigma
+    s_vecs *= scale
+    vectors = np.empty((layout.dim, 2 * sigma.size), dtype=complex)
+    vectors[other] = np.hstack([o_vecs, o_vecs[:, ::-1]])
+    vectors[side] = np.hstack([-s_vecs, s_vecs[:, ::-1]])
+    omegas = np.concatenate([-sigma, sigma[::-1]])
     complete = True
     if window is not None:
         lo, hi = window
         sel = (omegas >= lo) & (omegas <= hi)
         omegas, vectors = omegas[sel], vectors[:, sel]
         complete = bool(sel.all())
-    return DiscreteEigenSolution(op, omegas, vectors, q, complete)
+    return DiscreteEigenSolution(op, omegas, vectors, complete)
 
 
 def krein_inner(sol: DiscreteEigenSolution, m: int, n: int) -> complex:
     """Discrete indefinite inner product <<Psi_m | Psi_n>> of two eigenvectors."""
     return complex(sol.vectors[:, m].conj() @ (sol.krein @ sol.vectors[:, n]))
+
+
+def _physical_projector(op: DiscreteOperator):
+    """Orthogonal projector onto the dynamical subspace, applied to columns, and its rank.
+
+    alpha: ker(DIV) (TM) minus the k_par = 0 capacitor direction, constant alpha_z;
+    beta: range(curl) = G (C G)^{-1} C (TE), and the complement of the constant
+    vector at k_par = 0 (TM); matter: identity.
+    """
+    layout, ops = op.layout, op.ops
+    a_sl, b_sl = layout._span("alpha"), layout._span("beta")
+    n_alpha, n_beta = a_sl.stop - a_sl.start, b_sl.stop - b_sl.start
+    static = op.polarization == "TM" and op.k_par == 0
+    cg = spla.splu((ops.curl_ba @ ops.curl_ab).tocsc()) if op.polarization == "TE" else None
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        out = v.copy()
+        if cg is None:
+            out[a_sl] -= _longitudinal(ops.div, v[a_sl])
+        else:
+            out[b_sl] = ops.curl_ab @ cg.solve(ops.curl_ba @ v[b_sl])
+        if static:
+            z_sl = layout.slices["alpha_z"]
+            out[z_sl] -= out[z_sl].mean(axis=0)
+            out[b_sl] -= out[b_sl].mean(axis=0)
+        return out
+
+    rank = 2 * (min(n_alpha, n_beta) - static) + (layout.dim - b_sl.stop)
+    return apply, rank
 
 
 @dataclass
@@ -465,21 +542,20 @@ def completeness_check(sol: DiscreteEigenSolution, test_vectors: np.ndarray) -> 
     subspace. Test vectors and the reconstruction are both compared there:
     Krein-null directions (present only as slaved components of k_par = 0
     eigenvectors) carry no spectral weight and are excluded by construction.
-    Requires the complete spectrum.
+    The subspace comes from the exact discrete sequence (div curl = 0,
+    ker div = range curl), never from the eigenvectors. Requires the complete
+    spectrum.
     """
-    if not sol.complete or sol.omegas.size != sol.basis.shape[1]:
-        raise IncompleteSpectrum(
-            f"need all {sol.basis.shape[1]} eigenpairs, have {sol.omegas.size}"
-        )
+    project, rank = _physical_projector(sol.operator)
+    if not sol.complete or sol.omegas.size != rank:
+        raise IncompleteSpectrum(f"need all {rank} eigenpairs, have {sol.omegas.size}")
     tv = np.atleast_2d(np.asarray(test_vectors, dtype=complex))
     if tv.shape[0] != sol.vectors.shape[0]:
         tv = tv.T
-    q = sol.basis
-    proj = q @ (q.conj().T @ tv)
+    proj = project(tv)
     signs = np.sign(sol.omegas)
     coeff = sol.vectors.conj().T @ (sol.krein @ proj)
-    recon = sol.vectors @ (signs[:, None] * coeff)
-    recon = q @ (q.conj().T @ recon)
+    recon = project(sol.vectors @ (signs[:, None] * coeff))
     devs = np.linalg.norm(recon - proj, axis=0) / np.maximum(np.linalg.norm(proj, axis=0), 1e-300)
     return CompletenessReport(float(devs.max()), devs)
 

@@ -119,6 +119,28 @@ class TestErrorHandling:
         assert f"(at {pointer})" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [8, 99])  # too few cells; z = 0 between nodes
+    def test_bad_grid_exit_2(self, runner, tmp_path, n):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, {"material": MATERIAL, "grid": {"n": n}, "k_par": 2.0,
+                                   "polarization": "TM", "strict_resolution": False})
+        res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "(at /grid/n)" in res.stderr
+        assert not out.exists()
+
+    def test_ragged_phi_components_exit_2(self, runner, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, {"material": MATERIAL,
+                                   "phi": {"order": 2, "components": [[1, 2], [3]]},
+                                   "tuples": []})
+        res = runner.invoke(main, ["scatter", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "(at /phi/components)" in res.stderr
+        assert not out.exists()
+
     def test_numeric_error_exit_3(self, runner, tmp_path):
         # surface mode below the light-line edge is a numeric-domain error
         cfg = write_cfg(tmp_path, {"material": MATERIAL,

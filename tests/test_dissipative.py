@@ -5,7 +5,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from polmodes import default_medium, epsilon, fresnel_te, homogeneous_box, vacuum_interface
+from polmodes import (
+    default_medium,
+    epsilon,
+    fresnel_te,
+    from_phonon_frequencies,
+    homogeneous_box,
+    vacuum_interface,
+)
 from polmodes.dissipative import (
     BathModel,
     ComplexDielectric,
@@ -50,6 +57,16 @@ class TestRenormalization:
         # Int amplitude^2 zeta exp(-zeta/cutoff) / (2 rho^2) = a^2 cutoff^2 / (2 rho^2)
         expected = math.sqrt(medium.omega_L**2 + 0.1**2 * 4.0 / 2.0)
         assert renormalized_omega_L(medium, b) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("rho", [1.0, 2.0])
+    @pytest.mark.parametrize("amplitude,cutoff",
+                             [(0.1, 0.3), (0.1, 1.5), (0.1, 3.0), (0.02, 1.0), (0.02, 4.0)])
+    def test_ohmic_closed_form(self, rho, amplitude, cutoff):
+        # quad's own error estimate must meet the convergence gate on convergent baths
+        m = from_phonon_frequencies(1.0, 1.2, rho)
+        expected = math.sqrt(m.omega_L**2 + amplitude**2 * cutoff**2 / (2.0 * rho**2))
+        got = renormalized_omega_L(m, ohmic_bath(m, amplitude, cutoff))
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_divergent_bath(self, medium):
         b = BathModel(medium, lambda z: 1.0, 0.0, math.inf)

@@ -10,7 +10,7 @@ from polmodes import (
     surface_dispersion_omega,
     vacuum_interface,
 )
-from polmodes.errors import IncompleteSpectrum, ResolutionTooCoarse
+from polmodes.errors import DegenerateKreinNorm, IncompleteSpectrum, ResolutionTooCoarse
 from polmodes.realspace import (
     Grid1D,
     assemble_operator,
@@ -107,6 +107,7 @@ class TestKreinStructure:
         sol = solve_spectrum(op)
         # +/- spectral pairing
         assert np.max(np.abs(np.sort(-sol.omegas) - np.sort(sol.omegas))) < 1e-10
+        assert np.array_equal(np.sort(-sol.omegas), np.sort(sol.omegas))  # exact by construction
         # no zero modes for omega_T > 0
         assert np.min(np.abs(sol.omegas)) > 1e-6 * medium.omega_T
         # Krein gram matrix: diag = sgn(omega), off-diag ~ 0
@@ -120,6 +121,31 @@ class TestKreinStructure:
         # signed completeness on random test vectors
         tv = rng.standard_normal((op.layout.dim, 6)) + 1j * rng.standard_normal((op.layout.dim, 6))
         assert completeness_check(sol, tv).max_deviation < 1e-6
+
+    def test_static_tm_interface(self, medium, rng):
+        # k_par = 0: the constant beta vector is an exact null direction of the energy form
+        geom = vacuum_interface(medium, 40.0)
+        grid = Grid1D(96, 40.0)
+        op = assemble_operator(geom, grid, 0.0, "TM", strict_resolution=False)
+        sol = solve_spectrum(op)
+        n_matter = op.layout._span("gamma").stop - op.layout._span("gamma").start
+        assert sol.omegas.size == 2 * (grid.n - 1 + n_matter)
+        assert np.max(np.abs(np.sort(-sol.omegas) - np.sort(sol.omegas))) < 1e-10
+        g = gram(sol)
+        assert np.max(np.abs(g - np.diag(np.sign(sol.omegas)))) < 1e-8
+        resid = np.linalg.norm(op.b0 @ sol.vectors - sol.vectors * sol.omegas[None, :],
+                               axis=0) / np.linalg.norm(sol.vectors, axis=0)
+        assert np.max(resid) < 1e-10
+        tv = rng.standard_normal((op.layout.dim, 6)) + 1j * rng.standard_normal((op.layout.dim, 6))
+        assert completeness_check(sol, tv).max_deviation < 1e-6
+
+    def test_norm_tol_rejects_high_frequencies(self, medium):
+        geom = vacuum_interface(medium, 40.0)
+        op = assemble_operator(geom, Grid1D(64, 40.0), 0.8, "TE", strict_resolution=False)
+        w_max = np.max(np.abs(solve_spectrum(op).omegas))
+        solve_spectrum(op, norm_tol=0.99 / w_max)
+        with pytest.raises(DegenerateKreinNorm):
+            solve_spectrum(op, norm_tol=1.01 / w_max)
 
     def test_krein_inner_signature(self, medium):
         geom = vacuum_interface(medium, 40.0)

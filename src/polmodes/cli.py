@@ -31,6 +31,7 @@ from .config import (
     parse_bath,
     parse_geometry,
     parse_sweep,
+    sole_medium,
     _get,
     _number,
     _optional,
@@ -297,7 +298,7 @@ def lossy_cmd(config_path, out_dir, units):
     try:
         cfg = load_json(config_path)
         geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
-        medium = first_medium(geom)
+        medium = sole_medium(geom, "/material")
         bath = parse_bath(_get(cfg, "bath", "", dict), medium, us, "/bath")
         om_cfg = _get(cfg, "omega", "", dict)
         w_min = us.to_internal(_number(om_cfg, "min", "/omega"))

@@ -123,6 +123,15 @@ def first_medium(geom: LayeredGeometry, pointer: str = "") -> MediumParams:
     raise ConfigError("configuration has no matter layer", f"{pointer}/layers")
 
 
+def sole_medium(geom: LayeredGeometry, pointer: str = "") -> MediumParams:
+    """The one matter medium of the stack. A bath binds one medium, so a stack
+    with more than one distinct medium is a config error."""
+    medium = first_medium(geom, pointer)
+    if any(lay.medium not in (None, medium) for lay in geom.layers):
+        raise ConfigError("a bath binds one medium; the layers hold more than one", f"{pointer}/layers")
+    return medium
+
+
 def parse_bath(cfg: dict, medium: MediumParams, units: UnitSystem, pointer: str = "") -> BathModel:
     kind = _get(cfg, "type", pointer, str)
     if kind == "none":

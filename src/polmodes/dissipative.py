@@ -36,20 +36,22 @@ and source-jump conditions close a small well-conditioned linear system.
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
+    BathMediumMismatch,
     DivergentBathIntegral,
     InvalidDrive,
     NonConvergentTransfer,
     SingularEndpoint,
 )
-from .media import C, EPS0, LayeredGeometry, MediumParams, epsilon
+from .media import C, EPS0, LayeredGeometry, MediumParams, locate
 
 _ENDPOINT_TOL = 1e-9
 
@@ -108,6 +110,8 @@ def principal_value_integral(g: Callable[[float], float], a: float, b: float, w:
     and adds the analytic primitive for the frozen part. Raises
     SingularEndpoint when w coincides with an endpoint.
     """
+    from scipy.integrate import quad
+
     if w <= 0:
         val, _ = quad(lambda z: g(z) / (z**2 - w**2), a, b, limit=400)
         return val
@@ -134,19 +138,27 @@ def principal_value_integral(g: Callable[[float], float], a: float, b: float, w:
 
 
 def renormalized_omega_L(m: MediumParams, bath: BathModel) -> float:
-    """Bath-shifted longitudinal frequency omega_L_tilde."""
+    """Bath-shifted longitudinal frequency omega_L_tilde; m must be the bath's medium."""
+    if bath.medium != m:
+        raise BathMediumMismatch(f"bath bound to {bath.medium} used with medium {m}")
     shift = _bath_shift_integral(bath)
     return math.sqrt(m.omega_T**2 + m.kappa**2 / (EPS0 * m.rho) + shift)
 
 
+@functools.lru_cache(maxsize=128)
 def _bath_shift_integral(bath: BathModel) -> float:
-    import warnings as _warnings
-    from scipy.integrate import IntegrationWarning
+    """Int upsilon^2 / (2 rho^2) over the bath support.
+
+    It does not depend on omega, so it is computed once per bath (BathModel is
+    frozen and hashes by its medium, its upsilon object and its support). A
+    divergent integral raises on every call: exceptions are not cached.
+    """
+    from scipy.integrate import IntegrationWarning, quad
 
     rho2 = bath.medium.rho**2
     hi = np.inf if math.isinf(bath.zeta_max) else bath.zeta_max
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error", IntegrationWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
         try:
             val, err = quad(lambda z: bath.upsilon_at(z) ** 2 / (2 * rho2),
                             bath.zeta_min, hi, limit=400, epsabs=0, epsrel=1e-10)
@@ -159,6 +171,8 @@ def _bath_shift_integral(bath: BathModel) -> float:
 
 def bath_kernel_F(bath: BathModel, omega: float) -> float:
     """Real principal-value kernel F(omega) of the bath elimination."""
+    from scipy.integrate import quad
+
     rho2 = bath.medium.rho**2
 
     def g(z):
@@ -173,7 +187,7 @@ def bath_kernel_F(bath: BathModel, omega: float) -> float:
 
 
 def lossy_epsilon(m: MediumParams, bath: BathModel, omega: float) -> complex:
-    """Complex bath-dressed dielectric function eps_tilde(omega)."""
+    """Complex bath-dressed dielectric function eps_tilde(omega); m must be the bath's medium."""
     if omega <= 0:
         raise ValueError("lossy_epsilon is defined for omega > 0")
     wl2 = renormalized_omega_L(m, bath) ** 2
@@ -232,33 +246,21 @@ class DrivenFieldSolution:
     segments: Tuple[_Segment, ...]
 
     def evaluate(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.zeros(z.size, dtype=complex)
-        for i, zz in enumerate(z):
-            seg = self._segment_at(zz)
-            out[i] = seg.a * np.exp(1j * seg.q * (zz - seg.z_lo)) + seg.b * np.exp(
-                -1j * seg.q * (zz - seg.z_hi)
-            )
-        return out
+        _, up, down = self._waves(z)
+        return up + down
 
     def derivative(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.zeros(z.size, dtype=complex)
-        for i, zz in enumerate(z):
-            seg = self._segment_at(zz)
-            out[i] = 1j * seg.q * (
-                seg.a * np.exp(1j * seg.q * (zz - seg.z_lo))
-                - seg.b * np.exp(-1j * seg.q * (zz - seg.z_hi))
-            )
-        return out
+        q, up, down = self._waves(z)
+        return 1j * q * (up - down)
 
-    def _segment_at(self, z: float) -> _Segment:
-        for i, seg in enumerate(self.segments):
-            if seg.z_lo <= z <= seg.z_hi:
-                if z == seg.z_hi and i + 1 < len(self.segments):
-                    continue
-                return seg
-        raise ValueError(f"z={z} outside the solution domain")
+    def _waves(self, z):
+        """q, a exp(iq(z - z_lo)) and b exp(-iq(z - z_hi)) at each point, from its segment."""
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        z_lo = np.array([s.z_lo for s in self.segments])
+        z_hi = np.array([s.z_hi for s in self.segments])
+        i = locate(z, z_lo, z_hi)
+        q, a, b = (np.array([(s.q, s.a, s.b) for s in self.segments])[i]).T
+        return q, a * np.exp(1j * q * (z - z_lo[i])), b * np.exp(-1j * q * (z - z_hi[i]))
 
 
 def driven_field(

@@ -52,6 +52,11 @@ class DivergentBathIntegral(PolmodesError):
     """Bath renormalization integral does not converge."""
 
 
+class BathMediumMismatch(PolmodesError, ValueError):
+    """A bath bound to one medium was used with another: its rho would mix with the
+    other medium's omega_T, kappa and rho."""
+
+
 class SingularEndpoint(PolmodesError):
     """Principal-value frequency coincides with a support endpoint of the bath."""
 

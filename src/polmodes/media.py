@@ -135,6 +135,23 @@ def nu_vacuum(omega=None) -> float:
     return 2.0
 
 
+def locate(z, lower, upper) -> np.ndarray:
+    """Index of the region [lower_i, upper_i] holding each point of z.
+
+    The regions are sorted and touch end to end. A point on an interior edge
+    belongs to the upper region. Raises ValueError for a point outside
+    [lower_0, upper_-1] or NaN.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    idx = np.searchsorted(upper[:-1], z, side="right")
+    inside = (z >= lower[idx]) & (z <= upper[idx])
+    if not inside.all():
+        raise ValueError(f"z={z[~inside][0]} outside the support [{lower[0]}, {upper[-1]}]")
+    return idx
+
+
 @dataclass(frozen=True)
 class Layer:
     """One slab [z_min, z_max]; medium=None means vacuum."""

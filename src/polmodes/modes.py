@@ -42,12 +42,12 @@ flux unitarity of the Fresnel coefficients.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dispersion import ModeClass, ModeIndex, bulk_branches, surface_dispersion_omega
 from .errors import (
@@ -64,6 +64,7 @@ from .media import (
     LayeredGeometry,
     MediumParams,
     epsilon,
+    locate,
     nu,
     nu_vacuum,
 )
@@ -94,6 +95,9 @@ class ProfileRegion:
     medium: Optional[MediumParams]
     terms: Tuple[PlaneTerm, ...]
 
+    def with_terms(self, terms) -> "ProfileRegion":
+        return ProfileRegion(self.z_min, self.z_max, self.medium, tuple(terms))
+
 
 @dataclass(frozen=True)
 class VectorProfile:
@@ -102,13 +106,17 @@ class VectorProfile:
     k_inplane: np.ndarray  # shape (2,)
     regions: Tuple[ProfileRegion, ...]
 
-    def region_index(self, z: float) -> int:
-        for i, reg in enumerate(self.regions):
-            if reg.z_min <= z <= reg.z_max:
-                if z == reg.z_max and i + 1 < len(self.regions):
-                    continue
-                return i
-        raise ValueError(f"z={z} outside profile support")
+    def region_indices(self, z) -> np.ndarray:
+        """Region index of each point of z; an interface point belongs to the upper region."""
+        return locate(z, [r.z_min for r in self.regions], [r.z_max for r in self.regions])
+
+    def _split(self, z):
+        """(i, mask) for each region i that holds some of the points z (a 1-D array)."""
+        idx = self.region_indices(z)
+        for i in range(len(self.regions)):
+            mask = idx == i
+            if mask.any():
+                yield i, mask
 
     def evaluate_region(self, i: int, z, r_par=(0.0, 0.0)) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -121,47 +129,38 @@ class VectorProfile:
     def evaluate(self, z, r_par=(0.0, 0.0)) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         out = np.zeros((z.size, 3), dtype=complex)
-        for i in range(len(self.regions)):
-            mask = np.array([self.region_index(zz) == i for zz in z])
-            if mask.any():
-                out[mask] = self.evaluate_region(i, z[mask], r_par)
+        for i, mask in self._split(z):
+            out[mask] = self.evaluate_region(i, z[mask], r_par)
         return out
 
     def curl(self) -> "VectorProfile":
-        regions = []
-        for reg in self.regions:
-            terms = tuple(
-                PlaneTerm(1j * np.cross(t.k3(self.k_inplane), t.amplitude), t.w)
-                for t in reg.terms
+        regions = tuple(
+            reg.with_terms(
+                PlaneTerm(1j * np.cross(t.k3(self.k_inplane), t.amplitude), t.w) for t in reg.terms
             )
-            regions.append(replace(reg, terms=terms))
-        return VectorProfile(self.k_inplane, tuple(regions))
+            for reg in self.regions
+        )
+        return VectorProfile(self.k_inplane, regions)
 
     def divergence(self, z, r_par=(0.0, 0.0)) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         out = np.zeros(z.size, dtype=complex)
         phase_par = np.exp(-1j * (self.k_inplane[0] * r_par[0] + self.k_inplane[1] * r_par[1]))
-        for idx, zz in enumerate(z):
-            reg = self.regions[self.region_index(zz)]
-            for t in reg.terms:
-                out[idx] += 1j * np.dot(t.k3(self.k_inplane), t.amplitude) * np.exp(1j * t.w * zz)
+        for i, mask in self._split(z):
+            for t in self.regions[i].terms:
+                out[mask] += 1j * np.dot(t.k3(self.k_inplane), t.amplitude) * np.exp(1j * t.w * z[mask])
         return out * phase_par
 
     def conj(self) -> "VectorProfile":
         regions = tuple(
-            replace(
-                reg,
-                terms=tuple(
-                    PlaneTerm(np.conj(t.amplitude), -np.conj(t.w)) for t in reg.terms
-                ),
-            )
+            reg.with_terms(PlaneTerm(np.conj(t.amplitude), -np.conj(t.w)) for t in reg.terms)
             for reg in self.regions
         )
         return VectorProfile(-self.k_inplane, regions)
 
     def scaled(self, factor: complex) -> "VectorProfile":
         regions = tuple(
-            replace(reg, terms=tuple(PlaneTerm(factor * t.amplitude, t.w) for t in reg.terms))
+            reg.with_terms(PlaneTerm(factor * t.amplitude, t.w) for t in reg.terms)
             for reg in self.regions
         )
         return VectorProfile(self.k_inplane, regions)
@@ -172,7 +171,7 @@ class VectorProfile:
         for reg in self.regions:
             f = func(reg)
             terms = () if f == 0 else tuple(PlaneTerm(f * t.amplitude, t.w) for t in reg.terms)
-            regions.append(replace(reg, terms=terms))
+            regions.append(reg.with_terms(terms))
         return VectorProfile(self.k_inplane, tuple(regions))
 
 
@@ -467,6 +466,22 @@ def _exact_region_integral(reg: ProfileRegion, k_unused=None) -> complex:
     return total
 
 
+def _abs2_density(reg: ProfileRegion) -> Callable[[float], float]:
+    """Pointwise |theta(z)|^2 within the region, in scalar complex arithmetic."""
+    terms = [(complex(t.w), tuple(complex(a) for a in t.amplitude)) for t in reg.terms]
+
+    def dens(z: float) -> float:
+        x = y = zc = 0j
+        for w, (ax, ay, az) in terms:
+            e = cmath.exp(1j * w * z)
+            x += ax * e
+            y += ay * e
+            zc += az * e
+        return x.real**2 + x.imag**2 + y.real**2 + y.imag**2 + zc.real**2 + zc.imag**2
+
+    return dens
+
+
 def normalization_integral(mode: PolaritonMode, geom: LayeredGeometry, method: str = "exact") -> float:
     """eps0 * Int_box eps(omega) nu(omega) theta . conj(theta) dr for the given mode.
 
@@ -476,17 +491,15 @@ def normalization_integral(mode: PolaritonMode, geom: LayeredGeometry, method: s
     """
     omega = abs(mode.omega)
     total = 0.0
-    for i, reg in enumerate(mode.theta.profile.regions):
+    for reg in mode.theta.profile.regions:
         weight = _eps_nu(reg.medium, omega)
         if method == "exact":
             val = _exact_region_integral(reg)
             total += weight * val.real
         elif method == "quad":
-            def dens(z, i=i):
-                th = mode.theta.profile.evaluate_region(i, z)[0]
-                return float(np.real(np.vdot(th, th)))
+            from scipy.integrate import quad
 
-            val, _ = quad(dens, reg.z_min, reg.z_max, limit=400)
+            val, _ = quad(_abs2_density(reg), reg.z_min, reg.z_max, limit=400)
             total += weight * val
         else:
             raise ValueError("method must be 'exact' or 'quad'")
@@ -608,12 +621,11 @@ def wave_equation_residual(theta: ThetaProfile, geom: LayeredGeometry, z_points)
     z = np.atleast_1d(np.asarray(z_points, dtype=float))
     res_max = 0.0
     th_max = 0.0
-    for zz in z:
-        i = theta.profile.region_index(zz)
+    for i, mask in theta.profile._split(z):
         med = theta.profile.regions[i].medium
         eps_here = 1.0 if med is None else epsilon(med, theta.omega)
-        lhs = cc.evaluate_region(i, zz)[0]
-        th = theta.profile.evaluate_region(i, zz)[0]
+        lhs = cc.evaluate_region(i, z[mask])
+        th = theta.profile.evaluate_region(i, z[mask])
         res_max = max(res_max, float(np.max(np.abs(lhs - u * eps_here * th))))
         th_max = max(th_max, float(np.max(np.abs(th))))
     return res_max / (abs(u) * th_max) if th_max > 0 else res_max

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import PoleAtResonance
 from .media import HBAR, LayeredGeometry, POLE_GUARD_REL
@@ -146,6 +145,8 @@ def scattering_coefficient(
                     zint = (np.exp(d * z_max) - np.exp(d * z_min)) / d
                 total += complex(contraction) * zint
         elif method == "quad":
+            from scipy.integrate import quad
+
             def dens(z, regs=regs, ireg=ireg):
                 vecs = [w.evaluate_region(ireg, z)[0] for w in weights]
                 contraction = phi.components

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +256,29 @@ class TestLossyCommand:
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert "strictly inside the box" in res.stderr
         assert not out.exists()  # neither lossy_epsilon.csv nor driven_field.csv
+
+
+    def test_two_species_stack_exit_2(self, runner, tmp_path):
+        material = json.loads(json.dumps(MATERIAL))
+        material["layers"][1]["medium"] = {"omega_TO": 1.0, "omega_LO": 1.3, "rho": 1.0}
+        cfg = write_cfg(tmp_path, {
+            "material": material,
+            "bath": {"type": "flat", "upsilon": 0.05, "zeta_min": 0.5, "zeta_max": 3.0},
+            "omega": {"min": 0.2, "max": 2.9, "num": 30},
+        })
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["lossy", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "/material/layers" in res.stderr
+        assert not out.exists()
+
+
+def test_cli_import_defers_scipy_integrate():
+    code = "import sys, polmodes.cli; sys.exit('scipy.integrate' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestVerifyCommand:

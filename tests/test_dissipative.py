@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from polmodes import (
     homogeneous_box,
     vacuum_interface,
 )
+from polmodes.media import Layer, LayeredGeometry
 from polmodes.dissipative import (
     BathModel,
     ComplexDielectric,
@@ -29,7 +31,7 @@ from polmodes.dissipative import (
     source_current_to_y,
     y_to_source_current,
 )
-from polmodes.errors import DivergentBathIntegral, SingularEndpoint
+from polmodes.errors import BathMediumMismatch, DivergentBathIntegral, SingularEndpoint
 
 
 @pytest.fixture
@@ -72,6 +74,43 @@ class TestRenormalization:
         b = BathModel(medium, lambda z: 1.0, 0.0, math.inf)
         with pytest.raises(DivergentBathIntegral):
             renormalized_omega_L(medium, b)
+
+    def test_divergent_bath_raises_on_every_call(self, medium):
+        b = BathModel(medium, lambda z: 1.0, 0.0, math.inf)
+        for _ in range(3):
+            with pytest.raises(DivergentBathIntegral):
+                lossy_epsilon(medium, b, 1.1)
+
+    def test_shift_integrated_once_per_bath(self, medium, monkeypatch):
+        import scipy.integrate
+
+        callers = []
+        real_quad = scipy.integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        for bath in (flat_bath(medium, 0.05, 0.5, 3.0), ohmic_bath(medium, 0.1, 2.0)):
+            callers.clear()
+            values = [lossy_epsilon(medium, bath, w) for w in (0.4, 1.1, 1.1, 2.3, 5.0)]
+            assert callers.count("_bath_shift_integral") == 1
+            assert len(callers) > 5  # the omega-dependent kernel still integrates per call
+            assert values[1] == values[2]
+
+    def test_bath_bound_to_another_medium(self, medium):
+        other = from_phonon_frequencies(1.0, 1.2, 2.0)
+        bath = flat_bath(other, 0.05, 0.5, 3.0)
+        with pytest.raises(BathMediumMismatch):
+            lossy_epsilon(medium, bath, 1.1)
+        with pytest.raises(BathMediumMismatch):
+            renormalized_omega_L(medium, bath)
+        with pytest.raises(ValueError):
+            lossy_epsilon(medium, bath, 1.1)
+        # an equal medium built separately is the same medium
+        assert lossy_epsilon(from_phonon_frequencies(1.0, 1.2, 1.0), flat_bath(medium, 0.05, 0.5, 3.0), 1.1) \
+            == lossy_epsilon(medium, flat_bath(medium, 0.05, 0.5, 3.0), 1.1)
 
 
 class TestBathKernel:
@@ -227,3 +266,38 @@ class TestDrivenField:
         geom = homogeneous_box(medium, 40.0)
         with pytest.raises(ValueError):
             driven_field(geom, bath, 1.1, [(25.0, 1.0)])
+
+    def test_two_species_stack_rejected(self, medium, bath):
+        other = from_phonon_frequencies(1.0, 1.3, 1.0)
+        geom = LayeredGeometry((Layer(-20.0, 0.0, medium), Layer(0.0, 20.0, other)), 1.0)
+        with pytest.raises(BathMediumMismatch):
+            driven_field(geom, bath, 1.1, [(5.0, 1.0)])
+
+    def test_array_evaluation_matches_per_segment_reference(self, medium, bath, rng):
+        geom = vacuum_interface(medium, 60.0)
+        sheets = [(-7.0, 1.0), (10.0, 0.5 - 0.2j)]
+        sol = driven_field(geom, bath, 1.1, sheets, k_par=0.3)
+        edges = [-30.0, -7.0, 0.0, 10.0, 30.0]
+        zs = np.concatenate([rng.uniform(-30.0, 30.0, 200), edges])
+
+        def segment(z):
+            for i, seg in enumerate(sol.segments):
+                if seg.z_lo <= z <= seg.z_hi and not (z == seg.z_hi and i + 1 < len(sol.segments)):
+                    return seg
+            raise AssertionError(z)
+
+        up = np.array([segment(z).a * np.exp(1j * segment(z).q * (z - segment(z).z_lo)) for z in zs])
+        down = np.array([segment(z).b * np.exp(-1j * segment(z).q * (z - segment(z).z_hi)) for z in zs])
+        val = up + down
+        der = 1j * np.array([segment(z).q for z in zs]) * (up - down)
+        scale = np.max(np.abs(val))
+        np.testing.assert_allclose(sol.evaluate(zs), val, rtol=1e-14, atol=1e-15 * scale)
+        np.testing.assert_allclose(sol.derivative(zs), der, rtol=1e-14, atol=1e-15 * scale)
+        # a sheet edge belongs to the upper segment: the derivative jumps there
+        d_below, d_at = sol.derivative([np.nextafter(10.0, 0.0), 10.0])
+        assert abs(d_at - d_below) > 0.1 * abs(d_at)
+        for bad in (-30.0 - 1e-9, 30.0 + 1e-9, np.nan):
+            with pytest.raises(ValueError):
+                sol.evaluate([0.0, bad])
+            with pytest.raises(ValueError):
+                sol.derivative(bad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polmodes import (
+    C,
     EPS0,
     HBAR,
     MediumParams,
@@ -28,6 +29,8 @@ from polmodes import (
 )
 from polmodes.errors import EvanescentBranchAmbiguity, PoleAtResonance
 from polmodes.modes import (
+    VectorProfile,
+    _abs2_density,
     interface_continuity,
     surface_norm_constant,
     wave_equation_residual,
@@ -288,6 +291,16 @@ class TestNormalization:
         expected = math.sqrt(1.0 / (EPS0 * HBAR * mode.omega * geom.volume * weight))
         assert mode.norm == pytest.approx(expected, rel=1e-12)
 
+    def test_quadrature_density_matches_profile(self, medium, interface, rng):
+        zs = rng.uniform(-20.0, 20.0, 50)
+        for idx in [surface_index(medium)] + ALL_CLASS_INDICES:
+            prof = make_mode(interface, idx).theta.profile
+            for i, reg in enumerate(prof.regions):
+                dens = _abs2_density(reg)
+                for z in zs:
+                    th = prof.evaluate_region(i, z)[0]
+                    assert dens(float(z)) == pytest.approx(float(np.vdot(th, th).real), rel=1e-13)
+
     def test_normalize_rejects_prescaled(self, medium, interface):
         mode = normalize(make_mode(interface, surface_index(medium)), interface)
         with pytest.raises(ValueError):
@@ -330,3 +343,69 @@ class TestFieldExpansion:
         below_d = np.dot(e_par, fd.evaluate(np.array([-1e-12]))[0]) / epsilon(medium, mode.omega)
         above_d = np.dot(e_par, fd.evaluate(np.array([+1e-12]))[0])
         np.testing.assert_allclose(below_d, above_d, rtol=1e-9)
+
+
+def region_index_per_point(profile: VectorProfile, z: float) -> int:
+    """Reference lookup: the first region holding z, an interface point going up."""
+    for i, reg in enumerate(profile.regions):
+        if reg.z_min <= z <= reg.z_max:
+            if z == reg.z_max and i + 1 < len(profile.regions):
+                continue
+            return i
+    raise ValueError(f"z={z} outside profile support")
+
+
+class TestRegionLookup:
+    def test_matches_per_point_lookup(self, medium, interface, vacuum_box, rng):
+        z_wall = interface.lz / 2
+        zs = np.concatenate([rng.uniform(-z_wall, z_wall, 500),
+                             [-z_wall, z_wall, 0.0, -0.0, np.nextafter(0.0, -1.0), 5e-324]])
+        for geom, idx in ((interface, surface_index(medium)), (interface, ALL_CLASS_INDICES[2]),
+                          (vacuum_box, ModeIndex(ModeClass.TEv, (0.3, 0.0), 0.7))):
+            prof = make_mode(geom, idx).theta.profile
+            z = zs * geom.lz / interface.lz
+            got = prof.region_indices(z)
+            assert got.tolist() == [region_index_per_point(prof, float(zz)) for zz in z]
+        prof = make_mode(interface, surface_index(medium)).theta.profile
+        assert prof.region_indices(0.0).tolist() == [1]  # the interface belongs to the upper region
+
+    @pytest.mark.parametrize("bad", [-20.0 - 1e-12, 20.0 + 1e-9, np.nan, np.inf, -np.inf])
+    def test_outside_support_raises(self, medium, interface, bad):
+        prof = make_mode(interface, surface_index(medium)).theta.profile
+        with pytest.raises(ValueError):
+            prof.region_indices([0.0, bad])
+        with pytest.raises(ValueError):
+            prof.evaluate([1.0, bad])
+        with pytest.raises(ValueError):
+            prof.divergence(bad)
+        with pytest.raises(ValueError):
+            wave_equation_residual(make_mode(interface, surface_index(medium)).theta, interface, [bad])
+
+    def test_array_paths_match_per_point_reference(self, medium, interface, rng):
+        zs = np.concatenate([rng.uniform(-20.0, 20.0, 101), [-20.0, 0.0, 20.0]])
+        for idx in [surface_index(medium)] + ALL_CLASS_INDICES:
+            mode = make_mode(interface, idx)
+            for prof in (mode.theta.profile, mode.hopfield.beta, mode.hopfield.gamma, mode.hopfield.eta):
+                r_par = (0.3, -1.2)
+                ref = np.array([prof.evaluate_region(region_index_per_point(prof, zz), zz, r_par)[0]
+                                for zz in zs])
+                np.testing.assert_array_equal(prof.evaluate(zs, r_par), ref)
+                ref_div = np.zeros(zs.size, dtype=complex)
+                for j, zz in enumerate(zs):
+                    for t in prof.regions[region_index_per_point(prof, zz)].terms:
+                        ref_div[j] += 1j * np.dot(t.k3(prof.k_inplane), t.amplitude) * np.exp(1j * t.w * zz)
+                phase = np.exp(-1j * (prof.k_inplane[0] * r_par[0] + prof.k_inplane[1] * r_par[1]))
+                np.testing.assert_allclose(prof.divergence(zs, r_par), ref_div * phase,
+                                           rtol=1e-14, atol=1e-14 * np.max(np.abs(ref)))
+            theta = mode.theta
+            u = (theta.omega / C) ** 2
+            cc = theta.profile.curl().curl()
+            res = th = 0.0
+            for zz in zs:
+                i = region_index_per_point(theta.profile, zz)
+                med = theta.profile.regions[i].medium
+                eps_here = 1.0 if med is None else epsilon(med, theta.omega)
+                v = theta.profile.evaluate_region(i, zz)[0]
+                res = max(res, np.max(np.abs(cc.evaluate_region(i, zz)[0] - u * eps_here * v)))
+                th = max(th, np.max(np.abs(v)))
+            assert wave_equation_residual(theta, interface, zs) == pytest.approx(res / (u * th), abs=1e-14)

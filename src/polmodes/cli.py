@@ -81,7 +81,7 @@ def dispersion_cmd(config_path, out_dir, units):
     try:
         cfg = load_json(config_path)
         geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
-        medium = first_medium(geom)
+        medium = first_medium(geom, "/material")
         k_min, k_max, num = parse_sweep(_get(cfg, "sweep", "", dict), us, "/sweep")
     except ConfigError as exc:
         _fail(exc, 2)
@@ -136,6 +136,8 @@ def mode_cmd(config_path, out_dir, units, tol):
     try:
         cfg = load_json(config_path)
         geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
+        if any(lay.medium is not None for lay in geom.layers):
+            sole_medium(geom, "/material")  # analytic modes hold one medium species
         idx = _parse_mode_spec(_get(cfg, "mode", "", dict), "/mode")
         z_num = _optional(_optional(cfg, "samples", "", dict, {}), "z_num", "/samples", int, 401)
         if z_num < 1:
@@ -241,6 +243,8 @@ def scatter_cmd(config_path, out_dir, units, tol):
     try:
         cfg = load_json(config_path)
         geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
+        if any(lay.medium is not None for lay in geom.layers):
+            sole_medium(geom, "/material")  # analytic modes hold one medium species
         if "phi_path" in cfg:
             phi_cfg = load_json(cfg["phi_path"])
         else:

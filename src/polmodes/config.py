@@ -124,11 +124,13 @@ def first_medium(geom: LayeredGeometry, pointer: str = "") -> MediumParams:
 
 
 def sole_medium(geom: LayeredGeometry, pointer: str = "") -> MediumParams:
-    """The one matter medium of the stack. A bath binds one medium, so a stack
-    with more than one distinct medium is a config error."""
+    """The one matter medium of the stack. A bath binds one medium, and the analytic
+    modes know one medium species, so a stack with more than one distinct medium is
+    a config error for both."""
     medium = first_medium(geom, pointer)
     if any(lay.medium not in (None, medium) for lay in geom.layers):
-        raise ConfigError("a bath binds one medium; the layers hold more than one", f"{pointer}/layers")
+        raise ConfigError("the layers hold more than one distinct medium; only one is supported",
+                          f"{pointer}/layers")
     return medium
 
 

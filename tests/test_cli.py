@@ -123,6 +123,34 @@ class TestErrorHandling:
         assert f"(at {pointer})" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["mode", "scatter"])
+    def test_two_species_stack_exit_2(self, runner, tmp_path, command):
+        material = json.loads(json.dumps(MATERIAL))
+        material["layers"][1]["medium"] = {"omega_TO": 1.0, "omega_LO": 1.3, "rho": 1.0}
+        cfg = write_cfg(tmp_path, {
+            "material": material,
+            "mode": {"class": "S", "k_par": [2.0, 0.0]},
+            "phi": {"order": 3, "components": np.eye(3)[:, :, None].repeat(3, 2).tolist()},
+            "tuples": [[{"class": "TMv", "k_par": [0.0, 0.0], "k_z": 0.7}] * 3],
+        })
+        out = tmp_path / "out"
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "(at /material/layers)" in res.stderr
+        assert not out.exists()
+
+    def test_no_matter_layer_pointer(self, runner, tmp_path):
+        material = json.loads(json.dumps(MATERIAL))
+        material["layers"][0]["medium"] = None
+        cfg = write_cfg(tmp_path, {"material": material,
+                                   "sweep": {"k_min": 0.1, "k_max": 10.0, "num": 10}})
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["dispersion", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "(at /material/layers)" in res.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [8, 99])  # too few cells; z = 0 between nodes
     def test_bad_grid_exit_2(self, runner, tmp_path, n):
         out = tmp_path / "out"

@@ -301,3 +301,40 @@ class TestDrivenField:
                 sol.evaluate([0.0, bad])
             with pytest.raises(ValueError):
                 sol.derivative(bad)
+
+
+class TestVerifyGates:
+    def test_lossless_limit_holds_the_quadratic_law(self, monkeypatch):
+        from polmodes import dissipative as diss
+        from polmodes import verify
+
+        res = verify.check_lossless_limit()
+        assert res.passed and res.tolerance == 1e-12
+        # a deviation linear in upsilon stays below 1e-12 at upsilon = 5e-8, but breaks the
+        # upsilon^2 ratio between 5e-7 and 5e-6
+        exact = diss.lossy_epsilon
+
+        def linear(m, bath, w):
+            eps = exact(m, bath, w)
+            return eps + 1e-6 * math.sqrt(abs(eps - epsilon(m, w)))
+
+        monkeypatch.setattr(diss, "lossy_epsilon", linear)
+        res = verify.check_lossless_limit()
+        assert res.measured < 1e-12 and not res.passed
+
+    def test_driven_decay_reports_the_decay_error(self, monkeypatch):
+        from polmodes import dissipative as diss
+        from polmodes import verify
+
+        exact = diss.power_balance
+        # the balance is relative to a scale of about 0.54 here
+        for offset, passed in ((1e-7, True), (1e-5, False)):
+            def unbalanced(*args, offset=offset):
+                lhs, rhs = exact(*args)
+                return lhs, rhs + offset
+
+            monkeypatch.setattr(diss, "power_balance", unbalanced)
+            res = verify.check_driven_decay()
+            assert res.passed == passed
+            assert res.measured < 1e-10  # the decay error alone; the balance is in the detail
+            assert "power balance" in res.detail

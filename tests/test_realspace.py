@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import polmodes.realspace as rs
 from polmodes import (
     MediumParams,
     bulk_branches,
@@ -10,7 +11,12 @@ from polmodes import (
     surface_dispersion_omega,
     vacuum_interface,
 )
-from polmodes.errors import DegenerateKreinNorm, IncompleteSpectrum, ResolutionTooCoarse
+from polmodes.errors import (
+    DegenerateKreinNorm,
+    IncompleteSpectrum,
+    ResolutionTooCoarse,
+    SolverContractViolation,
+)
 from polmodes.realspace import (
     Grid1D,
     assemble_operator,
@@ -193,13 +199,13 @@ class TestSingleAssembly:
         geom = vacuum_interface(medium, 40.0) if with_matter else homogeneous_box(None, 40.0)
         grid = Grid1D(96, 40.0)
         op = assemble_operator(geom, grid, 0.8, polarization, strict_resolution=False)
-        b0_sparse, layout = assemble_sparse(geom, grid, 0.8, polarization,
-                                            strict_resolution=False)
+        assert "b0" not in op.__dict__  # assembly builds nothing dense
+        layout = op.layout
         a_sl, g_sl = layout._span("alpha"), layout._span("gamma")
         assert (g_sl.stop > g_sl.start) == with_matter
         # every block but the (alpha, gamma) coupling is the sparse B0 itself
-        diff = op.b0 - b0_sparse.toarray()
-        coupling = b0_sparse.toarray()[a_sl, g_sl]
+        diff = op.b0 - op.b0_sparse.toarray()
+        coupling = op.b0_sparse.toarray()[a_sl, g_sl]
         delta = diff[a_sl, g_sl].copy()
         diff[a_sl, g_sl] = 0
         assert np.all(diff == 0)
@@ -210,20 +216,29 @@ class TestSingleAssembly:
             assert np.linalg.norm(curl @ delta) <= 1e-12 * np.linalg.norm(curl @ coupling)
         else:
             assert np.all(delta == 0)
-        assert sp.issparse(op.krein)
+        assert sp.issparse(op.b0_sparse) and sp.issparse(op.krein)
         assert op.krein.nnz <= 4 * layout.dim
 
 
 class TestSurfaceMode:
-    def test_surface_eigenvalue_dense_vs_sparse(self, medium):
+    def test_surface_eigenvalue_dense_vs_sparse(self, medium, monkeypatch):
         geom = vacuum_interface(medium, 40.0)
         ws = surface_dispersion_omega(medium, 2.0)
         grid = Grid1D(200, 40.0)
         op = assemble_operator(geom, grid, 2.0, "TM", strict_resolution=False)
         sol = solve_spectrum(op)
+        assert "b0" not in op.__dict__  # the full solve reads only sparse blocks
         w_dense = sol.omegas[np.argmin(np.abs(sol.omegas - ws))]
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(assemble_operator(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(rs, "assemble_operator", spy)
         w_sparse = surface_mode_frequency(geom, grid, 2.0, sigma=ws * 1.001,
                                           strict_resolution=False)
+        assert len(built) == 1 and "b0" not in built[0].__dict__
         assert w_sparse == pytest.approx(w_dense, rel=1e-9)
         assert w_sparse == pytest.approx(ws, rel=5e-3)
 
@@ -251,10 +266,65 @@ class TestSurfaceMode:
         op = assemble_operator(geom, grid, 0.8, "TM", strict_resolution=False)
         dense = solve_spectrum(op)
         target = 1.5
-        w, _, _ = solve_windowed(geom, grid, 0.8, "TM", sigma=target, count=1,
-                                 strict_resolution=False)
+        sol = solve_windowed(op, sigma=target, count=1)
+        assert not sol.complete
         nearest = dense.omegas[np.argmin(np.abs(dense.omegas - target))]
-        assert w[0] == pytest.approx(nearest, rel=1e-10)
+        assert sol.omegas[0] == pytest.approx(nearest, rel=1e-10)
+
+
+@pytest.fixture(scope="module")
+def dense_spectra():
+    """Full spectra on the n = 128 interface, one per (polarization, k_par)."""
+    geom = vacuum_interface(default_medium(), 40.0)
+    cache = {}
+
+    def get(polarization, k_par):
+        if (polarization, k_par) not in cache:
+            op = assemble_operator(geom, Grid1D(128, 40.0), k_par, polarization,
+                                   strict_resolution=False)
+            cache[polarization, k_par] = solve_spectrum(op)
+        return cache[polarization, k_par]
+
+    return get
+
+
+class TestWindowedSolve:
+    @pytest.mark.parametrize("sigma", ["0.5", "omega_T", "omega_L+1e-4", "-1.1"])
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("polarization,k_par",
+                             [("TE", 0.8), ("TE", 0.0), ("TM", 0.8), ("TM", 0.0)])
+    def test_matches_dense_spectrum(self, medium, dense_spectra, polarization, k_par, count,
+                                    sigma):
+        shift = {"0.5": 0.5, "omega_T": medium.omega_T, "omega_L+1e-4": medium.omega_L + 1e-4,
+                 "-1.1": -1.1}[sigma]
+        dense = dense_spectra(polarization, k_par)
+        op = dense.operator
+        sol = solve_windowed(op, shift, count)
+        nearest = dense.omegas[np.argsort(np.abs(dense.omegas - shift), kind="stable")[:count]]
+        np.testing.assert_allclose(sol.omegas, nearest, rtol=1e-10)
+        assert np.all(np.diff(np.abs(sol.omegas - shift)) >= 0)
+        g = gram(sol)
+        assert np.max(np.abs(np.diag(g) - np.sign(sol.omegas))) < 1e-8
+        resid = np.linalg.norm(op.b0 @ sol.vectors - sol.vectors * sol.omegas[None, :],
+                               axis=0) / np.linalg.norm(sol.vectors, axis=0)
+        assert np.max(resid) <= 1e-10
+        # profiles of simple eigenvalues agree with the dense modes'; a degenerate cluster
+        # (the omega_L matter modes) has no preferred basis
+        for j, w in enumerate(sol.omegas):
+            dist = np.sort(np.abs(dense.omegas - w))
+            if dist[1] < 1e-8:
+                continue
+            i = int(np.argmin(np.abs(dense.omegas - w)))
+            win = reconstruct_node_fields(op, sol.vectors[:, j], float(w))["theta"].ravel()
+            ref = reconstruct_node_fields(op, dense.vectors[:, i], float(dense.omegas[i]))
+            ref = ref["theta"].ravel()
+            overlap = abs(np.vdot(ref, win)) / (np.linalg.norm(ref) * np.linalg.norm(win))
+            assert overlap > 0.9999
+
+    def test_zero_frequency_is_not_a_mode(self, dense_spectra):
+        # in TM at k_par = 0 the reduced pencil keeps one null vector, which is no mode
+        with pytest.raises(SolverContractViolation, match="zero frequency"):
+            solve_windowed(dense_spectra("TM", 0.0).operator, 0.01)
 
 
 class TestGridAndErrors:

@@ -348,23 +348,23 @@ def lossy_cmd(config_path, out_dir, units):
         click.echo(f"wrote {out / 'driven_field.csv'}")
 
 
+def _positive_finite(ctx, param, value):
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{value!r} is not a finite number > 0")
+    return value
+
+
 @main.command("verify")
-@click.option("--tol", "tol_scale", default=1.0, type=float,
-              help="multiplier applied to every check tolerance")
+@click.option("--tol", "tol_scale", default=1.0, type=float, callback=_positive_finite,
+              help="multiplier applied to every gate tolerance")
 def verify_cmd(tol_scale):
     """Run the full invariant suite and print a pass/fail table."""
     results = run_all(tol_scale)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
         failures += not r.passed
-        line = f"{status}  {r.name:<{width}}  measured {r.measured:.3e}"
-        if r.tolerance > 0:
-            line += f"  tol {r.tolerance:.1e}"
-        if r.detail:
-            line += f"  [{r.detail}]"
-        click.echo(line)
+        click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.describe()}")
     click.echo(f"{len(results) - failures}/{len(results)} checks passed")
     sys.exit(0 if failures == 0 else 1)
 

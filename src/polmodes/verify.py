@@ -1,15 +1,25 @@
-"""Invariant suite behind the `verify` CLI command.
+"""Invariant registry behind `polmodes verify` and the acceptance tests.
 
-Every check returns its measured value together with the tolerance it was
-held to; `run_all` executes the full list on the default test medium. The
-acceptance tests in the repository reuse these helpers at their own sizes.
+Each `check_*` function computes one invariant and returns a `VerifyResult`
+that carries every gate the invariant is held to, each a (label, measured,
+tolerance) `Gate`. A gate passes when its measured value is below its
+tolerance or exactly zero, so a zero tolerance demands an exact zero; a
+result passes exactly when all of its gates do.
+
+A check takes as arguments the sizes in which its callers differ: grid size,
+sample or point count, seed, frequency band, the surface-mode frequency of
+`_sample_modes` and the media sampler. The defaults are the sizes of
+`polmodes verify`; `tests/test_acceptance.py` calls the same functions at its
+pinned sizes, so each invariant is computed in one place. `run_all` runs
+`ALL_CHECKS` at their defaults and scales the tolerance of every gate by
+`tol_scale`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,13 +32,46 @@ from . import realspace as rs
 from .errors import PoleAtResonance
 
 
-@dataclass
-class VerifyResult:
-    name: str
-    passed: bool
+@dataclass(frozen=True)
+class Gate:
+    label: str
     measured: float
     tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.measured < self.tolerance or self.measured == 0.0
+
+
+@dataclass(frozen=True)
+class VerifyResult:
+    name: str
+    gates: Tuple[Gate, ...]
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return all(g.passed for g in self.gates)
+
+    def scaled(self, factor: float) -> "VerifyResult":
+        """The same result with the tolerance of every gate multiplied by `factor`."""
+        return replace(self, gates=tuple(replace(g, tolerance=g.tolerance * factor) for g in self.gates))
+
+    def describe(self) -> str:
+        """`measured ... tol ...` for the first gate, then the other gates in brackets."""
+        first, *rest = self.gates
+        text = f"measured {first.measured:.3e}"
+        if first.tolerance > 0:
+            text += f"  tol {first.tolerance:.1e}"
+        notes = [f"{g.label} {g.measured:.1e} (tol {g.tolerance:.1e})" for g in rest]
+        notes += [self.detail] if self.detail else []
+        if notes:
+            text += f"  [{'; '.join(notes)}]"
+        return text
+
+
+def _result(name: str, *gates: Tuple[str, float, float]) -> VerifyResult:
+    return VerifyResult(name, tuple(Gate(label, float(measured), tol) for label, measured, tol in gates))
 
 
 def _random_media(rng, count):
@@ -44,7 +87,7 @@ def check_lst_relation(samples: int = 1000, tol: float = 1e-12) -> VerifyResult:
     for m in _random_media(rng, samples):
         lhs = media.epsilon(m, 0.0) * m.omega_T**2
         worst = max(worst, abs(lhs - m.omega_L**2) / m.omega_L**2)
-    return VerifyResult("media: Lyddane-Sachs-Teller identity", worst < tol, worst, tol)
+    return _result("media: Lyddane-Sachs-Teller identity", ("relative error", worst, tol))
 
 
 def check_reststrahlen_sign(samples: int = 1000) -> VerifyResult:
@@ -57,7 +100,7 @@ def check_reststrahlen_sign(samples: int = 1000) -> VerifyResult:
         inside = m.omega_T < w < m.omega_L
         if (media.epsilon(m, w) < 0) != inside:
             bad += 1
-    return VerifyResult("media: eps < 0 exactly on the reststrahlen band", bad == 0, bad, 0.0)
+    return _result("media: eps < 0 exactly on the reststrahlen band", ("sign errors", bad, 0.0))
 
 
 def check_epsilon_monotonic(samples: int = 1000) -> VerifyResult:
@@ -67,8 +110,8 @@ def check_epsilon_monotonic(samples: int = 1000) -> VerifyResult:
         w = rng.uniform(0.01 * m.omega_T, 3.0 * m.omega_L)
         if abs(w - m.omega_T) < 1e-3 * m.omega_T:
             continue
-        worst = min(worst, media.epsilon_derivative(m, w))
-    return VerifyResult("media: d(eps)/d(omega) > 0 on each branch", worst >= 0.0, worst, 0.0)
+        worst = max(worst, -media.epsilon_derivative(m, w))
+    return _result("media: d(eps)/d(omega) > 0 on each branch", ("steepest decrease", worst, 0.0))
 
 
 def check_nu_closed_form(samples: int = 1000, tol: float = 1e-6) -> VerifyResult:
@@ -83,13 +126,14 @@ def check_nu_closed_form(samples: int = 1000, tol: float = 1e-6) -> VerifyResult
             2 * h * media.epsilon(m, w)
         )
         worst = max(worst, abs(media.nu(m, w) - fd) / abs(fd))
-    return VerifyResult("media: closed-form nu matches finite differences", worst < tol, worst, tol)
+    return _result("media: closed-form nu matches finite differences", ("relative error", worst, tol))
 
 
-def check_vieta(samples: int = 1000, tol: float = 1e-12) -> VerifyResult:
-    rng = np.random.default_rng(15)
+def check_vieta(samples: int = 1000, seed: int = 15, sampler: Callable = _random_media,
+                tol: float = 1e-12) -> VerifyResult:
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for m in _random_media(rng, samples):
+    for m in sampler(rng, samples):
         k = rng.uniform(0.0, 10.0 * m.omega_L)
         ol, ou = disp.bulk_branches(m, k)
         s = m.omega_L**2 + k**2
@@ -97,17 +141,18 @@ def check_vieta(samples: int = 1000, tol: float = 1e-12) -> VerifyResult:
         worst = max(worst, abs(ol**2 + ou**2 - s) / s)
         if p > 0:
             worst = max(worst, abs(ol**2 * ou**2 - p) / p)
-    return VerifyResult("dispersion: bulk-branch Vieta identities", worst < tol, worst, tol)
+    return _result("dispersion: bulk-branch Vieta identities", ("relative error", worst, tol))
 
 
 def check_branch_ordering(samples: int = 1000) -> VerifyResult:
     rng = np.random.default_rng(16)
-    ok = True
+    bad = 0
     for m in _random_media(rng, samples):
         k = rng.uniform(1e-6, 10.0 * m.omega_L)
         ol, ou = disp.bulk_branches(m, k)
-        ok &= ol < m.omega_T <= m.omega_L <= ou
-    return VerifyResult("dispersion: branch ordering omega_l < omega_T <= omega_L <= omega_u", ok, 0.0, 0.0)
+        bad += not ol < m.omega_T <= m.omega_L <= ou
+    return _result("dispersion: branch ordering omega_l < omega_T <= omega_L <= omega_u",
+                   ("misordered samples", bad, 0.0))
 
 
 def check_surface_roundtrip(samples: int = 200, tol: float = 1e-10) -> VerifyResult:
@@ -119,19 +164,19 @@ def check_surface_roundtrip(samples: int = 200, tol: float = 1e-10) -> VerifyRes
         k = disp.surface_dispersion_kpar(m, w)
         w2 = disp.surface_dispersion_omega(m, k)
         worst = max(worst, abs(w2 - w) / w)
-    return VerifyResult("dispersion: surface branch round-trip", worst < tol, worst, tol)
+    return _result("dispersion: surface branch round-trip", ("relative error", worst, tol))
 
 
 def check_surface_monotone(points: int = 400) -> VerifyResult:
     m = media.default_medium()
     ks = np.linspace(m.omega_T * 1.0001, 40 * m.omega_T, points)
     ws = np.array([disp.surface_dispersion_omega(m, k) for k in ks])
-    ok = bool(np.all(np.diff(ws) > 0))
-    return VerifyResult("dispersion: surface omega(k_par) strictly increasing", ok, 0.0, 0.0)
+    return _result("dispersion: surface omega(k_par) strictly increasing",
+                   ("non-increasing steps", np.sum(np.diff(ws) <= 0), 0.0))
 
 
-def _sample_modes(geom, m):
-    k_s = disp.surface_dispersion_kpar(m, 1.08 * m.omega_T)
+def _sample_modes(geom, m, surface_omega):
+    k_s = disp.surface_dispersion_kpar(m, surface_omega * m.omega_T)
     return [
         md.make_mode(geom, disp.ModeIndex(disp.ModeClass.S, (k_s, 0.0))),
         md.make_mode(geom, disp.ModeIndex(disp.ModeClass.TEv, (0.4, 0.1), 0.5)),
@@ -143,24 +188,25 @@ def _sample_modes(geom, m):
     ]
 
 
-def check_wave_equation_residuals(tol: float = 1e-8, points: int = 1000) -> VerifyResult:
+def check_wave_equation_residuals(surface_omega: float = 1.08, points: int = 1000,
+                                  tol: float = 1e-8) -> VerifyResult:
     m = media.default_medium()
     geom = media.vacuum_interface(m, 40.0)
     zs = np.linspace(-19.9, 19.9, points)
     worst = 0.0
-    for mode in _sample_modes(geom, m):
+    for mode in _sample_modes(geom, m, surface_omega):
         worst = max(worst, md.wave_equation_residual(mode.theta, geom, zs))
         worst = max(worst, md.wave_equation_residual(md.conjugate_mode(mode).theta, geom, zs))
-    return VerifyResult("modes: wave-equation residuals (all classes, +/- energy)", worst < tol, worst, tol)
+    return _result("modes: wave-equation residuals (all classes, +/- energy)", ("residual", worst, tol))
 
 
-def check_interface_continuity(tol: float = 1e-10) -> VerifyResult:
+def check_interface_continuity(surface_omega: float = 1.08, tol: float = 1e-10) -> VerifyResult:
     m = media.default_medium()
     geom = media.vacuum_interface(m, 40.0)
     worst = 0.0
-    for mode in _sample_modes(geom, m):
+    for mode in _sample_modes(geom, m, surface_omega):
         worst = max(worst, max(md.interface_continuity(mode, geom).values()))
-    return VerifyResult("modes: interface matching conditions", worst < tol, worst, tol)
+    return _result("modes: interface matching conditions", ("jump", worst, tol))
 
 
 def surface_norm_quadrature_error(m, omega: float) -> float:
@@ -181,28 +227,30 @@ def surface_norm_quadrature_error(m, omega: float) -> float:
     return abs(n_closed - n_quad) / n_closed
 
 
-def check_surface_normalization(points: int = 12, tol: float = 1e-8) -> VerifyResult:
+def check_surface_normalization(points: int = 12, band: Tuple[float, float] = (1.01, 0.995),
+                                tol: float = 1e-8) -> VerifyResult:
+    """`points` frequencies from band[0]*omega_T to band[1] times the top of the surface window."""
     m = media.default_medium()
     top = disp.surface_window_top(m)
     worst = 0.0
-    for w in np.linspace(m.omega_T * 1.01, top * 0.995, points):
+    for w in np.linspace(m.omega_T * band[0], top * band[1], points):
         worst = max(worst, surface_norm_quadrature_error(m, float(w)))
-    return VerifyResult("modes: surface normalization closed form vs quadrature", worst < tol, worst, tol)
+    return _result("modes: surface normalization closed form vs quadrature", ("relative gap", worst, tol))
 
 
 def check_homogeneous_normalization(tol: float = 1e-10) -> VerifyResult:
     m = media.default_medium()
-    worst = 0.0
-    geom_v = media.homogeneous_box(None, 12.0)
-    mode = md.normalize(md.make_mode(geom_v, disp.ModeIndex(disp.ModeClass.TEv, (0.3, 0.0), 0.7)), geom_v)
-    expected = math.sqrt(1.0 / (2 * media.EPS0 * media.HBAR * mode.omega * geom_v.volume))
-    worst = max(worst, abs(mode.norm - expected) / expected)
     geom_m = media.homogeneous_box(m, 12.0)
+    worst = 0.0
     for cls, kz in ((disp.ModeClass.TMl, -0.6), (disp.ModeClass.TEu, -0.6)):
         mm = md.normalize(md.make_mode(geom_m, disp.ModeIndex(cls, (0.3, 0.0), kz)), geom_m)
         integral = md.normalization_integral(mm, geom_m, method="exact")
         worst = max(worst, abs(media.HBAR * mm.omega * integral - 1.0))
-    return VerifyResult("modes: homogeneous-box normalization", worst < tol, worst, tol)
+    geom_v = media.homogeneous_box(None, 12.0)
+    mode = md.normalize(md.make_mode(geom_v, disp.ModeIndex(disp.ModeClass.TEv, (0.3, 0.0), 0.7)), geom_v)
+    expected = math.sqrt(1.0 / (2 * media.EPS0 * media.HBAR * mode.omega * geom_v.volume))
+    return _result("modes: homogeneous-box normalization", ("matter-mode norm error", worst, tol),
+                   ("TEv closed form", abs(mode.norm - expected) / expected, 1e-14))
 
 
 def check_flux_unitarity(samples: int = 50, tol: float = 1e-12) -> VerifyResult:
@@ -225,113 +273,119 @@ def check_flux_unitarity(samples: int = 50, tol: float = 1e-12) -> VerifyResult:
             worst = max(worst, abs(abs(r) ** 2 + (q / k_z) * abs(t) ** 2 - 1.0))
         else:
             worst = max(worst, abs(abs(r) - 1.0))
-    return VerifyResult("modes: TE Fresnel flux unitarity / unimodularity", worst < tol, worst, tol)
+    return _result("modes: TE Fresnel flux unitarity / unimodularity", ("flux defect", worst, tol))
 
 
-def check_realspace_self_adjoint(n: int = 128, tol: float = 1e-12) -> VerifyResult:
-    m = media.default_medium()
-    geom = media.vacuum_interface(m, 40.0)
-    grid = rs.Grid1D(n, 40.0)
+def _interface_operator(n: int, polarization: str, k_par: float):
+    geom = media.vacuum_interface(media.default_medium(), 40.0)
+    return rs.assemble_operator(geom, rs.Grid1D(n, 40.0), k_par, polarization, strict_resolution=False)
+
+
+def check_realspace_self_adjoint(n: int = 128, cases: Sequence[Tuple[str, float]] = (("TE", 2.0), ("TM", 2.0)),
+                                 tol: float = 1e-12) -> VerifyResult:
+    """Defect of K B0 = (K B0)^H relative to max|K B0|, per (polarization, k_par) case."""
     worst = 0.0
-    for pol in ("TE", "TM"):
-        op = rs.assemble_operator(geom, grid, 2.0, pol, strict_resolution=False)
+    for pol, k_par in cases:
+        op = _interface_operator(n, pol, k_par)
         scale = np.max(np.abs(op.krein @ op.b0))
         worst = max(worst, rs.self_adjointness_defect(op) / scale)
-    return VerifyResult("realspace: Krein self-adjointness of B0", worst < tol, worst, tol)
+    return _result("realspace: Krein self-adjointness of B0", ("relative defect", worst, tol))
 
 
-def check_realspace_spectrum(n: int = 96) -> VerifyResult:
-    m = media.default_medium()
-    geom = media.vacuum_interface(m, 40.0)
-    grid = rs.Grid1D(n, 40.0)
-    ok = True
-    worst = 0.0
-    detail = []
-    rng = np.random.default_rng(19)
-    for pol, kp in (("TE", 0.8), ("TM", 0.8)):
-        op = rs.assemble_operator(geom, grid, kp, pol, strict_resolution=False)
+def check_realspace_spectrum(n: int = 96, cases: Sequence[Tuple[str, float]] = (("TE", 0.8), ("TM", 0.8)),
+                             vectors: int = 4, seed: int = 19) -> VerifyResult:
+    """Full spectrum per (polarization, k_par) case, completeness on `vectors` random test vectors."""
+    omega_t = media.default_medium().omega_T
+    rng = np.random.default_rng(seed)
+    pairing = offdiag = diag = comp = resid = inverse_floor = 0.0
+    for pol, k_par in cases:
+        op = _interface_operator(n, pol, k_par)
         sol = rs.solve_spectrum(op)
-        pairing = float(np.max(np.abs(np.sort(-sol.omegas) - np.sort(sol.omegas))))
         gram = sol.vectors.conj().T @ (op.krein @ sol.vectors)
-        offdiag = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-        diag = float(np.max(np.abs(np.diag(gram) - np.sign(sol.omegas))))
-        floor = float(np.min(np.abs(sol.omegas)))
-        tv = rng.standard_normal((op.layout.dim, 4)) + 1j * rng.standard_normal((op.layout.dim, 4))
-        comp = rs.completeness_check(sol, tv).max_deviation
-        resid = float(np.max(np.linalg.norm(op.b0 @ sol.vectors - sol.vectors * sol.omegas[None, :], axis=0)
-                             / np.linalg.norm(sol.vectors, axis=0)))
-        ok &= (pairing < 1e-10) and (offdiag < 1e-8) and (diag < 1e-8)
-        ok &= (comp < 1e-6) and (floor > 1e-6 * m.omega_T) and (resid < 1e-10)
-        worst = max(worst, pairing, offdiag, comp)
-        detail.append(f"{pol}: pair {pairing:.1e} offdiag {offdiag:.1e} comp {comp:.1e} "
-                      f"resid {resid:.1e} floor {floor:.2e}")
-    return VerifyResult("realspace: +/- pairing, orthonormality, completeness, residuals",
-                        ok, worst, 1e-6, "; ".join(detail))
+        tv = rng.standard_normal((op.layout.dim, vectors)) + 1j * rng.standard_normal((op.layout.dim, vectors))
+        res = np.linalg.norm(op.b0 @ sol.vectors - sol.vectors * sol.omegas[None, :], axis=0)
+        pairing = max(pairing, np.max(np.abs(np.sort(-sol.omegas) - np.sort(sol.omegas))))
+        offdiag = max(offdiag, np.max(np.abs(gram - np.diag(np.diag(gram)))))
+        diag = max(diag, np.max(np.abs(np.diag(gram) - np.sign(sol.omegas))))
+        comp = max(comp, rs.completeness_check(sol, tv).max_deviation)
+        resid = max(resid, np.max(res / np.linalg.norm(sol.vectors, axis=0)))
+        inverse_floor = max(inverse_floor, omega_t / np.min(np.abs(sol.omegas)))
+    return _result("realspace: +/- pairing, orthonormality, completeness, residuals",
+                   ("+/- pairing", pairing, 0.0), ("Krein off-diagonal", offdiag, 1e-8),
+                   ("Krein diagonal - sgn(omega)", diag, 1e-8), ("completeness", comp, 1e-6),
+                   ("residual", resid, 1e-10), ("omega_T / min|omega|", inverse_floor, 1e6))
 
 
-def check_surface_eigenvalue(n: int = 1200, tol: float = 5e-3) -> VerifyResult:
+def check_surface_eigenvalue(n: int = 1200, ratio_grids: Sequence[int] = (),
+                             tol: float = 5e-3) -> VerifyResult:
+    """Surface eigenvalue at k_par = 2 on n points; with `ratio_grids` (each twice the last) also
+    the O(h^2) error ratios, held to within 0.4 of 4."""
     m = media.default_medium()
     geom = media.vacuum_interface(m, 40.0)
     ws = disp.surface_dispersion_omega(m, 2.0)
-    w_num = rs.surface_mode_frequency(geom, rs.Grid1D(n, 40.0), 2.0, sigma=ws * 1.001,
-                                      strict_resolution=False)
-    err = abs(w_num - ws) / ws
-    return VerifyResult("realspace: surface eigenvalue vs analytic dispersion", err < tol, err, tol)
+
+    def error(points):
+        w_num = rs.surface_mode_frequency(geom, rs.Grid1D(points, 40.0), 2.0, sigma=ws * 1.001,
+                                          strict_resolution=False)
+        return abs(w_num - ws) / ws
+
+    gates = [("relative error", error(n), tol)]
+    if ratio_grids:
+        errs = [error(points) for points in ratio_grids]
+        gates.append(("O(h^2) ratio |r - 4|", max(abs(a / b - 4.0) for a, b in zip(errs, errs[1:])), 0.4))
+    return _result("realspace: surface eigenvalue vs analytic dispersion", *gates)
 
 
-def check_momentum_selection() -> VerifyResult:
-    m = media.default_medium()
-    geom = media.vacuum_interface(m, 40.0)
-    phi = nl.NonlinearTensor.from_array(np.eye(3)[:, :, None] * np.ones(3))
-    k = disp.surface_dispersion_kpar(m, 1.05)
-    s1 = md.normalize(md.make_mode(geom, disp.ModeIndex(disp.ModeClass.S, (k, 0.0))), geom)
-    t3 = md.normalize(md.make_mode(geom, disp.ModeIndex(disp.ModeClass.TMv, (0.0, 0.0), 0.7)), geom)
-    res = nl.scattering_coefficient([s1, s1, t3], phi, geom)
-    ok = (res.value == 0) and (not res.momentum_ok)
-    return VerifyResult("nonlinear: exact momentum selection (flagged zero)", ok, abs(res.value), 0.0)
-
-
-def check_scattering_symmetries(tol: float = 1e-12) -> VerifyResult:
-    import itertools
-
+def scattering_setup():
+    """The diagonal chi tensor and the tuple (S at +k, S at -k, normal TMv) of the scattering checks."""
     m = media.default_medium()
     geom = media.vacuum_interface(m, 40.0)
     arr = np.zeros((3, 3, 3))
     for j in range(3):
         arr[j, j, j] = 1.0
-    phi = nl.NonlinearTensor.from_array(arr)
     k = disp.surface_dispersion_kpar(m, 1.05)
-    s1 = md.normalize(md.make_mode(geom, disp.ModeIndex(disp.ModeClass.S, (k, 0.0))), geom)
-    s2 = md.normalize(md.make_mode(geom, disp.ModeIndex(disp.ModeClass.S, (-k, 0.0))), geom)
-    t3 = md.normalize(md.make_mode(geom, disp.ModeIndex(disp.ModeClass.TMv, (0.0, 0.0), 0.7)), geom)
-    base = nl.scattering_coefficient([s1, s2, t3], phi, geom).value
-    worst = 0.0
-    for perm in itertools.permutations([s1, s2, t3]):
-        worst = max(worst, abs(nl.scattering_coefficient(list(perm), phi, geom).value - base))
-    conj = nl.scattering_coefficient(
-        [md.conjugate_mode(s1), md.conjugate_mode(s2), md.conjugate_mode(t3)], phi, geom
-    ).value
-    worst = max(worst, abs(conj - np.conj(base)))
-    worst /= max(abs(base), 1e-300)
-    return VerifyResult("nonlinear: permutation symmetry and conjugation pairing", worst < tol, worst, tol)
+    idx = (disp.ModeIndex(disp.ModeClass.S, (k, 0.0)), disp.ModeIndex(disp.ModeClass.S, (-k, 0.0)),
+           disp.ModeIndex(disp.ModeClass.TMv, (0.0, 0.0), 0.7))
+    return geom, nl.NonlinearTensor.from_array(arr), [md.normalize(md.make_mode(geom, i), geom) for i in idx]
+
+
+def check_momentum_selection() -> VerifyResult:
+    geom, diagonal, (s1, _, t3) = scattering_setup()
+    full = nl.NonlinearTensor.from_array(np.eye(3)[:, :, None] * np.ones(3))
+    results = [nl.scattering_coefficient([s1, s1, t3], phi, geom) for phi in (full, diagonal)]
+    return _result("nonlinear: exact momentum selection (flagged zero)",
+                   ("|Xi|", max(abs(r.value) for r in results), 0.0),
+                   ("flagged momentum_ok", sum(r.momentum_ok for r in results), 0.0))
+
+
+def check_scattering_symmetries(tol: float = 1e-12) -> VerifyResult:
+    import itertools
+
+    geom, phi, modes = scattering_setup()
+    base = nl.scattering_coefficient(modes, phi, geom).value
+    scale = max(abs(base), 1e-300)
+    perm = max(abs(nl.scattering_coefficient(list(p), phi, geom).value - base)
+               for p in itertools.permutations(modes))
+    conj = nl.scattering_coefficient([md.conjugate_mode(mode) for mode in modes], phi, geom).value
+    return _result("nonlinear: permutation symmetry and conjugation pairing",
+                   ("permutation", perm / scale, tol), ("conjugation", abs(conj - np.conj(base)) / scale, tol))
 
 
 def check_lossless_limit(tol: float = 1e-12) -> VerifyResult:
     """eps_tilde -> eps as the bath coupling upsilon -> 0: the null bath and
     upsilon = 5e-8 agree to tol, and the deviation follows the exact upsilon^2
-    law (a ratio of 100 from upsilon = 5e-7 to 5e-6, held to [99, 101])."""
+    law (a ratio of 100 from upsilon = 5e-7 to 5e-6, held to within 1)."""
     m = media.default_medium()
     worst = 0.0
     ratios = []
-    for w in (0.4, 1.1, 1.9):
+    for w in (0.4, 0.6, 1.1, 1.9):
         e0 = media.epsilon(m, w)
         dev = {ups: abs(diss.lossy_epsilon(m, diss.flat_bath(m, ups, 0.5, 3.0), w) - e0) / max(abs(e0), 1.0)
                for ups in (5e-6, 5e-7, 5e-8)}
         worst = max(worst, abs(diss.lossy_epsilon(m, diss.null_bath(m), w) - e0), dev[5e-8])
         ratios.append(dev[5e-6] / dev[5e-7])
-    ok = worst < tol and all(99.0 <= r <= 101.0 for r in ratios)
-    return VerifyResult("dissipative: lossless limit as coupling -> 0", ok, worst, tol,
-                        f"upsilon^2 ratio {min(ratios):.2f} to {max(ratios):.2f} (gate [99, 101])")
+    return _result("dissipative: lossless limit as coupling -> 0", ("deviation", worst, tol),
+                   ("upsilon^2 ratio |r - 100|", max(abs(r - 100.0) for r in ratios), 1.0))
 
 
 def check_pv_closed_form(tol: float = 1e-8) -> VerifyResult:
@@ -344,7 +398,7 @@ def check_pv_closed_form(tol: float = 1e-8) -> VerifyResult:
         worst = max(worst, abs(diss.bath_kernel_F(bath, w) - exact) / max(abs(exact), 1e-30))
     shift = diss.renormalized_omega_L(m, bath) ** 2 - m.omega_L**2
     worst = max(worst, abs(shift - ups**2 * (b - a) / (2 * m.rho**2)))
-    return VerifyResult("dissipative: flat-bath principal value & renormalization", worst < tol, worst, tol)
+    return _result("dissipative: flat-bath principal value & renormalization", ("relative error", worst, tol))
 
 
 def check_passivity(samples: int = 40) -> VerifyResult:
@@ -354,27 +408,27 @@ def check_passivity(samples: int = 40) -> VerifyResult:
     for _ in range(samples):
         bath = diss.flat_bath(m, rng.uniform(0.0, 0.2), rng.uniform(0.1, 1.0), rng.uniform(1.5, 5.0))
         w = rng.uniform(0.05, 6.0)
-        worst = min(worst, diss.lossy_epsilon(m, bath, w).imag)
-    return VerifyResult("dissipative: passivity Im(eps) >= 0", worst >= -1e-15, worst, 0.0)
+        worst = max(worst, -diss.lossy_epsilon(m, bath, w).imag)
+    return _result("dissipative: passivity Im(eps) >= 0", ("gain -Im(eps)", worst, 1e-15))
 
 
-def check_kramers_kronig(tol: float = 1e-2) -> VerifyResult:
+def check_kramers_kronig(points: int = 15, tol: float = 1e-2) -> VerifyResult:
     from scipy.optimize import brentq
 
     m = media.default_medium()
     bath = diss.flat_bath(m, 0.05, 0.5, 3.0)
     w_res = brentq(lambda w: m.omega_T**2 - w**2 - diss.bath_kernel_F(bath, w), 0.6, 1.4)
     worst = 0.0
-    for w in np.linspace(0.2, 3.0, 15):
-        if abs(w - w_res) < 0.03 or min(abs(w - 0.5), abs(w - 3.0)) < 1e-6:
+    for w in np.linspace(0.2, 3.0, points):
+        if abs(w - w_res) < 0.03 or min(abs(w - 0.5), abs(w - 3.0)) < 1e-9:
             continue
-        target = diss.lossy_epsilon(m, bath, w).real - 1.0
+        target = diss.lossy_epsilon(m, bath, float(w)).real - 1.0
         rec = diss.kramers_kronig_real(
             lambda z: diss.lossy_epsilon(m, bath, z).imag, (0.5, 3.0), float(w),
             breakpoints=[w_res - 0.02, w_res + 0.02],
         )
         worst = max(worst, abs(rec - target) / (1.0 + abs(target)))
-    return VerifyResult("dissipative: Kramers-Kronig reconstruction", worst < tol, worst, tol)
+    return _result("dissipative: Kramers-Kronig reconstruction", ("relative error", worst, tol))
 
 
 def check_driven_decay(tol: float = 1e-8) -> VerifyResult:
@@ -389,12 +443,11 @@ def check_driven_decay(tol: float = 1e-8) -> VerifyResult:
     zs = np.linspace(2.0, 18.0, 33)
     th = sol.evaluate(zs)
     slope = np.polyfit(zs, np.log(np.abs(th)), 1)[0]
-    err = abs(-slope - k.imag) / k.imag
     lhs, rhs = diss.power_balance(sol, geom, bath, [(0.0, 1.0)], -30.0, 30.0)
     scale = max(abs(lhs), abs(rhs), omega * abs(sol.evaluate(0.0)[0]))
-    balance = abs(lhs - rhs) / scale
-    return VerifyResult("dissipative: driven decay rate & power balance", err < tol and balance < 1e-6, err, tol,
-                        f"power balance {balance:.1e} (gate 1e-6)")
+    return _result("dissipative: driven decay rate & power balance",
+                   ("decay error", abs(-slope - k.imag) / k.imag, tol),
+                   ("power balance", abs(lhs - rhs) / scale, 1e-6))
 
 
 def check_driven_lossless_scattering(tol: float = 1e-10) -> VerifyResult:
@@ -407,10 +460,9 @@ def check_driven_lossless_scattering(tol: float = 1e-10) -> VerifyResult:
     th = sol.evaluate(zs)
     a = np.array([[np.exp(-1j * k_z * z), np.exp(1j * k_z * z)] for z in zs])
     inc, ref = np.linalg.solve(a, th)
-    r_num = ref / inc
     r_ana, _ = md.fresnel_te(m, (k_par, 0.0, k_z))
-    err = abs(r_num - r_ana)
-    return VerifyResult("dissipative: lossless driven field reproduces TE reflection", err < tol, err, tol)
+    return _result("dissipative: lossless driven field reproduces TE reflection",
+                   ("reflection error", abs(ref / inc - r_ana), tol))
 
 
 ALL_CHECKS: List[Callable[[], VerifyResult]] = [
@@ -442,6 +494,7 @@ ALL_CHECKS: List[Callable[[], VerifyResult]] = [
 
 
 def run_all(tol_scale: float = 1.0) -> List[VerifyResult]:
+    """Every check at its defaults, with each gate's tolerance multiplied by `tol_scale`."""
     import warnings
 
     results = []
@@ -449,11 +502,7 @@ def run_all(tol_scale: float = 1.0) -> List[VerifyResult]:
         warnings.filterwarnings("ignore", message=".*under-resolved.*")
         for check in ALL_CHECKS:
             try:
-                res = check()
-                if tol_scale != 1.0 and res.tolerance > 0:
-                    res.passed = res.measured < res.tolerance * tol_scale
-                    res.tolerance *= tol_scale
-                results.append(res)
+                results.append(check().scaled(tol_scale))
             except Exception as exc:  # a crashed check is a failed check
-                results.append(VerifyResult(check.__name__, False, math.nan, 0.0, f"raised {exc!r}"))
+                results.append(VerifyResult(check.__name__, (Gate("raised", math.nan, 0.0),), f"raised {exc!r}"))
     return results

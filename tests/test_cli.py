@@ -315,3 +315,11 @@ class TestVerifyCommand:
         assert res.exit_code == 0, res.output
         assert "checks passed" in res.output
         assert "FAIL" not in res.output
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_exit_2(self, runner, tol):
+        res = runner.invoke(main, ["verify", "--tol", tol])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "--tol" in res.stderr
+        assert "checks passed" not in res.output and "PASS" not in res.output

@@ -304,14 +304,12 @@ class TestDrivenField:
 
 
 class TestVerifyGates:
-    def test_lossless_limit_holds_the_quadratic_law(self, monkeypatch):
-        from polmodes import dissipative as diss
-        from polmodes import verify
-
-        res = verify.check_lossless_limit()
-        assert res.passed and res.tolerance == 1e-12
+    @staticmethod
+    def _linear_deviation(monkeypatch):
         # a deviation linear in upsilon stays below 1e-12 at upsilon = 5e-8, but breaks the
         # upsilon^2 ratio between 5e-7 and 5e-6
+        from polmodes import dissipative as diss
+
         exact = diss.lossy_epsilon
 
         def linear(m, bath, w):
@@ -319,22 +317,65 @@ class TestVerifyGates:
             return eps + 1e-6 * math.sqrt(abs(eps - epsilon(m, w)))
 
         monkeypatch.setattr(diss, "lossy_epsilon", linear)
-        res = verify.check_lossless_limit()
-        assert res.measured < 1e-12 and not res.passed
 
-    def test_driven_decay_reports_the_decay_error(self, monkeypatch):
+    @staticmethod
+    def _unbalanced_power(monkeypatch, offset):
         from polmodes import dissipative as diss
-        from polmodes import verify
 
         exact = diss.power_balance
+
+        def unbalanced(*args):
+            lhs, rhs = exact(*args)
+            return lhs, rhs + offset
+
+        monkeypatch.setattr(diss, "power_balance", unbalanced)
+
+    def test_lossless_limit_holds_the_quadratic_law(self, monkeypatch):
+        from polmodes import verify
+
+        deviation, ratio = verify.check_lossless_limit().gates
+        assert deviation.passed and deviation.tolerance == 1e-12
+        assert ratio.passed and ratio.tolerance == 1.0
+        self._linear_deviation(monkeypatch)
+        res = verify.check_lossless_limit()
+        deviation, ratio = res.gates
+        assert deviation.measured < 1e-12 and deviation.passed
+        assert not ratio.passed and not res.passed
+
+    def test_driven_decay_reports_the_decay_error(self, monkeypatch):
+        from polmodes import verify
+
         # the balance is relative to a scale of about 0.54 here
         for offset, passed in ((1e-7, True), (1e-5, False)):
-            def unbalanced(*args, offset=offset):
-                lhs, rhs = exact(*args)
-                return lhs, rhs + offset
-
-            monkeypatch.setattr(diss, "power_balance", unbalanced)
+            self._unbalanced_power(monkeypatch, offset)
             res = verify.check_driven_decay()
-            assert res.passed == passed
-            assert res.measured < 1e-10  # the decay error alone; the balance is in the detail
-            assert "power balance" in res.detail
+            decay, balance = res.gates
+            assert decay.measured < 1e-10 and decay.passed  # the decay error alone
+            assert balance.label == "power balance" and balance.tolerance == 1e-6
+            assert balance.passed == res.passed == passed
+
+    def test_tol_scale_keeps_the_ratio_gate(self, monkeypatch):
+        from polmodes import verify
+
+        self._linear_deviation(monkeypatch)
+        monkeypatch.setattr(verify, "ALL_CHECKS", [verify.check_lossless_limit])
+        assert not verify.run_all(2.0)[0].passed
+
+    def test_tol_scale_keeps_the_power_balance_gate(self, monkeypatch):
+        from polmodes import verify
+
+        self._unbalanced_power(monkeypatch, 1e-5)
+        monkeypatch.setattr(verify, "ALL_CHECKS", [verify.check_driven_decay])
+        assert not verify.run_all(1.001)[0].passed
+
+    @pytest.mark.parametrize("scale,passed", [(1.0, False), (1.6, False), (2.0, True), (1e9, True)])
+    def test_tol_scale_scales_every_gate(self, monkeypatch, scale, passed):
+        from polmodes import verify
+        from polmodes.verify import Gate, VerifyResult
+
+        # the first gate passes above scale 1.5, the second above 1.8; exact zeros always pass
+        gates = (Gate("a", 1.5e-8, 1e-8), Gate("b", 0.9, 0.5), Gate("exact", 0.0, 0.0))
+        monkeypatch.setattr(verify, "ALL_CHECKS", [lambda: VerifyResult("synthetic", gates)])
+        (res,) = verify.run_all(scale)
+        assert res.passed == passed
+        assert [g.tolerance for g in res.gates] == [1e-8 * scale, 0.5 * scale, 0.0]

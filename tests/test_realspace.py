@@ -10,6 +10,7 @@ from polmodes import (
     homogeneous_box,
     surface_dispersion_omega,
     vacuum_interface,
+    verify,
 )
 from polmodes.errors import (
     DegenerateKreinNorm,
@@ -24,7 +25,6 @@ from polmodes.realspace import (
     completeness_check,
     krein_inner,
     reconstruct_node_fields,
-    self_adjointness_defect,
     solve_spectrum,
     solve_windowed,
     surface_mode_frequency,
@@ -98,52 +98,25 @@ class TestMatterBox:
 
 class TestKreinStructure:
     @pytest.mark.parametrize("polarization,k_par", [("TE", 0.8), ("TM", 0.8), ("TM", 0.0)])
-    def test_self_adjointness(self, medium, polarization, k_par):
-        geom = vacuum_interface(medium, 40.0)
-        op = assemble_operator(geom, Grid1D(96, 40.0), k_par, polarization,
-                               strict_resolution=False)
-        scale = np.max(np.abs(op.krein @ op.b0))
-        assert self_adjointness_defect(op) < 1e-12 * scale
+    def test_self_adjointness(self, polarization, k_par):
+        res = verify.check_realspace_self_adjoint(n=96, cases=((polarization, k_par),))
+        assert res.passed, res.describe()
 
     @pytest.mark.parametrize("polarization", ["TE", "TM"])
-    def test_pairing_orthonormality_completeness(self, medium, polarization, rng):
-        geom = vacuum_interface(medium, 40.0)
-        op = assemble_operator(geom, Grid1D(96, 40.0), 0.8, polarization,
-                               strict_resolution=False)
-        sol = solve_spectrum(op)
-        # +/- spectral pairing
-        assert np.max(np.abs(np.sort(-sol.omegas) - np.sort(sol.omegas))) < 1e-10
-        assert np.array_equal(np.sort(-sol.omegas), np.sort(sol.omegas))  # exact by construction
-        # no zero modes for omega_T > 0
-        assert np.min(np.abs(sol.omegas)) > 1e-6 * medium.omega_T
-        # Krein gram matrix: diag = sgn(omega), off-diag ~ 0
-        g = gram(sol)
-        assert np.max(np.abs(np.diag(g) - np.sign(sol.omegas))) < 1e-8
-        assert np.max(np.abs(g - np.diag(np.diag(g)))) < 1e-8
-        # eigenvalue residuals
-        resid = np.linalg.norm(op.b0 @ sol.vectors - sol.vectors * sol.omegas[None, :],
-                               axis=0) / np.linalg.norm(sol.vectors, axis=0)
-        assert np.max(resid) < 1e-10
-        # signed completeness on random test vectors
-        tv = rng.standard_normal((op.layout.dim, 6)) + 1j * rng.standard_normal((op.layout.dim, 6))
-        assert completeness_check(sol, tv).max_deviation < 1e-6
+    def test_pairing_orthonormality_completeness(self, polarization):
+        # exact +/- pairing, no zero modes, Krein gram = diag(sgn omega), residuals, completeness
+        res = verify.check_realspace_spectrum(n=96, cases=((polarization, 0.8),), vectors=6, seed=2024)
+        assert res.passed, res.describe()
 
-    def test_static_tm_interface(self, medium, rng):
+    def test_static_tm_interface(self, medium):
         # k_par = 0: the constant beta vector is an exact null direction of the energy form
         geom = vacuum_interface(medium, 40.0)
         grid = Grid1D(96, 40.0)
         op = assemble_operator(geom, grid, 0.0, "TM", strict_resolution=False)
-        sol = solve_spectrum(op)
         n_matter = op.layout._span("gamma").stop - op.layout._span("gamma").start
-        assert sol.omegas.size == 2 * (grid.n - 1 + n_matter)
-        assert np.max(np.abs(np.sort(-sol.omegas) - np.sort(sol.omegas))) < 1e-10
-        g = gram(sol)
-        assert np.max(np.abs(g - np.diag(np.sign(sol.omegas)))) < 1e-8
-        resid = np.linalg.norm(op.b0 @ sol.vectors - sol.vectors * sol.omegas[None, :],
-                               axis=0) / np.linalg.norm(sol.vectors, axis=0)
-        assert np.max(resid) < 1e-10
-        tv = rng.standard_normal((op.layout.dim, 6)) + 1j * rng.standard_normal((op.layout.dim, 6))
-        assert completeness_check(sol, tv).max_deviation < 1e-6
+        assert solve_spectrum(op).omegas.size == 2 * (grid.n - 1 + n_matter)
+        res = verify.check_realspace_spectrum(n=96, cases=(("TM", 0.0),), vectors=6, seed=2024)
+        assert res.passed, res.describe()
 
     def test_norm_tol_rejects_high_frequencies(self, medium):
         geom = vacuum_interface(medium, 40.0)

@@ -35,9 +35,12 @@ def accept(criterion, t0, budget, *results):
 
 
 def phonon_band_media(rng, count):
-    """omega_T in [0.3, 3] with omega_L in [3.1, 8]: wider reststrahlen bands than verify's."""
-    return [from_phonon_frequencies(t, l, p) for t, l, p in
-            zip(rng.uniform(0.3, 3.0, count), rng.uniform(3.1, 8.0, count), rng.uniform(0.1, 10.0, count))]
+    """omega_T in [0.3, 3] with omega_L in [3.1, 8]: wider reststrahlen bands than verify's.
+
+    Drawn lazily, one medium at a time, so each medium's draws interleave with the
+    caller's per-sample draws."""
+    return (from_phonon_frequencies(rng.uniform(0.3, 3.0), rng.uniform(3.1, 8.0), rng.uniform(0.1, 10.0))
+            for _ in range(count))
 
 
 def test_criterion_1_bulk_vieta_identities():
@@ -108,8 +111,8 @@ def test_criterion_3_normalization_consistency():
 
 def test_criterion_4_wave_equation_and_continuity():
     t0 = time.monotonic()
-    accept("criterion 4", t0, 60, verify.check_wave_equation_residuals(surface_omega=1.1),
-           verify.check_interface_continuity(surface_omega=1.1))
+    accept("criterion 4", t0, 60, verify.check_wave_equation_residuals(),
+           verify.check_interface_continuity())
 
 
 def test_criterion_5_realspace_solver():

@@ -368,6 +368,16 @@ class TestVerifyGates:
         monkeypatch.setattr(verify, "ALL_CHECKS", [verify.check_driven_decay])
         assert not verify.run_all(1.001)[0].passed
 
+    def test_a_raising_check_fails_and_names_the_exception(self, monkeypatch):
+        from polmodes import verify
+
+        def broken():
+            raise ValueError("no grid")
+
+        monkeypatch.setattr(verify, "ALL_CHECKS", [broken])
+        (res,) = verify.run_all()
+        assert not res.passed and "ValueError('no grid')" in res.name
+
     @pytest.mark.parametrize("scale,passed", [(1.0, False), (1.6, False), (2.0, True), (1e9, True)])
     def test_tol_scale_scales_every_gate(self, monkeypatch, scale, passed):
         from polmodes import verify

@@ -6,6 +6,9 @@ line endings, floats printed with 17 significant digits. Frequency-like
 quantities honor the --units flag (see config module for the convention).
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric error.
+
+Each command imports what it runs: `solve` the real-space solver and `verify`
+the invariant registry, so importing this module loads no SciPy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from . import dissipative as diss
 from . import media
 from . import modes as md
 from . import nonlinear as nl
-from . import realspace as rs
 from .config import (
     UnitSystem,
     first_medium,
@@ -37,7 +39,6 @@ from .config import (
     _optional,
 )
 from .errors import ConfigError, InvalidGrid, PolmodesError
-from .verify import run_all
 
 
 def _fmt(x: float) -> str:
@@ -185,6 +186,8 @@ def mode_cmd(config_path, out_dir, units, tol):
 @click.option("--tol", default=1e-10, type=float, help="degenerate-norm detection tolerance")
 def solve_cmd(config_path, out_dir, units, tol):
     """Solve the discretized eigensystem; emit eigenfrequencies and profiles."""
+    from . import realspace as rs
+
     try:
         cfg = load_json(config_path)
         geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
@@ -359,6 +362,8 @@ def _positive_finite(ctx, param, value):
               help="multiplier applied to every gate tolerance")
 def verify_cmd(tol_scale):
     """Run the full invariant suite and print a pass/fail table."""
+    from .verify import run_all
+
     results = run_all(tol_scale)
     width = max(len(r.name) for r in results)
     failures = 0

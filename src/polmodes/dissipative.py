@@ -20,6 +20,10 @@ its prefactor is pinned operationally by the Kramers-Kronig and damped-Lorentz
 checks in the test suite. Im eps_tilde >= 0 for omega > 0 follows structurally
 because Im F >= 0 and omega_L_tilde >= omega_T.
 
+The flat, ohmic and null baths carry closed forms of F(omega) and of the
+omega_L shift. Any other upsilon is integrated by quadrature, which also
+cross-checks the closed forms in `polmodes verify`.
+
 The principal value is computed by singular subtraction: the numerator is
 frozen at the pole, the difference integrated as an ordinary (smooth)
 integrand, and the frozen part integrated by the analytic primitive
@@ -39,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,12 +62,19 @@ _ENDPOINT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BathModel:
-    """Bath coupling spectrum upsilon(zeta) >= 0 on [zeta_min, zeta_max]."""
+    """Bath coupling spectrum upsilon(zeta) >= 0 on [zeta_min, zeta_max].
+
+    `kernel(omega)` and `shift`, when set, are closed forms of the principal-value
+    kernel F(omega) at omega > 0 and of the omega_L^2 shift Int upsilon^2 / (2 rho^2).
+    A bath without them is integrated by quadrature.
+    """
 
     medium: MediumParams
     upsilon: Callable[[float], float]
     zeta_min: float
     zeta_max: float  # may be math.inf
+    kernel: Optional[Callable[[float], float]] = None
+    shift: Optional[float] = None
 
     def __post_init__(self):
         if self.zeta_min < 0 or not self.zeta_max > self.zeta_min:
@@ -78,24 +89,72 @@ class BathModel:
         return v
 
 
+def _no_coupling(omega: float) -> float:
+    return 0.0
+
+
+def _with_closed_forms(bath: BathModel, valid: bool, scale: float, kernel, shift: float) -> BathModel:
+    """bath with the closed forms kernel and shift, whose common factor is scale, where the
+    parameters are valid and the shift finite; else bath as it is, for quadrature (which
+    rejects a negative coupling on use)."""
+    if not (valid and math.isfinite(shift)):
+        return bath
+    return replace(bath, kernel=kernel if scale > 0 else _no_coupling, shift=shift)
+
+
 def flat_bath(medium: MediumParams, upsilon0: float, zeta_min: float, zeta_max: float) -> BathModel:
-    """Constant coupling on a compact band."""
-    return BathModel(medium, lambda z: upsilon0, zeta_min, zeta_max)
+    """Constant coupling on a compact band [a, b], with the closed forms
+
+        F(omega) = upsilon0^2/rho^2 [(b - a) + (omega/2) ln|(b - omega)(a + omega) / ((b + omega)(a - omega))|],
+        shift    = upsilon0^2 (b - a) / (2 rho^2).
+    """
+    c = (upsilon0 / medium.rho) ** 2
+
+    def kernel(omega):
+        return c * ((zeta_max - zeta_min) + omega**2 * _pv_log_primitive(zeta_min, zeta_max, omega))
+
+    bath = BathModel(medium, lambda z: upsilon0, zeta_min, zeta_max)
+    return _with_closed_forms(bath, upsilon0 >= 0, c, kernel, c * (zeta_max - zeta_min) / 2)
+
+
+_ASYMPTOTIC_X = 60.0
 
 
 def ohmic_bath(medium: MediumParams, amplitude: float, cutoff: float) -> BathModel:
-    """Ohmic spectrum with exponential cutoff: upsilon^2 = amplitude^2 zeta exp(-zeta/cutoff)."""
-    return BathModel(
-        medium,
-        lambda z: amplitude * math.sqrt(z) * math.exp(-z / (2.0 * cutoff)),
-        0.0,
-        math.inf,
-    )
+    """Ohmic spectrum with exponential cutoff: upsilon^2 = amplitude^2 zeta exp(-zeta/cutoff).
+
+    With x = omega/cutoff, E1 and Ei the exponential integrals and A = amplitude,
+
+        F(omega) = A^2/rho^2 [cutoff^2 + (omega^2/2)(e^x E1(x) - e^-x Ei(x))],
+        shift    = A^2 cutoff^2 / (2 rho^2).
+
+    The bracket cancels to -sum_{j>=1} (2j+1)!/x^(2j) of order 6/x^2, so from
+    x = 60 on, where the leading cancellation would cost digits and e^x later
+    overflows, the asymptotic series is summed instead (accurate to ~1e-16 there).
+    """
+    c = (amplitude * cutoff / medium.rho) ** 2
+
+    def kernel(omega):
+        x = omega / cutoff
+        if x >= _ASYMPTOTIC_X:
+            inv_x2, term, total, j = 1.0 / (x * x), 1.0, 0.0, 0
+            while True:
+                j += 1
+                term *= (2 * j) * (2 * j + 1) * inv_x2
+                total += term
+                if term <= 1e-17 * total:
+                    return -c * total
+        from scipy.special import exp1, expi
+
+        return c * (1.0 + 0.5 * x * x * (math.exp(x) * exp1(x) - math.exp(-x) * expi(x)))
+
+    bath = BathModel(medium, lambda z: amplitude * math.sqrt(z) * math.exp(-z / (2.0 * cutoff)), 0.0, math.inf)
+    return _with_closed_forms(bath, amplitude >= 0 and cutoff > 0, c, kernel, c / 2)
 
 
 def null_bath(medium: MediumParams) -> BathModel:
     """Zero coupling: the lossless limit."""
-    return BathModel(medium, lambda z: 0.0, 0.0, 1.0)
+    return BathModel(medium, lambda z: 0.0, 0.0, 1.0, _no_coupling, 0.0)
 
 
 def _pv_log_primitive(a: float, b: float, w: float) -> float:
@@ -141,7 +200,7 @@ def renormalized_omega_L(m: MediumParams, bath: BathModel) -> float:
     """Bath-shifted longitudinal frequency omega_L_tilde; m must be the bath's medium."""
     if bath.medium != m:
         raise BathMediumMismatch(f"bath bound to {bath.medium} used with medium {m}")
-    shift = _bath_shift_integral(bath)
+    shift = _bath_shift_integral(bath) if bath.shift is None else bath.shift
     return math.sqrt(m.omega_T**2 + m.kappa**2 / (EPS0 * m.rho) + shift)
 
 
@@ -169,8 +228,33 @@ def _bath_shift_integral(bath: BathModel) -> float:
     return val
 
 
+def _pv_upper_end(bath: BathModel, omega: float) -> float:
+    """Upper end of the principal-value part: zeta_max, or for an infinite support
+    the split point past which the integrand is regular (a plain tail integral)."""
+    if math.isinf(bath.zeta_max):
+        return max(4.0 * omega, 4.0 * bath.zeta_min + 1.0)
+    return bath.zeta_max
+
+
 def bath_kernel_F(bath: BathModel, omega: float) -> float:
-    """Real principal-value kernel F(omega) of the bath elimination."""
+    """Real principal-value kernel F(omega) of the bath elimination.
+
+    The bath's closed form where it has one. Quadrature (`_quadrature_kernel_F`)
+    for any other bath, for omega <= 0 or not finite, and for omega on a support
+    end where upsilon(omega) != 0, which raises SingularEndpoint.
+    """
+    if bath.kernel is None or not 0 < omega < math.inf:
+        return _quadrature_kernel_F(bath, omega)
+    if bath.upsilon_at(omega) != 0.0:
+        a, b = bath.zeta_min, _pv_upper_end(bath, omega)
+        if min(abs(omega - a), abs(omega - b)) < _ENDPOINT_TOL * max(a, b, omega):
+            return _quadrature_kernel_F(bath, omega)
+    return bath.kernel(omega)
+
+
+def _quadrature_kernel_F(bath: BathModel, omega: float) -> float:
+    """F(omega) by quadrature of upsilon: the principal value by singular subtraction
+    on [zeta_min, b], plus a plain tail integral beyond b for an infinite support."""
     from scipy.integrate import quad
 
     rho2 = bath.medium.rho**2
@@ -178,12 +262,12 @@ def bath_kernel_F(bath: BathModel, omega: float) -> float:
     def g(z):
         return bath.upsilon_at(z) ** 2 * z**2 / rho2
 
-    a, b = bath.zeta_min, bath.zeta_max
-    if math.isinf(b):
-        b_split = max(4.0 * omega, 4.0 * a + 1.0)
-        tail, _ = quad(lambda z: g(z) / (z**2 - omega**2), b_split, np.inf, limit=400)
-        return principal_value_integral(g, a, b_split, omega) + tail
-    return principal_value_integral(g, a, b, omega)
+    b = _pv_upper_end(bath, omega)
+    total = principal_value_integral(g, bath.zeta_min, b, omega)
+    if math.isinf(bath.zeta_max):
+        tail, _ = quad(lambda z: g(z) / (z**2 - omega**2), b, np.inf, limit=400)
+        total += tail
+    return total
 
 
 def lossy_epsilon(m: MediumParams, bath: BathModel, omega: float) -> complex:

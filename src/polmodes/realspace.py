@@ -305,6 +305,16 @@ class DiscreteOperator:
     mats: _Materials = field(repr=False)
     kappa_embed: sp.csr_matrix = field(repr=False)
 
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """B0 v (vector or columns) with the transverse-projected coupling, from the sparse
+        B0: equal to `b0 @ v` without densifying B0."""
+        out = self.b0_sparse @ v
+        # subtract the longitudinal part of the TM coupling (TE coupling is already transverse)
+        if self.ops.div is not None and self.kappa_embed.shape[1] > 0:
+            kg = self.kappa_embed @ v[self.layout._span("gamma")]
+            out[self.layout._span("alpha")] -= (1j / EPS0) * _longitudinal(self.ops.div, kg)
+        return out
+
     @functools.cached_property
     def b0(self) -> np.ndarray:
         """Dense B0 with the transverse-projected coupling, 16 dim^2 bytes: for residual

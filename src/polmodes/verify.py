@@ -302,7 +302,7 @@ def check_realspace_spectrum(n: int = 96, cases: Sequence[Tuple[str, float]] = (
         sol = rs.solve_spectrum(op)
         gram = sol.vectors.conj().T @ (op.krein @ sol.vectors)
         tv = rng.standard_normal((op.layout.dim, vectors)) + 1j * rng.standard_normal((op.layout.dim, vectors))
-        res = np.linalg.norm(op.b0 @ sol.vectors - sol.vectors * sol.omegas[None, :], axis=0)
+        res = np.linalg.norm(op.apply(sol.vectors) - sol.vectors * sol.omegas[None, :], axis=0)
         pairing = max(pairing, np.max(np.abs(np.sort(-sol.omegas) - np.sort(sol.omegas))))
         offdiag = max(offdiag, np.max(np.abs(gram - np.diag(np.diag(gram)))))
         diag = max(diag, np.max(np.abs(np.diag(gram) - np.sign(sol.omegas))))
@@ -388,16 +388,23 @@ def check_lossless_limit(tol: float = 1e-12) -> VerifyResult:
 
 
 def check_pv_closed_form(tol: float = 1e-8) -> VerifyResult:
+    """The closed-form kernel F and omega_L^2 shift of the flat bath (0.05 on [0.5, 3])
+    and of two ohmic baths against the quadrature route on the same upsilon, at omega
+    below, inside and above the flat band and on both sides of an ohmic cutoff."""
     m = media.default_medium()
-    ups, a, b = 0.05, 0.5, 3.0
-    bath = diss.flat_bath(m, ups, a, b)
+    cases = ((diss.flat_bath(m, 0.05, 0.5, 3.0), (0.2, 0.8, 1.3, 2.2, 5.0)),
+             (diss.ohmic_bath(m, 0.1, 2.0), (0.4, 1.1, 1.9, 7.0)),
+             (diss.ohmic_bath(m, 0.02, 0.3), (0.8, 1.9)))
     worst = 0.0
-    for w in (0.8, 1.3, 2.2):
-        exact = ups**2 / m.rho**2 * ((b - a) + (w / 2) * math.log(abs((b - w) * (a + w) / ((b + w) * (a - w)))))
-        worst = max(worst, abs(diss.bath_kernel_F(bath, w) - exact) / max(abs(exact), 1e-30))
-    shift = diss.renormalized_omega_L(m, bath) ** 2 - m.omega_L**2
-    worst = max(worst, abs(shift - ups**2 * (b - a) / (2 * m.rho**2)))
-    return _result("dissipative: flat-bath principal value & renormalization", ("relative error", worst, tol))
+    for bath, omegas in cases:
+        quadrature = replace(bath, kernel=None, shift=None)
+        for w in omegas:
+            closed, numeric = diss.bath_kernel_F(bath, w), diss.bath_kernel_F(quadrature, w)
+            worst = max(worst, abs(closed - numeric) / abs(numeric))
+        shift = diss.renormalized_omega_L(m, quadrature) ** 2 - m.omega_L**2
+        worst = max(worst, abs(bath.shift - shift) / bath.shift)
+    return _result("dissipative: closed-form bath kernels & renormalization vs quadrature",
+                   ("relative error", worst, tol))
 
 
 def check_passivity(samples: int = 40) -> VerifyResult:

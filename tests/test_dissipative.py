@@ -39,6 +39,11 @@ def bath(medium):
     return flat_bath(medium, 0.05, 0.5, 3.0)
 
 
+def generic(bath):
+    """The same upsilon as a bath without closed forms: the quadrature route."""
+    return BathModel(bath.medium, bath.upsilon, bath.zeta_min, bath.zeta_max)
+
+
 class TestRenormalization:
     def test_zero_coupling(self, medium):
         assert renormalized_omega_L(medium, null_bath(medium)) == pytest.approx(
@@ -64,11 +69,13 @@ class TestRenormalization:
     @pytest.mark.parametrize("amplitude,cutoff",
                              [(0.1, 0.3), (0.1, 1.5), (0.1, 3.0), (0.02, 1.0), (0.02, 4.0)])
     def test_ohmic_closed_form(self, rho, amplitude, cutoff):
-        # quad's own error estimate must meet the convergence gate on convergent baths
+        # the closed-form shift, and quad's own error estimate meeting the convergence gate
+        # of the quadrature route on the same (convergent) upsilon
         m = from_phonon_frequencies(1.0, 1.2, rho)
         expected = math.sqrt(m.omega_L**2 + amplitude**2 * cutoff**2 / (2.0 * rho**2))
-        got = renormalized_omega_L(m, ohmic_bath(m, amplitude, cutoff))
-        assert got == pytest.approx(expected, rel=1e-12)
+        bath = ohmic_bath(m, amplitude, cutoff)
+        assert renormalized_omega_L(m, bath) == pytest.approx(expected, rel=1e-12)
+        assert renormalized_omega_L(m, generic(bath)) == pytest.approx(expected, rel=1e-12)
 
     def test_divergent_bath(self, medium):
         b = BathModel(medium, lambda z: 1.0, 0.0, math.inf)
@@ -92,12 +99,28 @@ class TestRenormalization:
             return real_quad(*args, **kwargs)
 
         monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
-        for bath in (flat_bath(medium, 0.05, 0.5, 3.0), ohmic_bath(medium, 0.1, 2.0)):
+        omegas = (0.4, 1.1, 1.1, 2.3, 5.0)
+        quadrature = generic(ohmic_bath(medium, 0.1, 2.0))
+        values = [lossy_epsilon(medium, quadrature, w) for w in omegas]
+        assert callers.count("_bath_shift_integral") == 1
+        assert len(callers) > 5  # the omega-dependent kernel still integrates per call
+        assert values[1] == values[2]
+        # the parsed baths evaluate kernel and shift in closed form
+        for bath in (flat_bath(medium, 0.05, 0.5, 3.0), ohmic_bath(medium, 0.1, 2.0), null_bath(medium)):
             callers.clear()
-            values = [lossy_epsilon(medium, bath, w) for w in (0.4, 1.1, 1.1, 2.3, 5.0)]
-            assert callers.count("_bath_shift_integral") == 1
-            assert len(callers) > 5  # the omega-dependent kernel still integrates per call
-            assert values[1] == values[2]
+            for w in omegas:
+                lossy_epsilon(medium, bath, w)
+            assert callers == []
+        assert bath_kernel_F(null_bath(medium), 1.0) == 0.0 and callers == []
+
+    def test_unphysical_couplings_keep_the_quadrature_route(self, medium):
+        # a negative coupling is rejected on use; a growing or an infinite one has no closed form
+        for bath in (flat_bath(medium, -0.05, 0.5, 3.0), ohmic_bath(medium, -0.1, 2.0),
+                     ohmic_bath(medium, 0.1, -2.0), flat_bath(medium, 0.05, 0.5, math.inf),
+                     ohmic_bath(medium, 0.1, math.inf)):
+            assert bath.kernel is None and bath.shift is None
+        with pytest.raises(ValueError):
+            lossy_epsilon(medium, flat_bath(medium, -0.05, 0.5, 3.0), 0.2)
 
     def test_bath_bound_to_another_medium(self, medium):
         other = from_phonon_frequencies(1.0, 1.2, 2.0)
@@ -115,7 +138,8 @@ class TestRenormalization:
 
 class TestBathKernel:
     def test_zero_coupling(self, medium):
-        assert bath_kernel_F(null_bath(medium), 1.0) == 0.0
+        assert bath_kernel_F(null_bath(medium), 1.0) == 0.0  # on the support end
+        assert bath_kernel_F(flat_bath(medium, 0.0, 0.5, 3.0), 3.0) == 0.0
 
     def test_flat_closed_form_inside_support(self, medium, bath):
         for w in (0.8, 1.3, 2.2):
@@ -131,6 +155,35 @@ class TestBathKernel:
     def test_singular_endpoint(self, medium, bath):
         with pytest.raises(SingularEndpoint):
             bath_kernel_F(bath, 3.0)
+        for w in (0.5, 0.5 * (1 + 1e-11), 3.0 * (1 - 1e-11)):  # both band edges, to 1e-9 relative
+            with pytest.raises(SingularEndpoint):
+                bath_kernel_F(bath, w)
+
+    def test_ohmic_far_above_cutoff(self, medium):
+        # omega/cutoff = 800: e^x overflows, and the pole sits far outside the bath's weight,
+        # so a plain quadrature over [0, omega/2] is the reference (the rest is ~e^-400)
+        amp, cut, w = 0.1, 0.01, 8.0
+        got = bath_kernel_F(ohmic_bath(medium, amp, cut), w)
+
+        def integrand(z):
+            return amp**2 * z**3 * math.exp(-z / cut) / (medium.rho**2 * (z**2 - w**2))
+
+        ref = quad(integrand, 0.0, 50 * cut, epsabs=0, epsrel=1e-13)[0] + quad(integrand, 50 * cut, w / 2)[0]
+        assert math.isfinite(got) and got == pytest.approx(ref, rel=1e-10)
+        # the asymptotic series takes over continuously from the exponential integrals
+        bath = ohmic_bath(medium, amp, 1.0)
+        below, above = bath_kernel_F(bath, np.nextafter(60.0, 0.0)), bath_kernel_F(bath, 60.0)
+        assert above == pytest.approx(below, rel=1e-11)
+
+    def test_nonpositive_omega_takes_the_quadrature_route(self, medium, bath):
+        for b, omegas in ((bath, (0.0, -0.2, -5.0)), (ohmic_bath(medium, 0.1, 2.0), (0.0, -0.1))):
+            for w in omegas:
+                assert bath_kernel_F(b, w) == bath_kernel_F(generic(b), w)
+            with pytest.raises(ValueError):
+                lossy_epsilon(medium, b, 0.0)
+        # outside the band the kernel is even in omega
+        assert bath_kernel_F(bath, -5.0) == pytest.approx(bath_kernel_F(bath, 5.0), rel=1e-10)
+        assert bath_kernel_F(bath, 0.0) == pytest.approx(0.05**2 * 2.5 / medium.rho**2, rel=1e-14)
 
     def test_pv_primitive_antisymmetry(self):
         # P Int over a symmetric window of 1/(z^2-w^2) vanishes as the window

@@ -192,6 +192,17 @@ class TestSingleAssembly:
         assert sp.issparse(op.b0_sparse) and sp.issparse(op.krein)
         assert op.krein.nnz <= 4 * layout.dim
 
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    @pytest.mark.parametrize("k_par", [0.0, 2.0])
+    def test_apply_is_dense_b0_times_v(self, interface, rng, polarization, k_par):
+        op = assemble_operator(interface, Grid1D(96, 40.0), k_par, polarization, strict_resolution=False)
+        v = rng.standard_normal((op.layout.dim, 3)) + 1j * rng.standard_normal((op.layout.dim, 3))
+        got = op.apply(v)
+        assert "b0" not in op.__dict__  # apply densifies nothing
+        ref = op.b0 @ v
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(op.apply(v[:, 1]) - got[:, 1]) <= 1e-14 * np.linalg.norm(got[:, 1])  # one vector
+
 
 class TestSurfaceMode:
     def test_surface_eigenvalue_dense_vs_sparse(self, medium, monkeypatch):

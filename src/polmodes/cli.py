@@ -38,7 +38,7 @@ from .config import (
     _number,
     _optional,
 )
-from .errors import ConfigError, InvalidGrid, PolmodesError
+from .errors import ConfigError, InvalidGrid, PolmodesError, UnsupportedGeometry
 
 
 def _fmt(x: float) -> str:
@@ -125,7 +125,17 @@ def _parse_mode_spec(spec: dict, pointer: str) -> disp.ModeIndex:
         raise ConfigError(str(exc), pointer)
 
 
-_COMPONENTS = ("x", "y", "z")
+def _write_profile_csv(path: Path, zs, fields):
+    """One row per z: z, then the real and imaginary parts of each field's x, y, z components."""
+    header = ["z"] + [f"{name}_{c}_{part}" for name in fields for c in "xyz" for part in ("re", "im")]
+    rows = []
+    for i, z in enumerate(zs):
+        row = [float(z)]
+        for values in fields.values():
+            for c in range(3):
+                row += [float(values[i, c].real), float(values[i, c].imag)]
+        rows.append(row)
+    _write_csv(path, header, rows)
 
 
 @main.command("mode")
@@ -155,22 +165,13 @@ def mode_cmd(config_path, out_dir, units, tol):
             "gamma": mode.hopfield.gamma.evaluate(zs),
             "eta": mode.hopfield.eta.evaluate(zs),
         }
+    except UnsupportedGeometry as exc:
+        _fail(ConfigError(str(exc), "/material/layers"), 2)
     except PolmodesError as exc:
         _fail(exc, 3)
-    header = ["z"]
-    for name in fields:
-        for c in _COMPONENTS:
-            header += [f"{name}_{c}_re", f"{name}_{c}_im"]
-    rows = []
-    for i, z in enumerate(zs):
-        row = [float(z)]
-        for name in fields:
-            for c in range(3):
-                row += [float(fields[name][i, c].real), float(fields[name][i, c].imag)]
-        rows.append(row)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "mode_profile.csv", header, rows)
+    _write_profile_csv(out / "mode_profile.csv", zs, fields)
     _write_json(out / "mode_profile.json", {
         "omega": us.from_internal(mode.omega),
         "N": mode.norm,
@@ -222,18 +223,7 @@ def solve_cmd(config_path, out_dir, units, tol):
                [(i, us.from_internal(float(w))) for i, w in enumerate(sol.omegas)])
     for i in range(min(n_profiles, sol.omegas.size)):
         fields = rs.reconstruct_node_fields(op, sol.vectors[:, i], float(sol.omegas[i]))
-        header = ["z"]
-        for name in fields:
-            for c in _COMPONENTS:
-                header += [f"{name}_{c}_re", f"{name}_{c}_im"]
-        rows = []
-        for j, z in enumerate(grid.nodes):
-            row = [float(z)]
-            for name in fields:
-                for c in range(3):
-                    row += [float(fields[name][j, c].real), float(fields[name][j, c].imag)]
-            rows.append(row)
-        _write_csv(out / f"mode_{i:04d}.csv", header, rows)
+        _write_profile_csv(out / f"mode_{i:04d}.csv", grid.nodes, fields)
     click.echo(f"wrote {sol.omegas.size} eigenfrequencies"
                + (f" and {min(n_profiles, sol.omegas.size)} profiles" if n_profiles else ""))
 
@@ -290,6 +280,8 @@ def scatter_cmd(config_path, out_dir, units, tol):
             res = nl.scattering_coefficient(mode_objs, phi, geom, momentum_tol=tol)
             rows.append((";".join(label_parts), float(res.value.real), float(res.value.imag),
                          int(res.momentum_ok)))
+    except UnsupportedGeometry as exc:
+        _fail(ConfigError(str(exc), "/material/layers"), 2)
     except PolmodesError as exc:
         _fail(exc, 3)
     out = Path(out_dir)

@@ -44,10 +44,6 @@ class ModeClass(str, Enum):
         return self in (ModeClass.TEv, ModeClass.TEl, ModeClass.TEu)
 
     @property
-    def is_tm(self) -> bool:
-        return self in (ModeClass.TMv, ModeClass.TMl, ModeClass.TMu, ModeClass.S)
-
-    @property
     def vacuum_incident(self) -> bool:
         return self in (ModeClass.TEv, ModeClass.TMv)
 

@@ -53,9 +53,10 @@ from .errors import (
     DivergentBathIntegral,
     InvalidDrive,
     NonConvergentTransfer,
+    PoleAtResonance,
     SingularEndpoint,
 )
-from .media import C, EPS0, LayeredGeometry, MediumParams, locate
+from .media import C, EPS0, LayeredGeometry, MediumParams, exp_integral, locate
 
 _ENDPOINT_TOL = 1e-9
 
@@ -171,18 +172,13 @@ def principal_value_integral(g: Callable[[float], float], a: float, b: float, w:
     """
     from scipy.integrate import quad
 
-    if w <= 0:
-        val, _ = quad(lambda z: g(z) / (z**2 - w**2), a, b, limit=400)
-        return val
     scale = max(abs(a), abs(b), w)
-    gw = g(w)
-    if min(abs(w - a), abs(w - b)) < _ENDPOINT_TOL * scale:
-        if gw != 0.0:
-            raise SingularEndpoint(f"pole at {w} coincides with an integration endpoint")
-        # numerator vanishes at the pole: the integrand is regular there
-        val, _ = quad(lambda z: g(z) / (z**2 - w**2), a, b, limit=400)
-        return val
-    if not (a < w < b):
+    at_end = min(abs(w - a), abs(w - b)) < _ENDPOINT_TOL * scale
+    gw = g(w) if w > 0 else 0.0
+    if at_end and gw != 0.0:
+        raise SingularEndpoint(f"pole at {w} coincides with an integration endpoint")
+    if w <= 0 or at_end or not a < w < b:
+        # no pole inside (a, b), or one on an end where g vanishes: a regular integrand
         val, _ = quad(lambda z: g(z) / (z**2 - w**2), a, b, limit=400)
         return val
 
@@ -278,7 +274,10 @@ def lossy_epsilon(m: MediumParams, bath: BathModel, omega: float) -> complex:
     f_re = bath_kernel_F(bath, omega)
     f_im = math.pi * bath.upsilon_at(omega) ** 2 * omega / (2.0 * m.rho**2)
     f = f_re + 1j * f_im
-    return (wl2 - omega**2 - f) / (m.omega_T**2 - omega**2 - f)
+    den = m.omega_T**2 - omega**2 - f
+    if den == 0:
+        raise PoleAtResonance(f"eps_tilde has a pole at omega={omega}: the bath does not damp it")
+    return (wl2 - omega**2 - f) / den
 
 
 @dataclass(frozen=True)
@@ -444,11 +443,7 @@ def _segment_abs2_integral(seg: _Segment, lo: float, hi: float) -> float:
     for ci, wi, ri in terms:
         for cj, wj, rj in terms:
             coef = ci * np.conj(cj) * np.exp(-1j * (wi * ri - np.conj(wj) * rj))
-            d = 1j * (wi - np.conj(wj))
-            if abs(d) * (hi - lo) < 1e-12:
-                total += (coef * (hi - lo)).real
-            else:
-                total += (coef * (np.exp(d * hi) - np.exp(d * lo)) / d).real
+            total += (coef * exp_integral(1j * (wi - np.conj(wj)), lo, hi)).real
     return total
 
 

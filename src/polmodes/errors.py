@@ -75,6 +75,13 @@ class InvalidGrid(PolmodesError, ValueError):
     than the box's, or a layer boundary off the nodes."""
 
 
+class UnsupportedGeometry(PolmodesError, ValueError):
+    """Stack or mode class outside the analytic modes: more than one medium species, a
+    stack other than a homogeneous box or the medium/vacuum interface, or a class the
+    stack does not carry (a surface mode without the interface, a vacuum class in a
+    matter box, a bulk class in a vacuum box)."""
+
+
 class ConfigError(PolmodesError):
     """Invalid run configuration. Carries a JSON-pointer path to the offending entry."""
 

@@ -152,6 +152,17 @@ def locate(z, lower, upper) -> np.ndarray:
     return idx
 
 
+def exp_integral(d: complex, lo: float, hi: float) -> complex:
+    """Int_lo^hi exp(d z) dz, the primitive of every piecewise-exponential z-integral.
+
+    Where |d| (hi - lo) < 1e-12 the integrand is constant to working precision
+    and the limit hi - lo is returned.
+    """
+    if abs(d) * (hi - lo) < 1e-12:
+        return hi - lo
+    return (np.exp(d * hi) - np.exp(d * lo)) / d
+
+
 @dataclass(frozen=True)
 class Layer:
     """One slab [z_min, z_max]; medium=None means vacuum."""

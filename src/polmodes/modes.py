@@ -10,11 +10,13 @@ exp(-i k_par . r_par) throughout; conjugating a profile therefore flips the
 in-plane wavevector, which is how negative-energy partners acquire opposite
 momentum.
 
-Vertical wavenumber branches: a wave written exp(+i w z) that must decay into
-z < 0 needs Im w <= 0, one that must decay or radiate into z > 0 needs
-Im w >= 0 (Re w >= 0 when real in both cases). The medium side of the
-interface is z < 0, so transmitted roots of eps*omega^2/c^2 - k_par^2 take the
-Im <= 0 branch.
+Vertical wavenumber branch, one rule for every propagating class: the
+transmitted wavenumber is q = sign(k_z) * w_d, with w_d the root of
+eps_t omega^2/c^2 - k_par^2 (eps_t of the transmission side) for which
+exp(+i w_d z) decays into z < 0 (Im w_d <= 0, Re w_d >= 0 when real).
+Vacuum-incident classes (k_z > 0) transmit into the medium below z = 0;
+medium-incident classes (k_z < 0) are the z -> -z mirror image and transmit
+into the vacuum above, where q decays (Im q >= 0).
 
 Hopfield coefficient map (matter regions only for gamma, eta):
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .errors import (
     EvanescentBranchAmbiguity,
     PoleAtResonance,
     QuadratureDisagreement,
+    UnsupportedGeometry,
 )
 from .media import (
     C,
@@ -64,6 +67,7 @@ from .media import (
     LayeredGeometry,
     MediumParams,
     epsilon,
+    exp_integral,
     locate,
     nu,
     nu_vacuum,
@@ -133,14 +137,16 @@ class VectorProfile:
             out[mask] = self.evaluate_region(i, z[mask], r_par)
         return out
 
+    def _map(
+        self, terms_of: Callable[[ProfileRegion], Iterable[PlaneTerm]], k_inplane=None
+    ) -> "VectorProfile":
+        """Profile with the terms terms_of(region) in each region, at k_inplane (default: this one)."""
+        k = self.k_inplane if k_inplane is None else k_inplane
+        return VectorProfile(k, tuple(reg.with_terms(terms_of(reg)) for reg in self.regions))
+
     def curl(self) -> "VectorProfile":
-        regions = tuple(
-            reg.with_terms(
-                PlaneTerm(1j * np.cross(t.k3(self.k_inplane), t.amplitude), t.w) for t in reg.terms
-            )
-            for reg in self.regions
-        )
-        return VectorProfile(self.k_inplane, regions)
+        return self._map(lambda reg: (
+            PlaneTerm(1j * np.cross(t.k3(self.k_inplane), t.amplitude), t.w) for t in reg.terms))
 
     def divergence(self, z, r_par=(0.0, 0.0)) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -152,27 +158,20 @@ class VectorProfile:
         return out * phase_par
 
     def conj(self) -> "VectorProfile":
-        regions = tuple(
-            reg.with_terms(PlaneTerm(np.conj(t.amplitude), -np.conj(t.w)) for t in reg.terms)
-            for reg in self.regions
-        )
-        return VectorProfile(-self.k_inplane, regions)
+        return self._map(lambda reg: (PlaneTerm(np.conj(t.amplitude), -np.conj(t.w)) for t in reg.terms),
+                         -self.k_inplane)
 
     def scaled(self, factor: complex) -> "VectorProfile":
-        regions = tuple(
-            reg.with_terms(PlaneTerm(factor * t.amplitude, t.w) for t in reg.terms)
-            for reg in self.regions
-        )
-        return VectorProfile(self.k_inplane, regions)
+        return self._map(lambda reg: (PlaneTerm(factor * t.amplitude, t.w) for t in reg.terms))
 
     def mapped(self, func: Callable[[ProfileRegion], complex]) -> "VectorProfile":
         """Scale each region by a region-dependent factor (zero drops its terms)."""
-        regions = []
-        for reg in self.regions:
+
+        def terms_of(reg):
             f = func(reg)
-            terms = () if f == 0 else tuple(PlaneTerm(f * t.amplitude, t.w) for t in reg.terms)
-            regions.append(reg.with_terms(terms))
-        return VectorProfile(self.k_inplane, tuple(regions))
+            return () if f == 0 else (PlaneTerm(f * t.amplitude, t.w) for t in reg.terms)
+
+        return self._map(terms_of)
 
 
 @dataclass(frozen=True)
@@ -198,6 +197,11 @@ class HopfieldProfile:
     eta: VectorProfile
     omega: float
     index: ModeIndex
+
+    def each(self, func: Callable[[VectorProfile], VectorProfile], omega: float) -> "HopfieldProfile":
+        """The four coefficient profiles mapped by func, at eigenfrequency omega."""
+        return HopfieldProfile(func(self.alpha), func(self.beta), func(self.gamma), func(self.eta),
+                               omega, self.index)
 
 
 @dataclass(frozen=True)
@@ -228,11 +232,30 @@ def _branch_down(radicand: float, scale: float, tol: float = 1e-12) -> complex:
     return -1j * math.sqrt(-radicand)
 
 
-def _branch_mirror_up(radicand: float, scale: float, tol: float = 1e-12) -> complex:
-    """Mirror image of _branch_down: exp(+i w z) decaying into z > 0 (Im >= 0),
-    with Re <= 0 when real so the outgoing-labelled basis matches the z -> -z
-    mirror of the vacuum-incidence construction."""
-    return -_branch_down(radicand, scale, tol)
+def _fresnel(k_z: float, q: complex, a_inc: complex, a_trn: complex) -> Tuple[complex, complex]:
+    """Reflection and transmission of theta at a planar interface.
+
+    k_z is the incident and q the transmitted vertical wavenumber; a = 1 on both
+    sides for TE and a = eps of each side for TM. Matching tangential theta and
+    tangential curl theta (TE), or tangential theta and normal eps*theta (TM),
+    gives r = (a_t k_z - a_i q)/(a_t k_z + a_i q) and t = a_i (1 + r)/a_t. t is
+    evaluated as 2 a_i k_z/(a_t k_z + a_i q), which does not cancel where r -> -1
+    (grazing incidence).
+    """
+    den = a_trn * k_z + a_inc * q
+    return (a_trn * k_z - a_inc * q) / den, 2 * a_inc * k_z / den
+
+
+def _vacuum_incidence(m: MediumParams, k) -> Tuple[float, complex, float]:
+    """(k_z, q, eps_L) for a vacuum wave with wavevector k, k_z > 0, incident on m."""
+    kv = np.asarray(k, dtype=float)
+    k_par2 = kv[0] ** 2 + kv[1] ** 2
+    k_z = kv[2]
+    if not k_z > 0:
+        raise ValueError("vacuum incidence requires k_z > 0")
+    k2 = k_par2 + k_z**2
+    eL = epsilon(m, C * math.sqrt(k2))
+    return k_z, _branch_down(eL * k2 - k_par2, k2), eL
 
 
 def fresnel_te(m: MediumParams, k) -> Tuple[complex, complex]:
@@ -242,18 +265,8 @@ def fresnel_te(m: MediumParams, k) -> Tuple[complex, complex]:
     Returns (r, t) with r = (k_z - q)/(k_z + q), t = 2 k_z/(k_z + q),
     q = sqrt(eps_L k^2 - k_par^2) on the decaying branch. r + 1 = t exactly.
     """
-    kv = np.asarray(k, dtype=float)
-    k_par2 = kv[0] ** 2 + kv[1] ** 2
-    k_z = kv[2]
-    if not k_z > 0:
-        raise ValueError("vacuum incidence requires k_z > 0")
-    k2 = k_par2 + k_z**2
-    omega = C * math.sqrt(k2)
-    eL = epsilon(m, omega)
-    q = _branch_down(eL * k2 - k_par2, k2)
-    r = (k_z - q) / (k_z + q)
-    t = 2 * k_z / (k_z + q)
-    return r, t
+    k_z, q, _ = _vacuum_incidence(m, k)
+    return _fresnel(k_z, q, 1.0, 1.0)
 
 
 def fresnel_tm(m: MediumParams, k) -> Tuple[complex, complex]:
@@ -262,18 +275,9 @@ def fresnel_tm(m: MediumParams, k) -> Tuple[complex, complex]:
     r = (eps_L k_z - q)/(eps_L k_z + q), t = 2 eps_L k_z/(eps_L k_z + q);
     r + 1 = t exactly, and the surface-mode pole sits at eps_L k_z + q = 0.
     """
-    kv = np.asarray(k, dtype=float)
-    k_par2 = kv[0] ** 2 + kv[1] ** 2
-    k_z = kv[2]
-    if not k_z > 0:
-        raise ValueError("vacuum incidence requires k_z > 0")
-    k2 = k_par2 + k_z**2
-    omega = C * math.sqrt(k2)
-    eL = epsilon(m, omega)
-    q = _branch_down(eL * k2 - k_par2, k2)
-    r = (eL * k_z - q) / (eL * k_z + q)
-    t = 2 * eL * k_z / (eL * k_z + q)
-    return r, t
+    k_z, q, eL = _vacuum_incidence(m, k)
+    r, t = _fresnel(k_z, q, 1.0, eL)
+    return r, eL * t  # the magnetic field carries eps_L times the transmitted theta
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,7 @@ def _classify(geom: LayeredGeometry):
         return "vacuum", None
     params = {(m.omega_T, m.rho, m.kappa) for m in mats if m is not None}
     if len(params) > 1:
-        raise ValueError("analytic modes support a single medium species")
+        raise UnsupportedGeometry("analytic modes support a single medium species")
     medium = next(m for m in mats if m is not None)
     if all(m is not None for m in mats):
         return "matter", medium
@@ -298,7 +302,9 @@ def _classify(geom: LayeredGeometry):
         and abs(geom.layers[0].z_max) < 1e-12 * geom.lz
     ):
         return "interface", medium
-    raise ValueError("unsupported geometry for analytic modes (need medium below z=0, vacuum above)")
+    raise UnsupportedGeometry(
+        "unsupported geometry for analytic modes (need medium below z=0, vacuum above)"
+    )
 
 
 def mode_frequency(geom: LayeredGeometry, idx: ModeIndex) -> float:
@@ -307,15 +313,15 @@ def mode_frequency(geom: LayeredGeometry, idx: ModeIndex) -> float:
     cls = idx.mode_class
     if cls is ModeClass.S:
         if kind != "interface":
-            raise ValueError("surface modes require the vacuum/medium interface")
+            raise UnsupportedGeometry("surface modes require the vacuum/medium interface")
         return surface_dispersion_omega(medium, idx.k_par_mag)
     if cls.vacuum_incident:
         if kind == "matter":
-            raise ValueError("vacuum-incident classes need a vacuum region")
+            raise UnsupportedGeometry("vacuum-incident classes need a vacuum region")
         return C * idx.k_mag
     # medium-incident bulk branches
     if medium is None:
-        raise ValueError("bulk polariton classes need a matter region")
+        raise UnsupportedGeometry("bulk polariton classes need a matter region")
     ol, ou = bulk_branches(medium, idx.k_mag)
     return ol if cls in (ModeClass.TEl, ModeClass.TMl) else ou
 
@@ -335,9 +341,10 @@ def _region_split(geom: LayeredGeometry, medium, vac_terms, med_terms) -> Tuple[
 def build_theta(geom: LayeredGeometry, idx: ModeIndex) -> ThetaProfile:
     """Unnormalized (N=1) theta profile of the labelled mode.
 
-    Homogeneous geometries yield single plane waves (the no-interface limit,
-    r=0, t=1). The interface geometry yields the scattering or surface
-    profiles; transmitted vertical wavenumbers follow the decay branch rule.
+    Every propagating class is one scattering state: the incident wave and its
+    reflection on the incidence side, the transmitted wave on the other, with
+    (r, t) from `_fresnel`. A homogeneous box keeps the incident wave alone
+    (the no-interface limit, r=0, t=1).
     """
     kind, medium = _classify(geom)
     omega = mode_frequency(geom, idx)
@@ -360,47 +367,24 @@ def build_theta(geom: LayeredGeometry, idx: ModeIndex) -> ThetaProfile:
     k_z = idx.k_z
     kmag = idx.k_mag
 
-    if kind != "interface":
-        # single homogeneous plane wave
+    def wave(w):
+        """Transverse amplitude of a plane wave with vertical wavenumber w."""
         if cls.is_te:
-            amp = e_perp.astype(complex)
-        else:
-            amp = (k_z * e_par + k_par * E_Z) / kmag
-        region = ProfileRegion(-geom.lz / 2, geom.lz / 2, medium, (PlaneTerm(amp, k_z),))
+            return e_perp.astype(complex)
+        return (w * e_par + k_par * E_Z) / kmag
+
+    if kind != "interface":
+        region = ProfileRegion(-geom.lz / 2, geom.lz / 2, medium, (PlaneTerm(wave(k_z), k_z),))
         return ThetaProfile(VectorProfile(k_inplane, (region,)), cls, omega, idx)
 
     eL = epsilon(medium, omega)
-    if cls.vacuum_incident:
-        q = _branch_down(eL * u - k_par**2, max(u, k_par**2))
-        if cls is ModeClass.TEv:
-            r = (k_z - q) / (k_z + q)
-            t = 2 * k_z / (k_z + q)
-            vac = [PlaneTerm(e_perp.astype(complex), k_z), PlaneTerm(r * e_perp, -k_z)]
-            med = [PlaneTerm(t * e_perp.astype(complex), q)]
-        else:  # TMv
-            rh = (eL * k_z - q) / (eL * k_z + q)
-            th = 2 * eL * k_z / (eL * k_z + q)
-            vac = [
-                PlaneTerm((k_z * e_par + k_par * E_Z) / kmag, k_z),
-                PlaneTerm(rh * (-k_z * e_par + k_par * E_Z) / kmag, -k_z),
-            ]
-            med = [PlaneTerm((th / eL) * (q * e_par + k_par * E_Z) / kmag, q)]
-    else:
-        # medium-incident, transmitted upward into vacuum
-        wt = _branch_mirror_up(u - k_par**2, max(u, k_par**2))
-        if cls.is_te:
-            r = (k_z - wt) / (k_z + wt)
-            t = 2 * k_z / (k_z + wt)
-            med = [PlaneTerm(e_perp.astype(complex), k_z), PlaneTerm(r * e_perp, -k_z)]
-            vac = [PlaneTerm(t * e_perp.astype(complex), wt)]
-        else:
-            rt = (k_z - eL * wt) / (k_z + eL * wt)
-            tt = eL * (1 + rt)
-            med = [
-                PlaneTerm((k_z * e_par + k_par * E_Z) / kmag, k_z),
-                PlaneTerm(rt * (-k_z * e_par + k_par * E_Z) / kmag, -k_z),
-            ]
-            vac = [PlaneTerm(tt * (wt * e_par + k_par * E_Z) / kmag, wt)]
+    eps_inc, eps_trn = (1.0, eL) if cls.vacuum_incident else (eL, 1.0)
+    q = math.copysign(1.0, k_z) * _branch_down(eps_trn * u - k_par**2, max(u, k_par**2))
+    a_inc, a_trn = (1.0, 1.0) if cls.is_te else (eps_inc, eps_trn)
+    r, t = _fresnel(k_z, q, a_inc, a_trn)
+    incident = [PlaneTerm(wave(k_z), k_z), PlaneTerm(r * wave(-k_z), -k_z)]
+    transmitted = [PlaneTerm(t * wave(q), q)]
+    vac, med = (incident, transmitted) if cls.vacuum_incident else (transmitted, incident)
     profile = VectorProfile(k_inplane, _region_split(geom, medium, vac, med))
     return ThetaProfile(profile, cls, omega, idx)
 
@@ -452,17 +436,13 @@ def _eps_nu(medium: Optional[MediumParams], omega: float) -> float:
     return epsilon(medium, omega) * nu(medium, omega)
 
 
-def _exact_region_integral(reg: ProfileRegion, k_unused=None) -> complex:
+def _exact_region_integral(reg: ProfileRegion) -> complex:
     """Integral of |theta|^2 over the region from the exponential primitives."""
     total = 0.0 + 0.0j
     for ti in reg.terms:
         for tj in reg.terms:
             coef = np.dot(ti.amplitude, np.conj(tj.amplitude))
-            d = 1j * (ti.w - np.conj(tj.w))
-            if abs(d) * (reg.z_max - reg.z_min) < 1e-12:
-                total += coef * (reg.z_max - reg.z_min)
-            else:
-                total += coef * (np.exp(d * reg.z_max) - np.exp(d * reg.z_min)) / d
+            total += coef * exp_integral(1j * (ti.w - np.conj(tj.w)), reg.z_min, reg.z_max)
     return total
 
 
@@ -508,14 +488,7 @@ def normalization_integral(mode: PolaritonMode, geom: LayeredGeometry, method: s
 
 def _scaled_mode(mode: PolaritonMode, n: float) -> PolaritonMode:
     theta = ThetaProfile(mode.theta.profile.scaled(n), mode.theta.mode_class, mode.omega, mode.index)
-    hop = HopfieldProfile(
-        mode.hopfield.alpha.scaled(n),
-        mode.hopfield.beta.scaled(n),
-        mode.hopfield.gamma.scaled(n),
-        mode.hopfield.eta.scaled(n),
-        mode.omega,
-        mode.index,
-    )
+    hop = mode.hopfield.each(lambda prof: prof.scaled(n), mode.omega)
     return PolaritonMode(mode.index, mode.omega, mode.norm * n, theta, hop)
 
 
@@ -580,14 +553,7 @@ def normalize(mode: PolaritonMode, geom: LayeredGeometry, rtol: float = 1e-8) ->
 def conjugate_mode(mode: PolaritonMode) -> PolaritonMode:
     """Negative-energy partner: conjugated profiles, eigenfrequency -omega."""
     th = ThetaProfile(mode.theta.profile.conj(), mode.theta.mode_class, -mode.omega, mode.index)
-    hop = HopfieldProfile(
-        mode.hopfield.alpha.conj(),
-        mode.hopfield.beta.conj(),
-        mode.hopfield.gamma.conj(),
-        mode.hopfield.eta.conj(),
-        -mode.omega,
-        mode.index,
-    )
+    hop = mode.hopfield.each(VectorProfile.conj, -mode.omega)
     return PolaritonMode(mode.index, -mode.omega, mode.norm, th, hop)
 
 

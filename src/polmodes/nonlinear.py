@@ -31,7 +31,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import PoleAtResonance
-from .media import HBAR, LayeredGeometry, POLE_GUARD_REL
+from .media import HBAR, LayeredGeometry, POLE_GUARD_REL, exp_integral
 from .modes import PolaritonMode, ProfileRegion, VectorProfile
 
 MOMENTUM_TOL = 1e-9
@@ -46,15 +46,13 @@ class NonlinearTensor:
     symmetrization_defect: float = 0.0
 
     @staticmethod
-    def from_array(arr, symmetrize: bool = True) -> "NonlinearTensor":
+    def from_array(arr) -> "NonlinearTensor":
         a = np.asarray(arr, dtype=float)
         order = a.ndim
         if order < 3:
             raise ValueError("nonlinear tensor order must be >= 3")
         if a.shape != (3,) * order:
             raise ValueError(f"expected shape {(3,) * order}, got {a.shape}")
-        if not symmetrize:
-            return NonlinearTensor(order, a)
         sym = np.zeros_like(a)
         perms = list(itertools.permutations(range(order)))
         for p in perms:
@@ -137,12 +135,7 @@ def scattering_coefficient(
                 contraction = phi.components
                 for t in combo:
                     contraction = np.tensordot(contraction, t.amplitude, axes=([0], [0]))
-                w_sum = sum(t.w for t in combo)
-                d = 1j * w_sum
-                if abs(d) * (z_max - z_min) < 1e-12:
-                    zint = z_max - z_min
-                else:
-                    zint = (np.exp(d * z_max) - np.exp(d * z_min)) / d
+                zint = exp_integral(1j * sum(t.w for t in combo), z_min, z_max)
                 total += complex(contraction) * zint
         elif method == "quad":
             from scipy.integrate import quad

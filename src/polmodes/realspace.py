@@ -152,12 +152,11 @@ def _sample_materials(geom: LayeredGeometry, grid: Grid1D) -> _Materials:
 
 @dataclass
 class FieldLayout:
-    """Block names, slices and staggered positions of the stacked state vector."""
+    """Block names and slices of the stacked state vector."""
 
     polarization: str
     blocks: List[str]
     slices: Dict[str, slice]
-    positions: Dict[str, np.ndarray]
     matter_index: Dict[str, np.ndarray]
     dim: int
 
@@ -177,21 +176,11 @@ def _build_layout(grid: Grid1D, mats: _Materials, polarization: str) -> FieldLay
     if polarization == "TE":
         sizes = [("alpha", n - 1), ("beta_par", n), ("beta_z", n - 1),
                  ("gamma", m_nodes.size), ("eta", m_nodes.size)]
-        positions = {
-            "alpha": grid.interior_nodes, "beta_par": grid.halves,
-            "beta_z": grid.interior_nodes,
-            "gamma": grid.interior_nodes[m_nodes], "eta": grid.interior_nodes[m_nodes],
-        }
         matter = {"gamma": m_nodes, "eta": m_nodes}
     elif polarization == "TM":
         sizes = [("alpha_par", n - 1), ("alpha_z", n), ("beta", n),
                  ("gamma_par", m_nodes.size), ("gamma_z", m_half.size),
                  ("eta_par", m_nodes.size), ("eta_z", m_half.size)]
-        positions = {
-            "alpha_par": grid.interior_nodes, "alpha_z": grid.halves, "beta": grid.halves,
-            "gamma_par": grid.interior_nodes[m_nodes], "gamma_z": grid.halves[m_half],
-            "eta_par": grid.interior_nodes[m_nodes], "eta_z": grid.halves[m_half],
-        }
         matter = {"gamma_par": m_nodes, "gamma_z": m_half,
                   "eta_par": m_nodes, "eta_z": m_half}
     else:
@@ -203,7 +192,7 @@ def _build_layout(grid: Grid1D, mats: _Materials, polarization: str) -> FieldLay
         slices[name] = slice(off, off + size)
         names.append(name)
         off += size
-    return FieldLayout(polarization, names, slices, positions, matter, off)
+    return FieldLayout(polarization, names, slices, matter, off)
 
 
 @dataclass

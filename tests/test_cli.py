@@ -140,6 +140,40 @@ class TestErrorHandling:
         assert "(at /material/layers)" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,stack,mode", [
+        ("mode", "slab", {"class": "S", "k_par": [2.0, 0.0]}),
+        ("scatter", "slab", {"class": "S", "k_par": [2.0, 0.0]}),
+        ("mode", "vacuum", {"class": "S", "k_par": [2.0, 0.0]}),
+        ("mode", "matter", {"class": "S", "k_par": [2.0, 0.0]}),
+        ("mode", "vacuum", {"class": "TEl", "k_par": [0.5, 0.0], "k_z": -0.8}),
+        ("mode", "vacuum", {"class": "TEu", "k_par": [0.5, 0.0], "k_z": -0.8}),
+        ("mode", "vacuum", {"class": "TMl", "k_par": [0.5, 0.0], "k_z": -0.8}),
+        ("mode", "vacuum", {"class": "TMu", "k_par": [0.5, 0.0], "k_z": -0.8}),
+        ("mode", "matter", {"class": "TEv", "k_par": [0.5, 0.0], "k_z": 0.8}),
+        ("mode", "matter", {"class": "TMv", "k_par": [0.5, 0.0], "k_z": 0.8}),
+    ])
+    def test_unsupported_stack_or_class_exit_2(self, runner, tmp_path, command, stack, mode):
+        medium = MATERIAL["layers"][0]["medium"]
+        layers = {
+            "slab": [{"z_min": -20.0, "z_max": -1.0, "medium": None},
+                     {"z_min": -1.0, "z_max": 1.0, "medium": medium},
+                     {"z_min": 1.0, "z_max": 20.0, "medium": None}],
+            "vacuum": [{"z_min": -20.0, "z_max": 20.0, "medium": None}],
+            "matter": [{"z_min": -20.0, "z_max": 20.0, "medium": medium}],
+        }[stack]
+        cfg = write_cfg(tmp_path, {
+            "material": dict(MATERIAL, layers=layers),
+            "mode": mode,
+            "phi": {"order": 3, "components": np.eye(3)[:, :, None].repeat(3, 2).tolist()},
+            "tuples": [[mode] * 3],
+        })
+        out = tmp_path / "out"
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "(at /material/layers)" in res.stderr
+        assert not out.exists()
+
     def test_no_matter_layer_pointer(self, runner, tmp_path):
         material = json.loads(json.dumps(MATERIAL))
         material["layers"][0]["medium"] = None
@@ -285,6 +319,20 @@ class TestLossyCommand:
         assert "strictly inside the box" in res.stderr
         assert not out.exists()  # neither lossy_epsilon.csv nor driven_field.csv
 
+
+    def test_undamped_pole_exit_3(self, runner, tmp_path):
+        # with no bath the sweep lands on omega_T = 1 exactly, a pole of eps_tilde
+        cfg = write_cfg(tmp_path, {
+            "material": MATERIAL,
+            "bath": {"type": "none"},
+            "omega": {"min": 0.5, "max": 1.5, "num": 3},
+        })
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["lossy", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "pole" in res.stderr
+        assert not out.exists()
 
     def test_two_species_stack_exit_2(self, runner, tmp_path):
         material = json.loads(json.dumps(MATERIAL))

@@ -143,6 +143,58 @@ class TestBuildTheta:
             assert np.max(np.abs(div)) < 1e-13 * scale
 
 
+def decaying_root(rad):
+    """Root w of rad for which exp(+i w z) decays into z < 0 (Im w <= 0, Re w >= 0 when real)."""
+    return complex(math.sqrt(rad)) if rad > 0 else -1j * math.sqrt(-rad)
+
+
+def reference_fresnel(idx, eps, omega):
+    """(q, r, t) of theta for one propagating class, each class written out on its own."""
+    k_par, k_z = idx.k_par_mag, idx.k_z
+    u = (omega / C) ** 2
+    cls = idx.mode_class
+    if cls is ModeClass.TEv:
+        q = decaying_root(eps * u - k_par**2)
+        return q, (k_z - q) / (k_z + q), 2 * k_z / (k_z + q)
+    if cls is ModeClass.TMv:
+        q = decaying_root(eps * u - k_par**2)
+        t_h = 2 * eps * k_z / (eps * k_z + q)
+        return q, (eps * k_z - q) / (eps * k_z + q), t_h / eps
+    w = -decaying_root(u - k_par**2)  # medium incidence: transmitted upward into vacuum
+    if cls.is_te:
+        return w, (k_z - w) / (k_z + w), 2 * k_z / (k_z + w)
+    r = (k_z - eps * w) / (k_z + eps * w)
+    return w, r, eps * (1 + r)
+
+
+FRESNEL_INDICES = [
+    ModeIndex(cls, k_par, k_z)
+    for cls in (ModeClass.TEv, ModeClass.TMv)
+    for k_par, k_z in [((0.3, 0.1), 0.5),    # below omega_T
+                       ((0.2, 0.0), 1.05),   # reststrahlen band: eps < 0, evanescent q
+                       ((0.5, 0.3), 1.4),    # above omega_L, propagating q
+                       ((1.5, 0.0), 0.3)]    # above omega_L, evanescent q
+] + [
+    ModeIndex(cls, k_par, k_z)
+    for cls in (ModeClass.TEl, ModeClass.TEu, ModeClass.TMl, ModeClass.TMu)
+    for k_par, k_z in [((0.5, 0.0), -0.8), ((0.2, 0.4), -0.7), ((2.0, 0.5), -0.6), ((1.0, 1.0), -0.3)]
+]
+
+
+@pytest.mark.parametrize("idx", FRESNEL_INDICES,
+                         ids=lambda idx: f"{idx.mode_class.value}{idx.k_par}{idx.k_z}")
+def test_build_theta_matches_per_class_fresnel(medium, interface, idx):
+    theta = build_theta(interface, idx)
+    vac, med = theta.profile.regions[1].terms, theta.profile.regions[0].terms
+    (inc, refl), (trn,) = (vac, med) if idx.mode_class.vacuum_incident else (med, vac)
+    # TE amplitudes lie along e_perp; TM amplitudes are c (w e_par + k_par e_z)/|k|, k_par > 0
+    axis = idx.e_perp if idx.mode_class.is_te else np.array([0.0, 0.0, 1.0])
+    q, r, t = reference_fresnel(idx, epsilon(medium, theta.omega), theta.omega)
+    assert trn.w == pytest.approx(q, rel=1e-14)
+    assert np.dot(axis, refl.amplitude) / np.dot(axis, inc.amplitude) == pytest.approx(r, rel=1e-14)
+    assert np.dot(axis, trn.amplitude) / np.dot(axis, inc.amplitude) == pytest.approx(t, rel=1e-14)
+
+
 class TestWaveEquationAndContinuity:
     def test_residuals_all_classes(self, medium, interface):
         zs = np.linspace(-19.9, 19.9, 1000)

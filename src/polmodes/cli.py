@@ -118,9 +118,10 @@ def _parse_mode_spec(spec: dict, pointer: str) -> disp.ModeIndex:
     k_par = _get(spec, "k_par", pointer, list)
     if len(k_par) != 2:
         raise ConfigError("k_par must be a 2-vector", f"{pointer}/k_par")
-    k_z = spec.get("k_z")
+    k_par = (_number(k_par, 0, f"{pointer}/k_par"), _number(k_par, 1, f"{pointer}/k_par"))
+    k_z = None if spec.get("k_z") is None else _number(spec, "k_z", pointer)
     try:
-        return disp.ModeIndex(cls, (float(k_par[0]), float(k_par[1])), None if k_z is None else float(k_z))
+        return disp.ModeIndex(cls, k_par, k_z)
     except ValueError as exc:
         raise ConfigError(str(exc), pointer)
 

@@ -49,10 +49,17 @@ def _optional(cfg: dict, key: str, pointer: str, expect, default):
 
 
 def _number(cfg, key, pointer: str) -> float:
+    """cfg[key] as a finite float (JSON's Infinity and NaN, and ints beyond float, are errors)."""
     val = _get(cfg, key, pointer)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"'{key}' must be a number", f"{pointer}/{key}")
-    return float(val)
+    try:
+        val = float(val)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise ConfigError(f"'{key}' must be finite", f"{pointer}/{key}")
+    return val
 
 
 @dataclass(frozen=True)

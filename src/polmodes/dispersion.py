@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import BelowLightLineEdge, OutsideSurfaceWindow
+from .errors import BelowLightLineEdge, OutsideSurfaceWindow, SolverContractViolation
 from .media import C, MediumParams, epsilon
 
 
@@ -155,15 +155,20 @@ def surface_dispersion_omega(m: MediumParams, k_par: float) -> float:
 
     Inverts surface_dispersion_kpar. The relation reduces to a quadratic in
     omega^2 whose lower root is the surface branch; evaluated in the stable
-    form and verified by the forward relation to 1e-12 relative residual.
+    form and verified by the forward relation to 1e-12 relative residual; where
+    that fails (the quartic's terms overflow from c*k_par ~ 1e77 on), raises
+    SolverContractViolation.
     """
     ck = C * k_par
     if ck < m.omega_T:
         raise BelowLightLineEdge(f"c*k_par = {ck} < omega_TO = {m.omega_T}")
     if ck == m.omega_T:
         return m.omega_T
-    b = 2.0 * ck**2 + m.omega_L**2
-    c = ck**2 * (m.omega_T**2 + m.omega_L**2)
+    try:
+        b = 2.0 * ck**2 + m.omega_L**2
+        c = ck**2 * (m.omega_T**2 + m.omega_L**2)
+    except OverflowError as exc:
+        raise SolverContractViolation(f"surface dispersion overflows at c*k_par = {ck}") from exc
     q = 0.5 * (b + math.sqrt(b * b - 4.0 * c))
     omega = math.sqrt(c / q)
     # residual polish via one Newton step on the quartic, then verify
@@ -172,6 +177,6 @@ def surface_dispersion_omega(m: MediumParams, k_par: float) -> float:
     if df != 0.0:
         omega -= f / df
     resid = abs(omega**4 - omega**2 * b + c) / (omega**4 + omega**2 * b + c)
-    if resid > 1e-12:
-        raise AssertionError("surface dispersion residual exceeded 1e-12")
+    if not resid <= 1e-12:
+        raise SolverContractViolation(f"surface dispersion residual {resid} exceeds 1e-12 at c*k_par = {ck}")
     return omega

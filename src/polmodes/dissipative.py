@@ -437,13 +437,19 @@ def driven_field(
 
 
 def _segment_abs2_integral(seg: _Segment, lo: float, hi: float) -> float:
-    """Exact Int_lo^hi |theta|^2 dz within one segment."""
+    """Exact Int_lo^hi |theta|^2 dz within one segment.
+
+    Each pair of waves c exp(i w (z - r)) is integrated in the first wave's own
+    coordinate z - r_i, where every factor is bounded for a decaying wave: the
+    coefficient c_i conj(c_j) exp(-i conj(w_j) (r_i - r_j)) and exp(i (w_i - conj(w_j)) t)
+    over [lo - r_i, hi - r_i].
+    """
     terms = ((seg.a, seg.q, seg.z_lo), (seg.b, -seg.q, seg.z_hi))
     total = 0.0
     for ci, wi, ri in terms:
         for cj, wj, rj in terms:
-            coef = ci * np.conj(cj) * np.exp(-1j * (wi * ri - np.conj(wj) * rj))
-            total += (coef * exp_integral(1j * (wi - np.conj(wj)), lo, hi)).real
+            coef = ci * np.conj(cj) * np.exp(-1j * np.conj(wj) * (ri - rj))
+            total += (coef * exp_integral(1j * (wi - np.conj(wj)), lo - ri, hi - ri)).real
     return total
 
 

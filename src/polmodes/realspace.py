@@ -48,8 +48,10 @@ spectrum solves it with one dense SVD; windows (surface-mode sweeps) with
 sparse shift-invert Lanczos on the same problem written as a symmetric pencil.
 
 B0 and K are assembled once, from sparse blocks, with the unprojected
-coupling, and stay sparse; the dense B0 with the transverse-projected
-coupling is built only on request, for residual and self-adjointness checks.
+coupling, and stay sparse. The projected coupling enters only through one
+correction on alpha (_coupling_correction), which `apply`, the eigenvector
+expansion, the field reconstruction and the blockwise self-adjointness defect
+share; the dense B0 is built only on request, for residual checks.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -72,7 +74,7 @@ from .errors import (
     ResolutionTooCoarse,
     SolverContractViolation,
 )
-from .media import C, EPS0, HBAR, LayeredGeometry, epsilon
+from .media import C, EPS0, HBAR, LayeredGeometry, epsilon, locate
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,6 @@ class Grid1D:
         return -self.lz / 2 + self.h * np.arange(self.n + 1)
 
     @property
-    def interior_nodes(self) -> np.ndarray:
-        return self.nodes[1:-1]
-
-    @property
     def halves(self) -> np.ndarray:
         return -self.lz / 2 + self.h * (np.arange(self.n) + 0.5)
 
@@ -113,6 +111,12 @@ class _Materials:
     kappa_half: np.ndarray  # half points
     rho_half: np.ndarray
     omega_T_half: np.ndarray
+
+    def at(self, half: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(kappa, rho, omega_T) on the half points, or on the interior nodes."""
+        if half:
+            return self.kappa_half, self.rho_half, self.omega_T_half
+        return self.kappa_node, self.rho_node, self.omega_T_node
 
     @staticmethod
     def omega_L2(kappa, rho, omega_T):
@@ -130,34 +134,26 @@ def _sample_materials(geom: LayeredGeometry, grid: Grid1D) -> _Materials:
             j = (zb + grid.lz / 2) / grid.h
             if abs(j - round(j)) > 1e-9:
                 raise InvalidGrid("material discontinuities must be grid-aligned")
-    centers = grid.halves
-    kap = np.zeros(grid.n)
-    rho = np.zeros(grid.n)
-    w_t = np.zeros(grid.n)
-    for j, zc in enumerate(centers):
-        med = geom.medium_at(zc)
-        if med is not None:
-            kap[j], rho[j], w_t[j] = med.kappa, med.rho, med.omega_T
-    kap_n = 0.5 * (kap[:-1] + kap[1:])
-    rho_n = 0.5 * (rho[:-1] + rho[1:])
-    w_t_n = np.zeros(grid.n - 1)
-    both = (rho[:-1] > 0) & (rho[1:] > 0)
-    w_t_n[both] = 0.5 * (w_t[:-1] + w_t[1:])[both]
-    left_only = (rho[:-1] > 0) & ~(rho[1:] > 0)
-    right_only = ~(rho[:-1] > 0) & (rho[1:] > 0)
-    w_t_n[left_only] = w_t[:-1][left_only]
-    w_t_n[right_only] = w_t[1:][right_only]
-    return _Materials(kap_n, rho_n, w_t_n, kap, rho, w_t)
+    cells = locate(grid.halves, [lay.z_min for lay in geom.layers], [lay.z_max for lay in geom.layers])
+    params = np.array([(0.0, 0.0, 0.0) if lay.medium is None else
+                       (lay.medium.kappa, lay.medium.rho, lay.medium.omega_T) for lay in geom.layers])
+    kap, rho, w_t = params[cells].T
+    # omega_T at a node: mean over its adjacent matter cells (vacuum cells carry zeros)
+    count = (rho[:-1] > 0).astype(float) + (rho[1:] > 0)
+    w_t_n = (w_t[:-1] + w_t[1:]) / np.maximum(count, 1.0)
+    return _Materials(0.5 * (kap[:-1] + kap[1:]), 0.5 * (rho[:-1] + rho[1:]), w_t_n, kap, rho, w_t)
 
 
 @dataclass
 class FieldLayout:
-    """Block names and slices of the stacked state vector."""
+    """Block names and slices of the stacked state vector. Each block lives on the
+    interior nodes or, if named in `halves`, on the half points; matter blocks only
+    at the matter points of `matter_index`."""
 
-    polarization: str
     blocks: List[str]
     slices: Dict[str, slice]
     matter_index: Dict[str, np.ndarray]
+    halves: FrozenSet[str]
     dim: int
 
     def block(self, name: str, vec: np.ndarray) -> np.ndarray:
@@ -169,30 +165,25 @@ class FieldLayout:
         return slice(self.slices[names[0]].start, self.slices[names[-1]].stop)
 
 
-def _build_layout(grid: Grid1D, mats: _Materials, polarization: str) -> FieldLayout:
-    n = grid.n
-    m_nodes = np.nonzero(mats.rho_node > 0)[0]
-    m_half = np.nonzero(mats.rho_half > 0)[0]
+def _build_layout(mats: _Materials, polarization: str) -> FieldLayout:
     if polarization == "TE":
-        sizes = [("alpha", n - 1), ("beta_par", n), ("beta_z", n - 1),
-                 ("gamma", m_nodes.size), ("eta", m_nodes.size)]
-        matter = {"gamma": m_nodes, "eta": m_nodes}
+        blocks = ["alpha", "beta_par", "beta_z", "gamma", "eta"]
+        halves = frozenset({"beta_par"})
     elif polarization == "TM":
-        sizes = [("alpha_par", n - 1), ("alpha_z", n), ("beta", n),
-                 ("gamma_par", m_nodes.size), ("gamma_z", m_half.size),
-                 ("eta_par", m_nodes.size), ("eta_z", m_half.size)]
-        matter = {"gamma_par": m_nodes, "gamma_z": m_half,
-                  "eta_par": m_nodes, "eta_z": m_half}
+        blocks = ["alpha_par", "alpha_z", "beta", "gamma_par", "gamma_z", "eta_par", "eta_z"]
+        halves = frozenset({"alpha_z", "beta", "gamma_z", "eta_z"})
     else:
         raise ValueError("polarization must be 'TE' or 'TM'")
-    slices = {}
+    slices, matter = {}, {}
     off = 0
-    names = []
-    for name, size in sizes:
+    for name in blocks:
+        rho = mats.at(name in halves)[1]
+        if name.startswith(("gamma", "eta")):
+            matter[name] = np.nonzero(rho > 0)[0]
+        size = matter[name].size if name in matter else rho.size
         slices[name] = slice(off, off + size)
-        names.append(name)
         off += size
-    return FieldLayout(polarization, names, slices, matter, off)
+    return FieldLayout(blocks, slices, matter, halves, off)
 
 
 @dataclass
@@ -224,19 +215,23 @@ def _longitudinal(div: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
     return grad @ spla.splu((div @ grad).tocsc()).solve(div @ v)
 
 
+def _coupling_correction(op: DiscreteOperator, gamma: np.ndarray, factor: complex) -> Optional[np.ndarray]:
+    """factor GRAD LAP^{-1} DIV (kappa gamma) on alpha-space: what the transverse projection
+    removes from the matter coupling of gamma (vector or columns). None where the coupling
+    is transverse already: in TE, or without matter."""
+    if op.ops.div is None or op.kappa_embed.shape[1] == 0:
+        return None
+    return factor * _longitudinal(op.ops.div, op.kappa_embed @ gamma)
+
+
 def _matter_coefficients(layout: FieldLayout, mats: _Materials):
-    """(alpha-space row, kappa, rho, omega_T) of every matter degree of freedom, stacked."""
-    node = (mats.kappa_node, mats.rho_node, mats.omega_T_node)
-    half = (mats.kappa_half, mats.rho_half, mats.omega_T_half)
-    if layout.polarization == "TE":
-        parts = [("alpha", "gamma", node)]
-    else:
-        parts = [("alpha_par", "gamma_par", node), ("alpha_z", "gamma_z", half)]
+    """(alpha-space row, kappa, rho, omega_T) of every matter degree of freedom, stacked:
+    each gamma block couples to the alpha block of the same component."""
     rows, coeffs = [], []
-    for a_name, g_name, arrays in parts:
-        idx = layout.matter_index[g_name]
-        rows.append(layout.slices[a_name].start + idx)
-        coeffs.append([arr[idx] for arr in arrays])
+    for g_name, idx in layout.matter_index.items():
+        if g_name.startswith("gamma"):
+            rows.append(layout.slices[g_name.replace("gamma", "alpha")].start + idx)
+            coeffs.append([arr[idx] for arr in mats.at(g_name in layout.halves)])
     kap, rho, w_t = (np.concatenate(c) for c in zip(*coeffs))
     return np.concatenate(rows), kap, rho, w_t
 
@@ -298,22 +293,18 @@ class DiscreteOperator:
         """B0 v (vector or columns) with the transverse-projected coupling, from the sparse
         B0: equal to `b0 @ v` without densifying B0."""
         out = self.b0_sparse @ v
-        # subtract the longitudinal part of the TM coupling (TE coupling is already transverse)
-        if self.ops.div is not None and self.kappa_embed.shape[1] > 0:
-            kg = self.kappa_embed @ v[self.layout._span("gamma")]
-            out[self.layout._span("alpha")] -= (1j / EPS0) * _longitudinal(self.ops.div, kg)
+        corr = _coupling_correction(self, v[self.layout._span("gamma")], 1j / EPS0)
+        if corr is not None:
+            out[self.layout._span("alpha")] -= corr
         return out
 
     @functools.cached_property
     def b0(self) -> np.ndarray:
-        """Dense B0 with the transverse-projected coupling, 16 dim^2 bytes: for residual
-        and self-adjointness checks only, since both solves read the sparse blocks."""
+        """Dense B0 with the transverse-projected coupling, 16 dim^2 bytes, for residual
+        checks outside the library: no library path reads it."""
         b0 = self.b0_sparse.toarray()
-        # transverse projection of the matter coupling (TE coupling is already transverse)
-        if self.ops.div is not None and self.kappa_embed.shape[1] > 0:
-            e = self.kappa_embed.toarray()
-            e_kappa_t = e - _longitudinal(self.ops.div, e)
-            b0[self.layout._span("alpha"), self.layout._span("gamma")] = (1j / EPS0) * e_kappa_t
+        g_sl = self.layout._span("gamma")
+        b0[:, g_sl] = self.apply(np.eye(self.layout.dim, g_sl.stop - g_sl.start, k=-g_sl.start))
         return b0
 
 
@@ -327,7 +318,7 @@ def assemble_operator(
     """Sparse B0 (unprojected coupling) and sparse Krein matrix, in O(dim) memory."""
     _resolution_check(geom, grid, k_par, strict_resolution)
     mats = _sample_materials(geom, grid)
-    layout = _build_layout(grid, mats, polarization)
+    layout = _build_layout(mats, polarization)
     ops = _build_operators(grid, k_par, polarization)
     rows, kap, rho, w_t = _matter_coefficients(layout, mats)
     # alpha-space x matter-space matrix with kappa at matching positions
@@ -344,10 +335,26 @@ def assemble_operator(
 
 
 def self_adjointness_defect(op: DiscreteOperator) -> float:
-    """max |K B0 - B0^H K| entry: zero for an exactly Krein-self-adjoint pair."""
-    kb = op.krein @ op.b0
-    bk = (op.krein.conj().T @ op.b0).conj().T  # B0^H K = (K^H B0)^H
-    return float(np.max(np.abs(kb - bk)))
+    """Bound on max |K B0 - B0^H K| entry from sparse blocks: zero for an exactly
+    Krein-self-adjoint pair.
+
+    K is Hermitian and K[:, alpha] lives on beta rows, so K B0 = K B0s except in the
+    (beta, gamma) block, which loses K[beta, alpha] X for the correction X of
+    _coupling_correction. The bound is max|D| of D = K B0s - (K B0s)^H and of D's
+    (beta, gamma) block minus that term; D's (gamma, beta) block mirrors the
+    uncorrected one, so up to roundoff the bound is never below the dense defect.
+    """
+    kb = op.krein @ op.b0_sparse
+    d = kb - kb.conj().T
+    defect = float(np.max(np.abs(d.data), initial=0.0))
+    lay = op.layout
+    g_sl = lay._span("gamma")
+    corr = _coupling_correction(op, np.eye(g_sl.stop - g_sl.start), 1j / EPS0)
+    if corr is not None:
+        b_sl = lay._span("beta")
+        d_bg = d[b_sl, g_sl].toarray() - op.krein[b_sl, lay._span("alpha")] @ corr
+        defect = max(defect, float(np.max(np.abs(d_bg))))
+    return defect
 
 
 def _gauge(layout: FieldLayout) -> np.ndarray:
@@ -438,10 +445,11 @@ def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.nda
         s -= np.outer(red.null, red.null @ s)
     s = red.phase[:, None] * s
     o = red.b_os @ s
-    if op.polarization == "TM" and op.kappa_embed.shape[1] > 0:
-        a_sl, g_sl = layout._span("alpha"), layout._span("gamma")
-        kg = op.kappa_embed @ s[g_sl.start - layout._span("beta").start:]
-        o[: a_sl.stop] -= (1j / EPS0) * _longitudinal(op.ops.div, kg)
+    # where there is a correction (TM), S = (beta, gamma) and alpha leads O = (alpha, eta)
+    g_off = layout._span("gamma").start - layout._span("beta").start
+    corr = _coupling_correction(op, s[g_off:], 1j / EPS0)
+    if corr is not None:
+        o[: corr.shape[0]] -= corr
     scale = np.sqrt(0.5 * np.abs(omegas))
     o *= scale / omegas
     s *= scale
@@ -635,6 +643,9 @@ def _half_to_node(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+_COMPONENT = {"par": 0, "": 1, "z": 2}  # block-name suffix -> (e_par, e_perp, e_z) column
+
+
 def reconstruct_node_fields(op: DiscreteOperator, vec: np.ndarray, omega: float) -> Dict[str, np.ndarray]:
     """Interpolate one eigenvector onto grid nodes as 3-vector component arrays.
 
@@ -643,44 +654,30 @@ def reconstruct_node_fields(op: DiscreteOperator, vec: np.ndarray, omega: float)
     k_par along x. theta is reconstructed as alpha plus the longitudinal part
     of the matter coupling, i/(omega eps0) [kappa gamma]^L.
     """
-    lay, grid = op.layout, op.grid
-    n = grid.n
+    lay, n = op.layout, op.grid.n
     out = {name: np.zeros((n + 1, 3), dtype=complex) for name in
            ("theta", "alpha", "beta", "gamma", "eta")}
 
-    def pad_interior(v):
+    def to_nodes(name: str, vals: np.ndarray) -> np.ndarray:
+        """Values of block `name` on the n+1 nodes: zero at the walls and off matter."""
+        half = name in lay.halves
+        if name in lay.matter_index:
+            full = np.zeros(n if half else n - 1, dtype=complex)
+            full[lay.matter_index[name]] = vals
+            vals = full
+        if half:
+            return _half_to_node(vals)
         full = np.zeros(n + 1, dtype=complex)
-        full[1:-1] = v
+        full[1:-1] = vals
         return full
 
-    if op.polarization == "TE":
-        a = lay.block("alpha", vec)
-        out["alpha"][:, 1] = pad_interior(a)
-        out["beta"][:, 0] = _half_to_node(lay.block("beta_par", vec))
-        out["beta"][:, 2] = pad_interior(lay.block("beta_z", vec))
-        for name, col in (("gamma", 1), ("eta", 1)):
-            full = np.zeros(n - 1, dtype=complex)
-            full[lay.matter_index[name]] = lay.block(name, vec)
-            out[name][:, col] = pad_interior(full)
-        out["theta"] = out["alpha"].copy()  # the TE matter coupling is transverse
-        return out
-
-    a_par = lay.block("alpha_par", vec)
-    a_z = lay.block("alpha_z", vec)
-    out["alpha"][:, 0] = pad_interior(a_par)
-    out["alpha"][:, 2] = _half_to_node(a_z)
-    out["beta"][:, 1] = _half_to_node(lay.block("beta", vec))
-    for base in ("gamma", "eta"):
-        full_p = np.zeros(n - 1, dtype=complex)
-        full_p[lay.matter_index[f"{base}_par"]] = lay.block(f"{base}_par", vec)
-        out[base][:, 0] = pad_interior(full_p)
-        full_z = np.zeros(n, dtype=complex)
-        full_z[lay.matter_index[f"{base}_z"]] = lay.block(f"{base}_z", vec)
-        out[base][:, 2] = _half_to_node(full_z)
-    # theta = alpha + i/(omega eps0) * longitudinal part of kappa*gamma
-    kg = op.kappa_embed @ vec[lay._span("gamma")]
-    corr = (1j / (omega * EPS0)) * _longitudinal(op.ops.div, kg)
-    out["theta"][:, 0] = out["alpha"][:, 0] + pad_interior(corr[: n - 1])
-    out["theta"][:, 2] = out["alpha"][:, 2] + _half_to_node(corr[n - 1:])
-    out["theta"][:, 1] = out["alpha"][:, 1]
+    corr = _coupling_correction(op, vec[lay._span("gamma")], 1j / (omega * EPS0))
+    for name in lay.blocks:
+        fld, _, comp = name.partition("_")
+        col = _COMPONENT[comp]
+        out[fld][:, col] = to_nodes(name, lay.block(name, vec))
+        if fld == "alpha":
+            out["theta"][:, col] = out[fld][:, col]
+            if corr is not None:  # alpha leads the state, so corr shares its block slices
+                out["theta"][:, col] += to_nodes(name, lay.block(name, corr))
     return out

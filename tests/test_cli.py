@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,12 @@ MATERIAL = {
     ],
     "box": {"Lz": 40.0, "A": 1.0},
 }
+
+
+# mode specs whose numbers are malformed, with the pointer below the spec
+BAD_MODE_SPECS = [({"class": "TMv", "k_par": [None, 0.0], "k_z": 1.0}, "/k_par/0"),
+                  ({"class": "TMv", "k_par": [0.0, 0.0], "k_z": [1]}, "/k_z"),
+                  ({"class": "TMv", "k_par": [0.0, 0.0], "k_z": {"a": 1}}, "/k_z")]
 
 
 @pytest.fixture
@@ -106,11 +113,15 @@ class TestErrorHandling:
         ("lossy", {"driven": {"omega": 1.1, "sheets": [], "z_num": 1.5}}, "/driven/z_num"),
         ("lossy", {"driven": {"omega": 1.1, "sheets": [[5.0]]}}, "/driven/sheets/0"),
         ("lossy", {"driven": {"omega": 1.1, "sheets": [["a", 1.0]]}}, "/driven/sheets/0/0"),
+        ("dispersion", {"sweep": {"k_min": 0.1, "k_max": math.inf, "num": 5}}, "/sweep/k_max"),
+        *[("mode", {"mode": spec}, "/mode" + sub) for spec, sub in BAD_MODE_SPECS],
+        *[("scatter", {"tuples": [[spec] * 3]}, "/tuples/0/0" + sub) for spec, sub in BAD_MODE_SPECS],
     ])
     def test_malformed_optional_field_exit_2(self, runner, tmp_path, command, extra, pointer):
         base = {
             "material": MATERIAL,
             "mode": {"class": "S", "k_par": [2.0, 0.0]},
+            "phi": {"order": 3, "components": [[[0.0] * 3] * 3] * 3},
             "grid": {"n": 128}, "k_par": 2.0, "polarization": "TM",
             "bath": {"type": "flat", "upsilon": 0.05, "zeta_min": 0.5, "zeta_max": 3.0},
             "omega": {"min": 0.2, "max": 2.9, "num": 5},
@@ -378,6 +389,19 @@ def test_command_runs_without_scipy(tmp_path, command, artifact):
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / artifact).exists()
+
+
+@pytest.mark.parametrize("k_max", [1e150, 1e160])
+def test_overflowing_sweep_exit_3(tmp_path, k_max):
+    # a fresh interpreter, as a user runs it: bulk_branches warns of overflow this far out
+    cfg = write_cfg(tmp_path, {"material": MATERIAL,
+                               "sweep": {"k_min": 0.1, "k_max": k_max, "num": 5}})
+    out = tmp_path / "out"
+    res = fresh_python("import sys\nfrom polmodes.cli import main\nmain(sys.argv[1:])",
+                       "dispersion", "--config", cfg, "--out", str(out))
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr and "error: surface dispersion" in res.stderr
+    assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -14,7 +14,7 @@ from polmodes import (
     surface_dispersion_omega,
     surface_window_top,
 )
-from polmodes.errors import BelowLightLineEdge, OutsideSurfaceWindow
+from polmodes.errors import BelowLightLineEdge, OutsideSurfaceWindow, SolverContractViolation
 
 
 class TestBulkBranches:
@@ -94,6 +94,11 @@ class TestSurfaceDispersion:
         assert top == pytest.approx(math.sqrt(1.22), rel=1e-15)
         w = surface_dispersion_omega(medium, 100.0 * medium.omega_T)
         assert abs(w - top) < 1e-4 * medium.omega_T
+
+    @pytest.mark.parametrize("k_par", [1e150, 1e160])  # the quartic overflows, or ck**2 does
+    def test_overflow_is_a_library_error(self, medium, k_par):
+        with pytest.raises(SolverContractViolation):
+            surface_dispersion_omega(medium, k_par)
 
     def test_strictly_increasing(self, medium):
         ks = np.linspace(medium.omega_T * 1.0001, 30.0, 500)

@@ -299,6 +299,17 @@ class TestDrivenField:
         lhs, rhs = power_balance(sol, geom, bath, [(0.0, 1.0)], 1.0, 20.0)
         assert abs(lhs - rhs) / max(abs(lhs), 1e-30) < 1e-10
 
+    @pytest.mark.parametrize("k_par", [20.0, 40.0])
+    def test_power_balance_strongly_evanescent(self, medium, bath, k_par):
+        # 2 k_par |z| passes 709, where each wave anchored off its own segment end over- or underflows
+        geom = vacuum_interface(medium, 40.0)
+        sheets = [(-5.0, 1.0)]
+        sol = driven_field(geom, bath, 1.1, sheets, k_par=k_par)
+        lhs, rhs = power_balance(sol, geom, bath, sheets, -20.0, 20.0)
+        scale = max(abs(lhs), abs(rhs), 1.1 * abs(sol.evaluate(-5.0)[0]))
+        assert np.isfinite(lhs) and np.isfinite(rhs)
+        assert abs(lhs - rhs) <= 1e-6 * scale
+
     def test_lossless_limit_reproduces_te_scattering(self, medium):
         geom = vacuum_interface(medium, 60.0)
         omega, k_par = 0.5, 0.2

@@ -204,6 +204,64 @@ class TestSingleAssembly:
         assert np.linalg.norm(op.apply(v[:, 1]) - got[:, 1]) <= 1e-14 * np.linalg.norm(got[:, 1])  # one vector
 
 
+def _dense_defect(op):
+    kb = op.krein @ op.b0
+    return np.max(np.abs(kb - (op.krein.conj().T @ op.b0).conj().T)), np.max(np.abs(kb))
+
+
+class TestSparseDefect:
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    @pytest.mark.parametrize("k_par", [0.0, 2.0])
+    @pytest.mark.parametrize("with_matter", [False, True])
+    def test_equals_dense_defect(self, medium, polarization, k_par, with_matter):
+        geom = vacuum_interface(medium, 40.0) if with_matter else homogeneous_box(None, 40.0)
+        op = assemble_operator(geom, Grid1D(96, 40.0), k_par, polarization, strict_resolution=False)
+        defect = rs.self_adjointness_defect(op)
+        dense, scale = _dense_defect(op)
+        assert abs(defect - dense) <= 1e-15 * scale
+        assert defect <= 1e-15 * scale
+
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    def test_flags_perturbed_coupling_entry(self, interface, polarization):
+        op = assemble_operator(interface, Grid1D(96, 40.0), 2.0, polarization, strict_resolution=False)
+        row = op.kappa_embed.nonzero()[0][5]
+        col = op.layout._span("gamma").start + 5
+        b0 = op.b0_sparse.tolil()
+        b0[row, col] *= 1.0 + 1e-6
+        op.b0_sparse = b0.tocsr()
+        defect = rs.self_adjointness_defect(op)
+        dense, scale = _dense_defect(op)
+        assert defect >= dense > 1e-8 * scale
+
+    def test_flags_correction_that_is_no_gradient(self, interface, monkeypatch):
+        op = assemble_operator(interface, Grid1D(96, 40.0), 2.0, "TM", strict_resolution=False)
+        scale = abs(op.krein @ op.b0_sparse).max()
+        assert rs.self_adjointness_defect(op) <= 1e-15 * scale
+        longitudinal = rs._longitudinal
+
+        def par_part(div, v):  # the gradient's alpha_par part alone is not curl-free
+            out = longitudinal(div, v)
+            out[div.shape[0]:] = 0
+            return out
+
+        monkeypatch.setattr(rs, "_longitudinal", par_part)
+        assert rs.self_adjointness_defect(op) > 1e-3 * scale
+
+    def test_reads_no_dense_b0(self, interface, monkeypatch):
+        op = assemble_operator(interface, Grid1D(96, 40.0), 2.0, "TM", strict_resolution=False)
+        rs.self_adjointness_defect(op)
+        assert "b0" not in op.__dict__
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(assemble_operator(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(rs, "assemble_operator", spy)
+        assert verify.check_realspace_self_adjoint(n=96).passed
+        assert len(built) == 2 and all("b0" not in op.__dict__ for op in built)
+
+
 class TestSurfaceMode:
     def test_surface_eigenvalue_dense_vs_sparse(self, medium, monkeypatch):
         geom = vacuum_interface(medium, 40.0)

@@ -142,7 +142,7 @@ def _write_profile_csv(path: Path, zs, fields):
 @main.command("mode")
 @_common_options
 @click.option("--tol", default=1e-8, type=float,
-              help="normalization closed-form vs quadrature tolerance")
+              help="relative tolerance of the closed-form normalization vs the box integral")
 def mode_cmd(config_path, out_dir, units, tol):
     """Emit z-sampled analytic mode profiles plus a JSON sidecar."""
     try:

@@ -114,14 +114,19 @@ def bulk_branches(m: MediumParams, k):
 
     Positive roots of omega^4 - omega^2 (omega_L^2 + c^2 k^2)
     + c^2 k^2 omega_T^2 = 0, ordered omega_l < omega_T <= omega_L <= omega_u.
-    Stable quadratic-in-omega^2 evaluation; vectorized over k.
+    Stable quadratic-in-omega^2 evaluation; vectorized over k. The discriminant
+    sqrt(b^2 - 4c) is taken in units of s = 2^e, the power of two at b's exponent.
+    Scaling by a power of two is exact, so the result is bit for bit the unscaled
+    formula's wherever b^2 is finite (c k below ~1e77), and it stays finite until
+    b = omega_L^2 + c^2 k^2 itself overflows (c k ~ 1e154).
     """
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ValueError("k must be >= 0")
     b = m.omega_L**2 + (C * k) ** 2
     c = (C * k * m.omega_T) ** 2
-    disc = np.sqrt(b * b - 4.0 * c)
+    s = np.ldexp(1.0, np.frexp(b)[1])
+    disc = s * np.sqrt((b / s) ** 2 - 4.0 * (c / s) / s)
     q = 0.5 * (b + disc)
     x_upper = q
     x_lower = np.divide(c, q, out=np.zeros_like(q), where=q > 0)

@@ -179,7 +179,7 @@ def principal_value_integral(g: Callable[[float], float], a: float, b: float, w:
         raise SingularEndpoint(f"pole at {w} coincides with an integration endpoint")
     if w <= 0 or at_end or not a < w < b:
         # no pole inside (a, b), or one on an end where g vanishes: a regular integrand
-        val, _ = quad(lambda z: g(z) / (z**2 - w**2), a, b, limit=400)
+        val, _ = quad(lambda z: g(z) / (z**2 - w**2), a, b, limit=400, epsabs=0)
         return val
 
     def smooth(z):
@@ -188,7 +188,7 @@ def principal_value_integral(g: Callable[[float], float], a: float, b: float, w:
             z = w + 1e-9 * scale
         return (g(z) - gw) / (z**2 - w**2)
 
-    val, _ = quad(smooth, a, b, limit=400, points=[w])
+    val, _ = quad(smooth, a, b, limit=400, points=[w], epsabs=0)
     return val + gw * _pv_log_primitive(a, b, w)
 
 
@@ -261,7 +261,7 @@ def _quadrature_kernel_F(bath: BathModel, omega: float) -> float:
     b = _pv_upper_end(bath, omega)
     total = principal_value_integral(g, bath.zeta_min, b, omega)
     if math.isinf(bath.zeta_max):
-        tail, _ = quad(lambda z: g(z) / (z**2 - omega**2), b, np.inf, limit=400)
+        tail, _ = quad(lambda z: g(z) / (z**2 - omega**2), b, np.inf, limit=400, epsabs=0)
         total += tail
     return total
 

@@ -26,9 +26,9 @@ class EvanescentBranchAmbiguity(PolmodesError):
 
 
 class QuadratureDisagreement(PolmodesError):
-    """Closed-form normalization and quadrature disagree beyond tolerance.
+    """Closed-form normalization and the box integral disagree beyond tolerance.
 
-    Signals a convention bug, not a recoverable state.
+    Signals a convention bug, or a box too short for the closed form's decay.
     """
 
 

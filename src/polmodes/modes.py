@@ -34,17 +34,18 @@ For the surface class the z-integral converges and the closed form
     N_S = sqrt(k_par / (eps0 hbar omega A)) * [1 + nu_L/(2 eps_L)]^(-1/2)
           * [s + 1/s]^(-1/2),          s = sqrt(-eps_L),
 
-is cross-checked against adaptive quadrature (the two routes stay independent;
-disagreement raises). For propagating classes the integral is a box-regularized
-continuum bookkeeping and the closed form is N = sqrt(1/(eps0 hbar omega V
-eps_i nu_i)) with (eps_i, nu_i) of the incidence side; it is exact for
-homogeneous boxes (checked by quadrature) and its interface consistency is the
-flux unitarity of the Fresnel coefficients.
+is cross-checked against the box integral summed region by region from the
+exponential primitives (the two routes stay independent; disagreement raises).
+For propagating classes the integral is a box-regularized continuum bookkeeping
+and the closed form is N = sqrt(1/(eps0 hbar omega V eps_i nu_i)) with
+(eps_i, nu_i) of the incidence side; it is exact for homogeneous boxes (checked
+against the same box integral) and its interface consistency is the flux
+unitarity of the Fresnel coefficients. Adaptive quadrature of the pointwise
+density, a third route, is kept in the `polmodes verify` registry.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
@@ -446,43 +447,13 @@ def _exact_region_integral(reg: ProfileRegion) -> complex:
     return total
 
 
-def _abs2_density(reg: ProfileRegion) -> Callable[[float], float]:
-    """Pointwise |theta(z)|^2 within the region, in scalar complex arithmetic."""
-    terms = [(complex(t.w), tuple(complex(a) for a in t.amplitude)) for t in reg.terms]
-
-    def dens(z: float) -> float:
-        x = y = zc = 0j
-        for w, (ax, ay, az) in terms:
-            e = cmath.exp(1j * w * z)
-            x += ax * e
-            y += ay * e
-            zc += az * e
-        return x.real**2 + x.imag**2 + y.real**2 + y.imag**2 + zc.real**2 + zc.imag**2
-
-    return dens
-
-
-def normalization_integral(mode: PolaritonMode, geom: LayeredGeometry, method: str = "exact") -> float:
-    """eps0 * Int_box eps(omega) nu(omega) theta . conj(theta) dr for the given mode.
-
-    method='exact' uses the closed exponential primitives; method='quad' uses
-    adaptive quadrature of the pointwise integrand. The two are independent
-    evaluation routes over the same box.
-    """
+def normalization_integral(mode: PolaritonMode, geom: LayeredGeometry) -> float:
+    """eps0 * Int_box eps(omega) nu(omega) theta . conj(theta) dr for the given mode,
+    summed region by region from the closed exponential primitives."""
     omega = abs(mode.omega)
     total = 0.0
     for reg in mode.theta.profile.regions:
-        weight = _eps_nu(reg.medium, omega)
-        if method == "exact":
-            val = _exact_region_integral(reg)
-            total += weight * val.real
-        elif method == "quad":
-            from scipy.integrate import quad
-
-            val, _ = quad(_abs2_density(reg), reg.z_min, reg.z_max, limit=400)
-            total += weight * val
-        else:
-            raise ValueError("method must be 'exact' or 'quad'")
+        total += _eps_nu(reg.medium, omega) * _exact_region_integral(reg).real
     return EPS0 * geom.area * total
 
 
@@ -509,16 +480,25 @@ def surface_norm_constant(m: MediumParams, omega: float, k_par: float, area: flo
     return math.sqrt(n2)
 
 
+def _check_against_box_integral(mode: PolaritonMode, geom: LayeredGeometry, n_closed: float,
+                                rtol: float, what: str) -> None:
+    """Raise QuadratureDisagreement if n_closed and the N of the box integral differ beyond rtol."""
+    n_box = 1.0 / math.sqrt(HBAR * abs(mode.omega) * normalization_integral(mode, geom))
+    if abs(n_closed - n_box) > rtol * n_closed:
+        raise QuadratureDisagreement(f"{what} N closed={n_closed!r} vs box integral={n_box!r}")
+
+
 def normalize(mode: PolaritonMode, geom: LayeredGeometry, rtol: float = 1e-8) -> PolaritonMode:
     """Fix N so the bosonic normalization integral equals sgn(omega).
 
-    Surface modes: closed form cross-checked against adaptive quadrature of
-    the z-integral (QuadratureDisagreement beyond rtol signals a convention
-    bug). Homogeneous boxes: closed form N = sqrt(1/(eps0 hbar omega V
-    eps_i nu_i)) cross-checked the same way. Interface propagating classes:
-    the box integral is continuum bookkeeping, so the closed form is used and
-    the Fresnel identity r + 1 = t plus flux unitarity stand in for the
-    quadrature route (see module docstring).
+    Surface modes: closed form cross-checked against the box integral of the
+    exponential primitives (`normalization_integral`); QuadratureDisagreement
+    beyond rtol signals a convention bug or a box too short for the decay.
+    Homogeneous boxes: closed form N = sqrt(1/(eps0 hbar omega V eps_i nu_i))
+    cross-checked the same way. Interface propagating classes: the box
+    integral is continuum bookkeeping, so the closed form is used and the
+    Fresnel identity r + 1 = t plus flux unitarity stand in for the second
+    route (see module docstring).
     """
     if mode.norm != 1.0:
         raise ValueError("normalize expects an N=1 mode")
@@ -528,12 +508,7 @@ def normalize(mode: PolaritonMode, geom: LayeredGeometry, rtol: float = 1e-8) ->
 
     if cls is ModeClass.S:
         n_closed = surface_norm_constant(medium, omega, mode.index.k_par_mag, geom.area)
-        i_quad = normalization_integral(mode, geom, method="quad")
-        n_quad = 1.0 / math.sqrt(HBAR * omega * i_quad)
-        if abs(n_closed - n_quad) > rtol * n_closed:
-            raise QuadratureDisagreement(
-                f"surface N closed={n_closed!r} vs quadrature={n_quad!r}"
-            )
+        _check_against_box_integral(mode, geom, n_closed, rtol, "surface")
         return _scaled_mode(mode, n_closed)
 
     # propagating classes: incidence-side epsilon*nu weight
@@ -541,12 +516,7 @@ def normalize(mode: PolaritonMode, geom: LayeredGeometry, rtol: float = 1e-8) ->
     weight = _eps_nu(inc_medium, omega)
     n_closed = math.sqrt(1.0 / (EPS0 * HBAR * omega * geom.volume * weight))
     if kind != "interface":
-        i_quad = normalization_integral(mode, geom, method="quad")
-        n_quad = 1.0 / math.sqrt(HBAR * omega * i_quad)
-        if abs(n_closed - n_quad) > rtol * n_closed:
-            raise QuadratureDisagreement(
-                f"homogeneous N closed={n_closed!r} vs quadrature={n_quad!r}"
-            )
+        _check_against_box_integral(mode, geom, n_closed, rtol, "homogeneous")
     return _scaled_mode(mode, n_closed)
 
 

@@ -19,7 +19,7 @@ The in-plane integral of the product of plane-wave factors is exact momentum
 selection: Xi vanishes unless the mode momenta sum to zero, in which case it
 contributes the quantization area. The z-integral is a finite sum of
 exponentials (every implemented mode profile is), evaluated by closed
-primitives; an adaptive-quadrature route is kept for cross-checks.
+primitives.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ def scattering_coefficient(
     modes: Sequence[PolaritonMode],
     phi: NonlinearTensor,
     geom: LayeredGeometry,
-    method: str = "exact",
     momentum_tol: float = MOMENTUM_TOL,
 ) -> ScatteringAmplitude:
     """Scattering coefficient Xi for an N-tuple of normalized modes.
@@ -110,8 +109,7 @@ def scattering_coefficient(
     In-plane momentum selection is exact: a nonzero total in-plane wavevector
     (beyond momentum_tol relative to the largest mode momentum) returns a
     flagged exact zero. Otherwise Xi = A * sum_j Phi contraction of the
-    z-integrated weight products; method='exact' uses exponential primitives,
-    method='quad' adaptive quadrature.
+    z-integrated weight products, each z-integral an exponential primitive.
     """
     if len(modes) != phi.order:
         raise ValueError(f"need {phi.order} modes for an order-{phi.order} tensor")
@@ -130,27 +128,11 @@ def scattering_coefficient(
         if regs[0].medium is None or any(not r.terms for r in regs):
             continue
         z_min, z_max = regs[0].z_min, regs[0].z_max
-        if method == "exact":
-            for combo in itertools.product(*(r.terms for r in regs)):
-                contraction = phi.components
-                for t in combo:
-                    contraction = np.tensordot(contraction, t.amplitude, axes=([0], [0]))
-                zint = exp_integral(1j * sum(t.w for t in combo), z_min, z_max)
-                total += complex(contraction) * zint
-        elif method == "quad":
-            from scipy.integrate import quad
-
-            def dens(z, regs=regs, ireg=ireg):
-                vecs = [w.evaluate_region(ireg, z)[0] for w in weights]
-                contraction = phi.components
-                for v in vecs:
-                    contraction = np.tensordot(contraction, v, axes=([0], [0]))
-                return complex(contraction)
-
-            re, _ = quad(lambda z: dens(z).real, z_min, z_max, limit=400)
-            im, _ = quad(lambda z: dens(z).imag, z_min, z_max, limit=400)
-            total += re + 1j * im
-        else:
-            raise ValueError("method must be 'exact' or 'quad'")
+        for combo in itertools.product(*(r.terms for r in regs)):
+            contraction = phi.components
+            for t in combo:
+                contraction = np.tensordot(contraction, t.amplitude, axes=([0], [0]))
+            zint = exp_integral(1j * sum(t.w for t in combo), z_min, z_max)
+            total += complex(contraction) * zint
     value = geom.area * total
     return ScatteringAmplitude(complex(value), True, (float(k_total[0]), float(k_total[1])))

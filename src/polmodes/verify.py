@@ -18,6 +18,7 @@ the check runs the union (the two surface modes of `_sample_modes`). `run_all` r
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence, Tuple
@@ -208,6 +209,36 @@ def check_interface_continuity(tol: float = 1e-10) -> VerifyResult:
     return _result("modes: interface matching conditions", ("jump", worst, tol))
 
 
+def _abs2_density(reg: md.ProfileRegion) -> Callable[[float], float]:
+    """Pointwise |theta(z)|^2 within the region, in scalar complex arithmetic."""
+    terms = [(complex(t.w), tuple(complex(a) for a in t.amplitude)) for t in reg.terms]
+
+    def dens(z: float) -> float:
+        x = y = zc = 0j
+        for w, (ax, ay, az) in terms:
+            e = cmath.exp(1j * w * z)
+            x += ax * e
+            y += ay * e
+            zc += az * e
+        return x.real**2 + x.imag**2 + y.real**2 + y.imag**2 + zc.real**2 + zc.imag**2
+
+    return dens
+
+
+def quadrature_norm(mode: md.PolaritonMode, geom: media.LayeredGeometry) -> float:
+    """N of an N=1 mode from adaptive quadrature of the pointwise density over the box:
+    a route independent of both the closed forms and the exponential primitives of
+    `modes.normalization_integral`."""
+    from scipy.integrate import quad
+
+    omega = abs(mode.omega)
+    total = 0.0
+    for reg in mode.theta.profile.regions:
+        val, _ = quad(_abs2_density(reg), reg.z_min, reg.z_max, limit=400)
+        total += md._eps_nu(reg.medium, omega) * val
+    return 1.0 / math.sqrt(media.HBAR * omega * media.EPS0 * geom.area * total)
+
+
 def surface_norm_quadrature_error(m, omega: float) -> float:
     """Relative mismatch between the closed-form surface N and the quadrature route.
 
@@ -221,9 +252,7 @@ def surface_norm_quadrature_error(m, omega: float) -> float:
     geom = media.vacuum_interface(m, lz)
     mode = md.make_mode(geom, disp.ModeIndex(disp.ModeClass.S, (k, 0.0)))
     n_closed = md.surface_norm_constant(m, mode.omega, k, geom.area)
-    i_quad = md.normalization_integral(mode, geom, method="quad")
-    n_quad = 1.0 / math.sqrt(media.HBAR * mode.omega * i_quad)
-    return abs(n_closed - n_quad) / n_closed
+    return abs(n_closed - quadrature_norm(mode, geom)) / n_closed
 
 
 def check_surface_normalization(points: int = 12, band: Tuple[float, float] = (1.01, 0.995),
@@ -238,18 +267,25 @@ def check_surface_normalization(points: int = 12, band: Tuple[float, float] = (1
 
 
 def check_homogeneous_normalization(tol: float = 1e-10) -> VerifyResult:
+    """Matter (TMl, TEu) and vacuum (TEv) box modes: the normalized integral is 1 by the
+    exponential primitives, TEv's N is its closed form, and every N matches adaptive quadrature."""
     m = media.default_medium()
     geom_m = media.homogeneous_box(m, 12.0)
-    worst = 0.0
-    for cls, kz in ((disp.ModeClass.TMl, -0.6), (disp.ModeClass.TEu, -0.6)):
-        mm = md.normalize(md.make_mode(geom_m, disp.ModeIndex(cls, (0.3, 0.0), kz)), geom_m)
-        integral = md.normalization_integral(mm, geom_m, method="exact")
-        worst = max(worst, abs(media.HBAR * mm.omega * integral - 1.0))
     geom_v = media.homogeneous_box(None, 12.0)
-    mode = md.normalize(md.make_mode(geom_v, disp.ModeIndex(disp.ModeClass.TEv, (0.3, 0.0), 0.7)), geom_v)
-    expected = math.sqrt(1.0 / (2 * media.EPS0 * media.HBAR * mode.omega * geom_v.volume))
-    return _result("modes: homogeneous-box normalization", ("matter-mode norm error", worst, tol),
-                   ("TEv closed form", abs(mode.norm - expected) / expected, 1e-14))
+    cases = ((geom_m, disp.ModeIndex(disp.ModeClass.TMl, (0.3, 0.0), -0.6)),
+             (geom_m, disp.ModeIndex(disp.ModeClass.TEu, (0.3, 0.0), -0.6)),
+             (geom_v, disp.ModeIndex(disp.ModeClass.TEv, (0.3, 0.0), 0.7)))
+    worst = quad_gap = 0.0
+    for geom, idx in cases:
+        mode = md.make_mode(geom, idx)
+        mm = md.normalize(mode, geom)
+        worst = max(worst, abs(media.HBAR * mm.omega * md.normalization_integral(mm, geom) - 1.0))
+        quad_gap = max(quad_gap, abs(mm.norm - quadrature_norm(mode, geom)) / mm.norm)
+    tev = mm  # the last case
+    expected = math.sqrt(1.0 / (2 * media.EPS0 * media.HBAR * tev.omega * geom_v.volume))
+    return _result("modes: homogeneous-box normalization", ("norm error", worst, tol),
+                   ("TEv closed form", abs(tev.norm - expected) / expected, 1e-14),
+                   ("closed form vs quadrature", quad_gap, tol))
 
 
 def check_flux_unitarity(samples: int = 50, tol: float = 1e-12) -> VerifyResult:
@@ -391,12 +427,14 @@ def check_lossless_limit(tol: float = 1e-12) -> VerifyResult:
 
 def check_pv_closed_form(tol: float = 1e-8) -> VerifyResult:
     """The closed-form kernel F and omega_L^2 shift of the flat bath (0.05 on [0.5, 3])
-    and of two ohmic baths against the quadrature route on the same upsilon, at omega
-    below, inside and above the flat band and on both sides of an ohmic cutoff."""
+    and of three ohmic baths against the quadrature route on the same upsilon, at omega
+    below, inside and above the flat band, on both sides of an ohmic cutoff, and far
+    above a low cutoff (where F is ~1e-11, far below quad's default absolute tolerance)."""
     m = media.default_medium()
     cases = ((diss.flat_bath(m, 0.05, 0.5, 3.0), (0.2, 0.8, 1.3, 2.2, 5.0)),
              (diss.ohmic_bath(m, 0.1, 2.0), (0.4, 1.1, 1.9, 7.0)),
-             (diss.ohmic_bath(m, 0.02, 0.3), (0.8, 1.9)))
+             (diss.ohmic_bath(m, 0.02, 0.3), (0.8, 1.9)),
+             (diss.ohmic_bath(m, 0.1, 0.01), (2.0, 5.0)))
     worst = 0.0
     for bath, omegas in cases:
         quadrature = replace(bath, kernel=None, shift=None)

@@ -227,6 +227,19 @@ class TestErrorHandling:
 
 
 class TestModeCommand:
+    @pytest.mark.parametrize("k_par,lz,code", [(2.0, 4.0, 3), (2.0, 8.0, 3), (1.05, 40.0, 3),
+                                               (1.2, 40.0, 0)])
+    def test_surface_box_check_exit_code(self, runner, tmp_path, k_par, lz, code):
+        # the closed-form N assumes full decay; the box integral disagrees in a short box
+        material = json.loads(json.dumps(MATERIAL))
+        material["layers"][0]["z_min"], material["layers"][1]["z_max"] = -lz / 2, lz / 2
+        material["box"]["Lz"] = lz
+        cfg = write_cfg(tmp_path, {"material": material, "mode": {"class": "S", "k_par": [k_par, 0.0]}})
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["mode", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == code, res.output
+        assert (out / "mode_profile.csv").exists() == (code == 0)
+
     def test_surface_profile_and_sidecar(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, {
             "material": MATERIAL,
@@ -379,7 +392,9 @@ def test_cli_import_defers_scipy_integrate():
 
 
 @pytest.mark.parametrize("command,artifact", [("dispersion", "dispersion.csv"),
-                                              ("lossy", "lossy_epsilon.csv")])
+                                              ("lossy", "lossy_epsilon.csv"),
+                                              ("mode", "mode_profile.csv"),
+                                              ("scatter", "scattering.csv")])
 def test_command_runs_without_scipy(tmp_path, command, artifact):
     code = ("import sys\nfrom polmodes.cli import main\n"
             "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polmodes import (
+    C,
     ModeClass,
     ModeIndex,
     bulk_branches,
@@ -36,6 +37,14 @@ class TestBulkBranches:
         ol, ou = bulk_branches(medium, k)
         assert ol == pytest.approx(medium.omega_T, rel=1e-9)
         assert ou == pytest.approx(k, rel=1e-9)
+
+    def test_no_overflow_past_the_square_of_b(self, medium):
+        # b^2 overflows from c k ~ 1e77 on; the rescaled discriminant holds until b does (c k ~ 1e154)
+        # (Tier-1 turns the overflow RuntimeWarning into an error)
+        ks = np.array([1e100, 1e150])
+        ol, ou = bulk_branches(medium, ks)
+        np.testing.assert_allclose(ol, medium.omega_T, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ou, C * ks, rtol=1e-15, atol=0)
 
     def test_vectorized(self, medium):
         ks = np.linspace(0, 5, 11)

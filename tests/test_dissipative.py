@@ -169,11 +169,19 @@ class TestBathKernel:
             return amp**2 * z**3 * math.exp(-z / cut) / (medium.rho**2 * (z**2 - w**2))
 
         ref = quad(integrand, 0.0, 50 * cut, epsabs=0, epsrel=1e-13)[0] + quad(integrand, 50 * cut, w / 2)[0]
-        assert math.isfinite(got) and got == pytest.approx(ref, rel=1e-10)
+        assert math.isfinite(got) and got == pytest.approx(ref, rel=1e-10, abs=0)
         # the asymptotic series takes over continuously from the exponential integrals
         bath = ohmic_bath(medium, amp, 1.0)
         below, above = bath_kernel_F(bath, np.nextafter(60.0, 0.0)), bath_kernel_F(bath, 60.0)
         assert above == pytest.approx(below, rel=1e-11)
+
+    @pytest.mark.parametrize("cutoff", [0.01, 0.05])
+    @pytest.mark.parametrize("w", [0.5, 2.0, 5.0])
+    def test_generic_bath_far_above_a_low_cutoff(self, medium, cutoff, w):
+        # F is ~1e-11 here, far below quad's default absolute tolerance: the quadrature
+        # route must converge relative to F itself
+        bath = ohmic_bath(medium, 0.1, cutoff)
+        assert bath_kernel_F(generic(bath), w) == pytest.approx(bath_kernel_F(bath, w), rel=1e-10, abs=0)
 
     def test_nonpositive_omega_takes_the_quadrature_route(self, medium, bath):
         for b, omegas in ((bath, (0.0, -0.2, -5.0)), (ohmic_bath(medium, 0.1, 2.0), (0.0, -0.1))):

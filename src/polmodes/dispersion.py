@@ -114,23 +114,27 @@ def bulk_branches(m: MediumParams, k):
 
     Positive roots of omega^4 - omega^2 (omega_L^2 + c^2 k^2)
     + c^2 k^2 omega_T^2 = 0, ordered omega_l < omega_T <= omega_L <= omega_u.
-    Stable quadratic-in-omega^2 evaluation; vectorized over k. The discriminant
-    sqrt(b^2 - 4c) is taken in units of s = 2^e, the power of two at b's exponent.
-    Scaling by a power of two is exact, so the result is bit for bit the unscaled
-    formula's wherever b^2 is finite (c k below ~1e77), and it stays finite until
-    b = omega_L^2 + c^2 k^2 itself overflows (c k ~ 1e154).
+    Stable quadratic-in-omega^2 evaluation; vectorized over k. Unscaled, b^2
+    overflows from c k ~ 1e77 on and b = omega_L^2 + c^2 k^2 itself from 1.3e154.
+    So where max(c k, omega_L) reaches 2^255, frequencies are taken in units of
+    the power of two t that brings it below 2^255 (t = 1 elsewhere): b and
+    c^2 k^2 omega_T^2 are formed divided by t^2, the discriminant by t^4, and
+    omega_u = t sqrt(q/t^2), omega_l^2 = c/q. Scaling by a power of two is exact,
+    so the result is bit for bit the unscaled formula's wherever that is finite,
+    and for omega_T below ~1e76 it is finite for every finite c k: omega_u -> c k
+    and omega_l -> omega_T.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ValueError("k must be >= 0")
-    b = m.omega_L**2 + (C * k) ** 2
-    c = (C * k * m.omega_T) ** 2
-    s = np.ldexp(1.0, np.frexp(b)[1])
-    disc = s * np.sqrt((b / s) ** 2 - 4.0 * (c / s) / s)
-    q = 0.5 * (b + disc)
-    x_upper = q
+    ck = C * k
+    t = np.ldexp(1.0, np.maximum(np.frexp(np.maximum(ck, m.omega_L))[1] - 255, 0))
+    kt = ck / t
+    b = m.omega_L**2 / t / t + kt**2
+    c = (kt * m.omega_T) ** 2
+    q = 0.5 * (b + np.sqrt(b**2 - 4.0 * c / t / t))
     x_lower = np.divide(c, q, out=np.zeros_like(q), where=q > 0)
-    ol, ou = np.sqrt(x_lower), np.sqrt(x_upper)
+    ol, ou = np.sqrt(x_lower), t * np.sqrt(q)
     if ol.ndim == 0:
         return float(ol), float(ou)
     return ol, ou

@@ -21,6 +21,7 @@ the Lyddane-Sachs-Teller relation epsilon(0) = omega_L^2 / omega_T^2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -87,30 +88,46 @@ def _guard_value(m: MediumParams, guard: Optional[float]) -> float:
     return POLE_GUARD_REL * m.omega_T if guard is None else guard
 
 
+def _real(omega):
+    """omega as a float if it is a scalar, else as a float array.
+
+    The bodies of epsilon, epsilon_derivative and nu are plain arithmetic, so a
+    float runs them in Python floats and an array runs them in numpy, with the
+    same IEEE operations in the same order (w * w, not w**2, which Python
+    evaluates through pow).
+    """
+    return float(omega) if np.isscalar(omega) else np.asarray(omega, dtype=float)
+
+
+def _near(w, center: float, g: float) -> bool:
+    """True when some |w| lies within g of center."""
+    hit = abs(abs(w) - center) < g
+    return hit if isinstance(hit, bool) else bool(hit.any())
+
+
 def epsilon(m: MediumParams, omega, guard: Optional[float] = None):
     """Lossless Lorentz dielectric function (omega_L^2 - omega^2)/(omega_T^2 - omega^2).
 
-    Accepts scalars or arrays. Raises PoleAtResonance when any |omega| is within
-    the guard distance of the pole at omega_T; callers must handle the pole
-    explicitly because the coefficient maps diverge there.
+    Accepts scalars (returns a float) or arrays. Raises PoleAtResonance when any
+    |omega| is within the guard distance of the pole at omega_T; callers must
+    handle the pole explicitly because the coefficient maps diverge there.
     """
     g = _guard_value(m, guard)
-    w = np.asarray(omega, dtype=float)
-    if np.any(np.abs(np.abs(w) - m.omega_T) < g):
+    w = _real(omega)
+    if _near(w, m.omega_T, g):
         raise PoleAtResonance(f"omega within {g} of the resonance at {m.omega_T}")
-    wL2 = m.omega_L**2
-    out = (wL2 - w**2) / (m.omega_T**2 - w**2)
-    return float(out) if np.isscalar(omega) else out
+    w2 = w * w
+    return (m.omega_L**2 - w2) / (m.omega_T**2 - w2)
 
 
 def epsilon_derivative(m: MediumParams, omega, guard: Optional[float] = None):
     """Closed-form d(epsilon)/d(omega) = 2*omega*(omega_L^2-omega_T^2)/(omega_T^2-omega^2)^2."""
     g = _guard_value(m, guard)
-    w = np.asarray(omega, dtype=float)
-    if np.any(np.abs(np.abs(w) - m.omega_T) < g):
+    w = _real(omega)
+    if _near(w, m.omega_T, g):
         raise PoleAtResonance(f"omega within {g} of the resonance at {m.omega_T}")
-    out = 2.0 * w * (m.omega_L**2 - m.omega_T**2) / (m.omega_T**2 - w**2) ** 2
-    return float(out) if np.isscalar(omega) else out
+    den = m.omega_T**2 - w * w
+    return 2.0 * w * (m.omega_L**2 - m.omega_T**2) / (den * den)
 
 
 def nu(m: MediumParams, omega, guard: Optional[float] = None):
@@ -119,15 +136,15 @@ def nu(m: MediumParams, omega, guard: Optional[float] = None):
     Evaluated with the closed-form derivative of the Lorentz epsilon; no
     numerical differentiation on the production path. Equals 2 for vacuum-like
     response (eps identically 1). Raises ZeroEpsilon at the longitudinal zero.
+    Accepts scalars (returns a float) or arrays.
     """
     g = _guard_value(m, guard)
-    w = np.asarray(omega, dtype=float)
-    if np.any(np.abs(np.abs(w) - m.omega_L) < g):
+    w = _real(omega)
+    if _near(w, m.omega_L, g):
         raise ZeroEpsilon(f"epsilon vanishes at omega_L = {m.omega_L}")
     e = epsilon(m, w, guard)
     de = epsilon_derivative(m, w, guard)
-    out = 2.0 + w * de / e
-    return float(out) if np.isscalar(omega) else out
+    return 2.0 + w * de / e
 
 
 def nu_vacuum(omega=None) -> float:
@@ -160,7 +177,7 @@ def exp_integral(d: complex, lo: float, hi: float) -> complex:
     """
     if abs(d) * (hi - lo) < 1e-12:
         return hi - lo
-    return (np.exp(d * hi) - np.exp(d * lo)) / d
+    return (cmath.exp(d * hi) - cmath.exp(d * lo)) / d
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,12 @@ Every profile is a piecewise sum of vector plane waves
     theta(r_par, z) = sum_t  a_t * exp(i * (-k_par . r_par + w_t * z)),
 
 one term list per layer, so curls, divergences and overlap integrals are exact
-algebra on the (a_t, w_t) pairs. The in-plane phase convention is
+algebra on the (a_t, w_t) pairs. A layer holds at most three terms, each a
+3-tuple amplitude and one wavenumber, so the per-wave algebra (curl,
+conjugation, scaling, the Hopfield maps, the region overlap integrals) is
+scalar complex arithmetic on Python numbers; numpy runs only on arrays of z
+points (`evaluate`, `evaluate_region`, `divergence` and the residual checks).
+The in-plane phase convention is
 exp(-i k_par . r_par) throughout; conjugating a profile therefore flips the
 in-plane wavevector, which is how negative-energy partners acquire opposite
 momentum.
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -74,27 +79,49 @@ from .media import (
     nu_vacuum,
 )
 
-E_Z = np.array([0.0, 0.0, 1.0])
+Vec3 = Tuple[complex, complex, complex]
+E_Z = (0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # piecewise plane-wave machinery
 
 
-@dataclass(frozen=True)
-class PlaneTerm:
-    """One vector plane-wave term a * exp(i w z) within a layer."""
+class PlaneTerm(NamedTuple):
+    """One vector plane-wave term a * exp(i w z) within a layer; a is a 3-tuple."""
 
-    amplitude: np.ndarray  # complex, shape (3,)
+    amplitude: Vec3
     w: complex
 
-    def k3(self, k_inplane: np.ndarray) -> np.ndarray:
-        """Full 3D wavevector of the phase exp(i(-k.r_par + w z))."""
-        return np.array([-k_inplane[0], -k_inplane[1], self.w], dtype=complex)
+
+def _scale(f: complex, a: Vec3) -> Vec3:
+    return (f * a[0], f * a[1], f * a[2])
 
 
-@dataclass(frozen=True)
-class ProfileRegion:
+def _axpy(f: complex, a: Vec3, b: Vec3) -> Vec3:
+    return (f * a[0] + b[0], f * a[1] + b[1], f * a[2] + b[2])
+
+
+def _curl(k0: complex, k1: complex, a: Vec3, w: complex) -> Vec3:
+    """i k x a for the wavevector k = (k0, k1, w), in complex arithmetic throughout
+    (a real amplitude still gets the signed zeros of a complex product)."""
+    a0, a1, a2 = a
+    w = complex(w)
+    return (1j * (k1 * a2 - w * a1), 1j * (w * a0 - k0 * a2), 1j * (k0 * a1 - k1 * a0))
+
+
+def _conj(a: Vec3) -> Vec3:
+    return (a[0].conjugate(), a[1].conjugate(), a[2].conjugate())
+
+
+def _overlap(a: Vec3, b: Vec3) -> complex:
+    """a . conj(b)."""
+    return a[0] * b[0].conjugate() + a[1] * b[1].conjugate() + a[2] * b[2].conjugate()
+
+
+class ProfileRegion(NamedTuple):
+    """The plane-wave terms of a profile on the layer [z_min, z_max]."""
+
     z_min: float
     z_max: float
     medium: Optional[MediumParams]
@@ -108,7 +135,7 @@ class ProfileRegion:
 class VectorProfile:
     """Piecewise-exponential complex vector field of (r_par, z)."""
 
-    k_inplane: np.ndarray  # shape (2,)
+    k_inplane: Tuple[float, float]
     regions: Tuple[ProfileRegion, ...]
 
     def region_indices(self, z) -> np.ndarray:
@@ -123,19 +150,25 @@ class VectorProfile:
             if mask.any():
                 yield i, mask
 
-    def evaluate_region(self, i: int, z, r_par=(0.0, 0.0)) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
+    def _phase(self, r_par) -> complex:
+        return np.exp(-1j * (self.k_inplane[0] * r_par[0] + self.k_inplane[1] * r_par[1]))
+
+    def _sum_terms(self, i: int, z: np.ndarray) -> np.ndarray:
+        """The terms of region i summed on the points z, without the in-plane phase."""
         out = np.zeros((z.size, 3), dtype=complex)
-        phase_par = np.exp(-1j * (self.k_inplane[0] * r_par[0] + self.k_inplane[1] * r_par[1]))
-        for t in self.regions[i].terms:
-            out += t.amplitude[None, :] * np.exp(1j * t.w * z)[:, None]
-        return out * phase_par
+        for a, w in self.regions[i].terms:
+            out += np.array(a)[None, :] * np.exp(1j * w * z)[:, None]
+        return out
+
+    def evaluate_region(self, i: int, z, r_par=(0.0, 0.0)) -> np.ndarray:
+        return self._sum_terms(i, np.atleast_1d(np.asarray(z, dtype=float))) * self._phase(r_par)
 
     def evaluate(self, z, r_par=(0.0, 0.0)) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         out = np.zeros((z.size, 3), dtype=complex)
+        phase = self._phase(r_par)
         for i, mask in self._split(z):
-            out[mask] = self.evaluate_region(i, z[mask], r_par)
+            out[mask] = self._sum_terms(i, z[mask]) * phase
         return out
 
     def _map(
@@ -143,34 +176,43 @@ class VectorProfile:
     ) -> "VectorProfile":
         """Profile with the terms terms_of(region) in each region, at k_inplane (default: this one)."""
         k = self.k_inplane if k_inplane is None else k_inplane
-        return VectorProfile(k, tuple(reg.with_terms(terms_of(reg)) for reg in self.regions))
+        return VectorProfile(k, tuple([reg.with_terms(terms_of(reg)) for reg in self.regions]))
 
     def curl(self) -> "VectorProfile":
-        return self._map(lambda reg: (
-            PlaneTerm(1j * np.cross(t.k3(self.k_inplane), t.amplitude), t.w) for t in reg.terms))
+        k0, k1 = complex(-self.k_inplane[0]), complex(-self.k_inplane[1])
+        return self._map(lambda reg: [PlaneTerm(_curl(k0, k1, a, w), w) for a, w in reg.terms])
 
     def divergence(self, z, r_par=(0.0, 0.0)) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         out = np.zeros(z.size, dtype=complex)
-        phase_par = np.exp(-1j * (self.k_inplane[0] * r_par[0] + self.k_inplane[1] * r_par[1]))
+        k0, k1 = -self.k_inplane[0], -self.k_inplane[1]
         for i, mask in self._split(z):
-            for t in self.regions[i].terms:
-                out[mask] += 1j * np.dot(t.k3(self.k_inplane), t.amplitude) * np.exp(1j * t.w * z[mask])
-        return out * phase_par
+            for (a0, a1, a2), w in self.regions[i].terms:
+                out[mask] += 1j * (k0 * a0 + k1 * a1 + w * a2) * np.exp(1j * w * z[mask])
+        return out * self._phase(r_par)
 
     def conj(self) -> "VectorProfile":
-        return self._map(lambda reg: (PlaneTerm(np.conj(t.amplitude), -np.conj(t.w)) for t in reg.terms),
-                         -self.k_inplane)
+        return self._map(lambda reg: [PlaneTerm(_conj(a), -w.conjugate()) for a, w in reg.terms],
+                         (-self.k_inplane[0], -self.k_inplane[1]))
+
+    def _conj_mapped(self, func: Callable[[ProfileRegion], complex]) -> "VectorProfile":
+        """conj().mapped(func) in one pass."""
+
+        def terms_of(reg):
+            f = func(reg)
+            return () if f == 0 else [PlaneTerm(_scale(f, _conj(a)), -w.conjugate()) for a, w in reg.terms]
+
+        return self._map(terms_of, (-self.k_inplane[0], -self.k_inplane[1]))
 
     def scaled(self, factor: complex) -> "VectorProfile":
-        return self._map(lambda reg: (PlaneTerm(factor * t.amplitude, t.w) for t in reg.terms))
+        return self._map(lambda reg: [PlaneTerm(_scale(factor, a), w) for a, w in reg.terms])
 
     def mapped(self, func: Callable[[ProfileRegion], complex]) -> "VectorProfile":
         """Scale each region by a region-dependent factor (zero drops its terms)."""
 
         def terms_of(reg):
             f = func(reg)
-            return () if f == 0 else (PlaneTerm(f * t.amplitude, t.w) for t in reg.terms)
+            return () if f == 0 else [PlaneTerm(_scale(f, a), w) for a, w in reg.terms]
 
         return self._map(terms_of)
 
@@ -288,18 +330,18 @@ def fresnel_tm(m: MediumParams, k) -> Tuple[complex, complex]:
 def _classify(geom: LayeredGeometry):
     """Return ('vacuum'|'matter'|'interface', medium) for supported geometries."""
     mats = [l.medium for l in geom.layers]
-    if all(m is None for m in mats):
+    present = [m for m in mats if m is not None]
+    if not present:
         return "vacuum", None
-    params = {(m.omega_T, m.rho, m.kappa) for m in mats if m is not None}
-    if len(params) > 1:
+    if len({(m.omega_T, m.rho, m.kappa) for m in present}) > 1:
         raise UnsupportedGeometry("analytic modes support a single medium species")
-    medium = next(m for m in mats if m is not None)
-    if all(m is not None for m in mats):
+    medium = present[0]
+    if len(present) == len(mats):
         return "matter", medium
     if (
-        len(geom.layers) == 2
-        and geom.layers[0].medium is not None
-        and geom.layers[1].medium is None
+        len(mats) == 2
+        and mats[0] is not None
+        and mats[1] is None
         and abs(geom.layers[0].z_max) < 1e-12 * geom.lz
     ):
         return "interface", medium
@@ -310,7 +352,10 @@ def _classify(geom: LayeredGeometry):
 
 def mode_frequency(geom: LayeredGeometry, idx: ModeIndex) -> float:
     """Positive eigenfrequency of the labelled mode."""
-    kind, medium = _classify(geom)
+    return _frequency(*_classify(geom), idx)
+
+
+def _frequency(kind: str, medium: Optional[MediumParams], idx: ModeIndex) -> float:
     cls = idx.mode_class
     if cls is ModeClass.S:
         if kind != "interface":
@@ -348,10 +393,11 @@ def build_theta(geom: LayeredGeometry, idx: ModeIndex) -> ThetaProfile:
     (the no-interface limit, r=0, t=1).
     """
     kind, medium = _classify(geom)
-    omega = mode_frequency(geom, idx)
+    omega = _frequency(kind, medium, idx)
     cls = idx.mode_class
-    k_inplane = idx.k_par_vec
-    e_par, e_perp = idx.e_par, idx.e_perp
+    k_inplane = (float(idx.k_par[0]), float(idx.k_par[1]))
+    px, py, _ = idx.e_par.tolist()
+    e_par = (px, py, 0.0)
     k_par = idx.k_par_mag
     u = (omega / C) ** 2
 
@@ -360,19 +406,20 @@ def build_theta(geom: LayeredGeometry, idx: ModeIndex) -> ThetaProfile:
         s = math.sqrt(-eL)
         kv = k_par / s
         km = k_par * s
-        vac = [PlaneTerm((1j / s) * e_par + E_Z, 1j * kv)]
-        med = [PlaneTerm((1.0 / eL) * (-1j * s * e_par + E_Z), -1j * km)]
+        vac = [PlaneTerm(_axpy(1j / s, e_par, E_Z), 1j * kv)]
+        med = [PlaneTerm(_scale(1.0 / eL, _axpy(-1j * s, e_par, E_Z)), -1j * km)]
         profile = VectorProfile(k_inplane, _region_split(geom, medium, vac, med))
         return ThetaProfile(profile, cls, omega, idx)
 
     k_z = idx.k_z
     kmag = idx.k_mag
+    e_perp = (complex(-py), complex(px), 0j)
 
     def wave(w):
         """Transverse amplitude of a plane wave with vertical wavenumber w."""
         if cls.is_te:
-            return e_perp.astype(complex)
-        return (w * e_par + k_par * E_Z) / kmag
+            return e_perp
+        return tuple(c / kmag for c in _axpy(w, e_par, _scale(k_par, E_Z)))
 
     if kind != "interface":
         region = ProfileRegion(-geom.lz / 2, geom.lz / 2, medium, (PlaneTerm(wave(k_z), k_z),))
@@ -383,8 +430,8 @@ def build_theta(geom: LayeredGeometry, idx: ModeIndex) -> ThetaProfile:
     q = math.copysign(1.0, k_z) * _branch_down(eps_trn * u - k_par**2, max(u, k_par**2))
     a_inc, a_trn = (1.0, 1.0) if cls.is_te else (eps_inc, eps_trn)
     r, t = _fresnel(k_z, q, a_inc, a_trn)
-    incident = [PlaneTerm(wave(k_z), k_z), PlaneTerm(r * wave(-k_z), -k_z)]
-    transmitted = [PlaneTerm(t * wave(q), q)]
+    incident = [PlaneTerm(wave(k_z), k_z), PlaneTerm(_scale(r, wave(-k_z)), -k_z)]
+    transmitted = [PlaneTerm(_scale(t, wave(q)), q)]
     vac, med = (incident, transmitted) if cls.vacuum_incident else (transmitted, incident)
     profile = VectorProfile(k_inplane, _region_split(geom, medium, vac, med))
     return ThetaProfile(profile, cls, omega, idx)
@@ -440,10 +487,9 @@ def _eps_nu(medium: Optional[MediumParams], omega: float) -> float:
 def _exact_region_integral(reg: ProfileRegion) -> complex:
     """Integral of |theta|^2 over the region from the exponential primitives."""
     total = 0.0 + 0.0j
-    for ti in reg.terms:
-        for tj in reg.terms:
-            coef = np.dot(ti.amplitude, np.conj(tj.amplitude))
-            total += coef * exp_integral(1j * (ti.w - np.conj(tj.w)), reg.z_min, reg.z_max)
+    for ai, wi in reg.terms:
+        for aj, wj in reg.terms:
+            total += _overlap(ai, aj) * exp_integral(1j * (wi - wj.conjugate()), reg.z_min, reg.z_max)
     return total
 
 
@@ -457,10 +503,19 @@ def normalization_integral(mode: PolaritonMode, geom: LayeredGeometry) -> float:
     return EPS0 * geom.area * total
 
 
+def _map_mode(mode: PolaritonMode, func: Callable[[VectorProfile], VectorProfile], omega: float,
+              norm: float) -> PolaritonMode:
+    """The mode with func applied to theta and to each Hopfield profile, at omega and N = norm.
+    A Hopfield profile that is theta itself (alpha) is mapped once."""
+    theta = mode.theta.profile
+    mapped = func(theta)
+    hop = mode.hopfield.each(lambda prof: mapped if prof is theta else func(prof), omega)
+    theta_out = ThetaProfile(mapped, mode.theta.mode_class, omega, mode.index)
+    return PolaritonMode(mode.index, omega, norm, theta_out, hop)
+
+
 def _scaled_mode(mode: PolaritonMode, n: float) -> PolaritonMode:
-    theta = ThetaProfile(mode.theta.profile.scaled(n), mode.theta.mode_class, mode.omega, mode.index)
-    hop = mode.hopfield.each(lambda prof: prof.scaled(n), mode.omega)
-    return PolaritonMode(mode.index, mode.omega, mode.norm * n, theta, hop)
+    return _map_mode(mode, lambda prof: prof.scaled(n), mode.omega, mode.norm * n)
 
 
 def surface_norm_constant(m: MediumParams, omega: float, k_par: float, area: float) -> float:
@@ -522,9 +577,7 @@ def normalize(mode: PolaritonMode, geom: LayeredGeometry, rtol: float = 1e-8) ->
 
 def conjugate_mode(mode: PolaritonMode) -> PolaritonMode:
     """Negative-energy partner: conjugated profiles, eigenfrequency -omega."""
-    th = ThetaProfile(mode.theta.profile.conj(), mode.theta.mode_class, -mode.omega, mode.index)
-    hop = mode.hopfield.each(VectorProfile.conj, -mode.omega)
-    return PolaritonMode(mode.index, -mode.omega, mode.norm, th, hop)
+    return _map_mode(mode, VectorProfile.conj, -mode.omega, mode.norm)
 
 
 def field_expansion_coefficients(mode: PolaritonMode) -> Dict[str, VectorProfile]:

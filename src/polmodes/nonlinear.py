@@ -25,8 +25,9 @@ primitives.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +80,6 @@ def matter_weight(mode: PolaritonMode, guard: float | None = None) -> VectorProf
     the transverse resonance.
     """
     omega = mode.omega
-    theta_bar = mode.theta.profile.conj()
 
     def factor(reg: ProfileRegion) -> complex:
         if reg.medium is None:
@@ -88,14 +88,32 @@ def matter_weight(mode: PolaritonMode, guard: float | None = None) -> VectorProf
         g = POLE_GUARD_REL * m.omega_T if guard is None else guard
         if abs(abs(omega) - m.omega_T) < g:
             raise PoleAtResonance(f"|omega|={abs(omega)} at the resonance of omega_T={m.omega_T}")
-        return np.sign(omega) * m.kappa * HBAR * omega / (m.rho * (m.omega_T**2 - omega**2))
+        return math.copysign(1.0, omega) * m.kappa * HBAR * omega / (m.rho * (m.omega_T**2 - omega**2))
 
-    return theta_bar.mapped(factor)
+    return mode.theta.profile._conj_mapped(factor)
 
 
-def _mode_momentum(weight: VectorProfile) -> np.ndarray:
+def _mode_momentum(weight: VectorProfile) -> Tuple[float, float]:
     """In-plane wavevector carried by exp(+i k . r_par) of the weight profile."""
-    return -weight.k_inplane
+    return -weight.k_inplane[0], -weight.k_inplane[1]
+
+
+def _contract(flat: List[complex], a) -> List[complex]:
+    """Contract the first index of a tensor, flattened in C order, with the 3-vector a."""
+    n = len(flat) // 3
+    a0, a1, a2 = a
+    return [a0 * x + a1 * y + a2 * z for x, y, z in zip(flat[:n], flat[n:2 * n], flat[2 * n:])]
+
+
+def _contractions(flat: List[complex], term_lists, w_sum: complex = 0) -> Iterator[Tuple[complex, complex]]:
+    """(Phi . a_1 ... a_N, w_1 + ... + w_N) for each choice of one term per mode,
+    in itertools.product order; each partial contraction is shared by the
+    choices that extend it."""
+    if not term_lists:
+        yield flat[0], w_sum
+        return
+    for a, w in term_lists[0]:
+        yield from _contractions(_contract(flat, a), term_lists[1:], w_sum + w)
 
 
 def scattering_coefficient(
@@ -114,25 +132,24 @@ def scattering_coefficient(
     if len(modes) != phi.order:
         raise ValueError(f"need {phi.order} modes for an order-{phi.order} tensor")
     weights = [matter_weight(md) for md in modes]
-    k_total = np.sum([_mode_momentum(w) for w in weights], axis=0)
-    k_scale = max(1.0, max(float(np.hypot(*_mode_momentum(w))) for w in weights))
-    if float(np.hypot(*k_total)) > momentum_tol * k_scale:
-        return ScatteringAmplitude(0.0 + 0.0j, False, (float(k_total[0]), float(k_total[1])))
+    momenta = [_mode_momentum(w) for w in weights]
+    kx, ky = momenta[0]
+    for px, py in momenta[1:]:
+        kx, ky = kx + px, ky + py
+    k_scale = max(1.0, max(math.hypot(*p) for p in momenta))
+    if math.hypot(kx, ky) > momentum_tol * k_scale:
+        return ScatteringAmplitude(0.0 + 0.0j, False, (kx, ky))
 
     n_regions = {len(w.regions) for w in weights}
     if len(n_regions) != 1:
         raise ValueError("modes must share the same layer structure")
+    flat = phi.components.ravel().tolist()
     total = 0.0 + 0.0j
     for ireg in range(n_regions.pop()):
         regs = [w.regions[ireg] for w in weights]
         if regs[0].medium is None or any(not r.terms for r in regs):
             continue
         z_min, z_max = regs[0].z_min, regs[0].z_max
-        for combo in itertools.product(*(r.terms for r in regs)):
-            contraction = phi.components
-            for t in combo:
-                contraction = np.tensordot(contraction, t.amplitude, axes=([0], [0]))
-            zint = exp_integral(1j * sum(t.w for t in combo), z_min, z_max)
-            total += complex(contraction) * zint
-    value = geom.area * total
-    return ScatteringAmplitude(complex(value), True, (float(k_total[0]), float(k_total[1])))
+        for value, w_sum in _contractions(flat, [r.terms for r in regs]):
+            total += value * exp_integral(1j * w_sum, z_min, z_max)
+    return ScatteringAmplitude(complex(geom.area * total), True, (kx, ky))

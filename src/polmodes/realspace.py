@@ -519,7 +519,10 @@ def solve_windowed(op: DiscreteOperator, sigma: float, count: int = 1) -> Discre
 
     Shift-invert Lanczos (ARPACK, fixed start vector) on the pencil H x = omega M x
     of _reduce: one sparse LU of H - sigma M, and omega directly (the omega^2 form
-    would square the condition number). Raises SolverContractViolation if ARPACK
+    would square the condition number). A single start vector cannot resolve a
+    multiple eigenvalue: a cluster such as the omega_L matter modes of a TM box at
+    k_par = 0 may come back fewer times than its multiplicity, with farther
+    eigenvalues filling the count and no error raised. Raises SolverContractViolation if ARPACK
     does not converge, a residual ||H x - omega M x|| exceeds
     1e-10 max(|sigma|, 1) ||x||, or an omega is zero to that scale.
     """

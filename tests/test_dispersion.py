@@ -46,6 +46,17 @@ class TestBulkBranches:
         np.testing.assert_allclose(ol, medium.omega_T, rtol=1e-12, atol=0)
         np.testing.assert_allclose(ou, C * ks, rtol=1e-15, atol=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega_t,omega_l", [(1.0, 1.2), (3.0, 7.0)])
+    def test_finite_for_every_finite_ck(self, omega_t, omega_l):
+        # b = omega_L^2 + c^2 k^2 overflows from c k ~ 1.3e154 on, (c k omega_T)^2 from
+        # 1.3e154 / omega_T; every warning is an error here
+        m = from_phonon_frequencies(omega_t, omega_l)
+        ks = np.array([5e153, 1e155, 1e160, 1e300, np.finfo(float).max / C])
+        ol, ou = bulk_branches(m, ks)
+        np.testing.assert_allclose(ol, omega_t, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(ou, C * ks, rtol=1e-15, atol=0)
+
     def test_vectorized(self, medium):
         ks = np.linspace(0, 5, 11)
         ol, ou = bulk_branches(medium, ks)

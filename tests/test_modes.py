@@ -455,7 +455,8 @@ class TestRegionLookup:
                 ref_div = np.zeros(zs.size, dtype=complex)
                 for j, zz in enumerate(zs):
                     for t in prof.regions[region_index_per_point(prof, zz)].terms:
-                        ref_div[j] += 1j * np.dot(t.k3(prof.k_inplane), t.amplitude) * np.exp(1j * t.w * zz)
+                        k3 = np.array([-prof.k_inplane[0], -prof.k_inplane[1], t.w], dtype=complex)
+                        ref_div[j] += 1j * np.dot(k3, t.amplitude) * np.exp(1j * t.w * zz)
                 phase = np.exp(-1j * (prof.k_inplane[0] * r_par[0] + prof.k_inplane[1] * r_par[1]))
                 np.testing.assert_allclose(prof.divergence(zs, r_par), ref_div * phase,
                                            rtol=1e-14, atol=1e-14 * np.max(np.abs(ref)))

@@ -363,6 +363,19 @@ class TestWindowedSolve:
             overlap = abs(np.vdot(ref, win)) / (np.linalg.norm(ref) * np.linalg.norm(win))
             assert overlap > 0.9999
 
+    @pytest.mark.xfail(strict=True, reason="single-vector Lanczos cannot see the multiplicity of "
+                                           "the 128-fold omega_L eigenvalue")
+    def test_multiple_eigenvalue_fills_the_count(self, medium):
+        # the TM box at k_par = 0 holds 128 degenerate matter modes at omega_L; the windowed
+        # solve returns five of them and then the next distinct eigenvalue 1.20365553
+        op = assemble_operator(vacuum_interface(medium, 40.0), Grid1D(256, 40.0), 0.0, "TM",
+                               strict_resolution=False)
+        sigma = medium.omega_L + 1e-4
+        dense = solve_spectrum(op).omegas
+        assert np.sum(np.abs(dense - medium.omega_L) < 1e-9) == 128
+        nearest = dense[np.argsort(np.abs(dense - sigma), kind="stable")[:6]]
+        np.testing.assert_allclose(solve_windowed(op, sigma, 6).omegas, nearest, rtol=1e-10)
+
     def test_zero_frequency_is_not_a_mode(self, dense_spectra):
         # in TM at k_par = 0 the reduced pencil keeps one null vector, which is no mode
         with pytest.raises(SolverContractViolation, match="zero frequency"):

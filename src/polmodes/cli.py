@@ -26,41 +26,80 @@ from . import dissipative as diss
 from . import media
 from . import modes as md
 from . import nonlinear as nl
-from .config import (
-    UnitSystem,
-    first_medium,
-    load_json,
-    parse_bath,
-    parse_geometry,
-    parse_sweep,
-    sole_medium,
-    _get,
-    _number,
-    _optional,
-)
+from .config import parse_dispersion, parse_lossy, parse_mode, parse_scatter, parse_solve
 from .errors import ConfigError, InvalidGrid, PolmodesError, UnsupportedGeometry
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
-def _write_json(path: Path, payload: dict):
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _fail(exc: Exception, code: int):
-    click.echo(f"error: {exc}", err=True)
+def _fail(msg, code: int):
+    click.echo(f"error: {msg}", err=True)
     sys.exit(code)
+
+
+def _finite(artifact) -> bool:
+    """Whether every float of an artifact, a JSON dict payload or a (header, rows) CSV
+    table, is finite."""
+    if isinstance(artifact, dict):
+        values = (v for x in artifact.values() for v in (x if isinstance(x, list) else [x]))
+    elif isinstance(artifact[1], np.ndarray):
+        return bool(np.isfinite(artifact[1]).all())
+    else:
+        values = (v for row in artifact[1] for v in row)
+    return all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
+def _write(fh, artifact):
+    """Write one artifact: JSON for a dict payload, else CSV for a (header, rows) pair."""
+    if isinstance(artifact, dict):
+        fh.write(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+        return
+    header, rows = artifact
+    for row in [header, *(rows.tolist() if isinstance(rows, np.ndarray) else rows)]:
+        fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _run(out_dir: str, parse, compute):
+    """Run one command: compute(*parse()) returns ({file name: artifact}, stdout lines).
+    The single place where errors become exit codes; numpy overflow, division by zero
+    and invalid operations raise. Nothing is written unless every artifact was computed
+    and is finite, and a failed write removes the files it opened."""
+    out, written = Path(out_dir), []
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            artifacts, lines = compute(*parse())
+        for name, artifact in artifacts.items():
+            if not _finite(artifact):
+                raise FloatingPointError(f"{name} would hold a non-finite value")
+        out.mkdir(parents=True, exist_ok=True)
+        for name, artifact in artifacts.items():
+            with open(out / name, "w", newline="\n") as fh:
+                written.append(out / name)
+                _write(fh, artifact)
+    except ConfigError as exc:
+        _fail(exc, 2)
+    except UnsupportedGeometry as exc:
+        _fail(ConfigError(str(exc), "/material/layers"), 2)
+    except InvalidGrid as exc:
+        _fail(ConfigError(str(exc), "/grid/n"), 2)
+    except PolmodesError as exc:
+        _fail(exc, 3)
+    except ArithmeticError as exc:
+        _fail(f"{type(exc).__name__}: {exc}", 3)
+    except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        _fail(f"cannot write to --out {out_dir}: {exc.strerror or exc}", 2)
+    for line in lines:
+        click.echo(line)
+
+
+def _profile_table(zs, fields):
+    """One row per z: z, then the real and imaginary parts of each field's x, y, z
+    components."""
+    header = ["z"] + [f"{name}_{c}_{part}" for name in fields for c in "xyz"
+                      for part in ("re", "im")]
+    columns = [zs] + [part(v[:, c]) for v in fields.values() for c in range(3)
+                      for part in (np.real, np.imag)]
+    return header, np.column_stack(columns)
 
 
 @click.group()
@@ -79,64 +118,21 @@ def _common_options(fn):
 @_common_options
 def dispersion_cmd(config_path, out_dir, units):
     """Sweep the vacuum, bulk and surface dispersion branches to CSV."""
-    try:
-        cfg = load_json(config_path)
-        geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
-        medium = first_medium(geom, "/material")
-        k_min, k_max, num = parse_sweep(_get(cfg, "sweep", "", dict), us, "/sweep")
-    except ConfigError as exc:
-        _fail(exc, 2)
-    try:
-        rows = []
-        ks = np.linspace(k_min, k_max, num)
-        for k in ks:
-            rows.append(("TEv", us.from_internal(float(k)), 0.0, us.from_internal(media.C * float(k))))
-        ol, ou = disp.bulk_branches(medium, ks)
-        for k, o in zip(ks, ol):
-            rows.append(("TEl", us.from_internal(float(k)), 0.0, us.from_internal(float(o))))
-        for k, o in zip(ks, ou):
-            rows.append(("TEu", us.from_internal(float(k)), 0.0, us.from_internal(float(o))))
-        for k in ks:
-            if media.C * k < medium.omega_T:
-                continue
-            o = disp.surface_dispersion_omega(medium, float(k))
-            rows.append(("S", us.from_internal(float(k)), 0.0, us.from_internal(o)))
-    except PolmodesError as exc:
-        _fail(exc, 3)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "dispersion.csv", ["class", "k_par", "k_z", "omega"], rows)
-    click.echo(f"wrote {out / 'dispersion.csv'} ({len(rows)} rows)")
 
+    def compute(ref, medium, k_min, k_max, num):
+        k_arr = np.linspace(k_min, k_max, num)
+        ol, ou = disp.bulk_branches(medium, k_arr)
+        ks = [float(k) for k in k_arr]
+        rows = [("TEv", k * ref, 0.0, media.C * k * ref) for k in ks]
+        rows += [("TEl", k * ref, 0.0, float(o) * ref) for k, o in zip(ks, ol)]
+        rows += [("TEu", k * ref, 0.0, float(o) * ref) for k, o in zip(ks, ou)]
+        rows += [("S", k * ref, 0.0, disp.surface_dispersion_omega(medium, k) * ref)
+                 for k in ks if media.C * k >= medium.omega_T]
+        path = Path(out_dir) / "dispersion.csv"
+        return ({path.name: (["class", "k_par", "k_z", "omega"], rows)},
+                [f"wrote {path} ({len(rows)} rows)"])
 
-def _parse_mode_spec(spec: dict, pointer: str) -> disp.ModeIndex:
-    cls_name = _get(spec, "class", pointer, str)
-    try:
-        cls = disp.ModeClass(cls_name)
-    except ValueError:
-        raise ConfigError(f"unknown mode class '{cls_name}'", f"{pointer}/class")
-    k_par = _get(spec, "k_par", pointer, list)
-    if len(k_par) != 2:
-        raise ConfigError("k_par must be a 2-vector", f"{pointer}/k_par")
-    k_par = (_number(k_par, 0, f"{pointer}/k_par"), _number(k_par, 1, f"{pointer}/k_par"))
-    k_z = None if spec.get("k_z") is None else _number(spec, "k_z", pointer)
-    try:
-        return disp.ModeIndex(cls, k_par, k_z)
-    except ValueError as exc:
-        raise ConfigError(str(exc), pointer)
-
-
-def _write_profile_csv(path: Path, zs, fields):
-    """One row per z: z, then the real and imaginary parts of each field's x, y, z components."""
-    header = ["z"] + [f"{name}_{c}_{part}" for name in fields for c in "xyz" for part in ("re", "im")]
-    rows = []
-    for i, z in enumerate(zs):
-        row = [float(z)]
-        for values in fields.values():
-            for c in range(3):
-                row += [float(values[i, c].real), float(values[i, c].imag)]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    _run(out_dir, lambda: parse_dispersion(config_path, units), compute)
 
 
 @main.command("mode")
@@ -145,18 +141,8 @@ def _write_profile_csv(path: Path, zs, fields):
               help="relative tolerance of the closed-form normalization vs the box integral")
 def mode_cmd(config_path, out_dir, units, tol):
     """Emit z-sampled analytic mode profiles plus a JSON sidecar."""
-    try:
-        cfg = load_json(config_path)
-        geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
-        if any(lay.medium is not None for lay in geom.layers):
-            sole_medium(geom, "/material")  # analytic modes hold one medium species
-        idx = _parse_mode_spec(_get(cfg, "mode", "", dict), "/mode")
-        z_num = _optional(_optional(cfg, "samples", "", dict, {}), "z_num", "/samples", int, 401)
-        if z_num < 1:
-            raise ConfigError("z_num must be positive", "/samples/z_num")
-    except ConfigError as exc:
-        _fail(exc, 2)
-    try:
+
+    def compute(geom, ref, idx, z_num):
         mode = md.normalize(md.make_mode(geom, idx), geom, rtol=tol)
         zs = np.linspace(-geom.lz / 2, geom.lz / 2, z_num)
         fields = {
@@ -166,21 +152,17 @@ def mode_cmd(config_path, out_dir, units, tol):
             "gamma": mode.hopfield.gamma.evaluate(zs),
             "eta": mode.hopfield.eta.evaluate(zs),
         }
-    except UnsupportedGeometry as exc:
-        _fail(ConfigError(str(exc), "/material/layers"), 2)
-    except PolmodesError as exc:
-        _fail(exc, 3)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_profile_csv(out / "mode_profile.csv", zs, fields)
-    _write_json(out / "mode_profile.json", {
-        "omega": us.from_internal(mode.omega),
-        "N": mode.norm,
-        "class": idx.mode_class.value,
-        "k_par": list(idx.k_par),
-        "k_z": idx.k_z,
-    })
-    click.echo(f"wrote {out / 'mode_profile.csv'} and sidecar")
+        sidecar = {
+            "omega": mode.omega * ref,
+            "N": mode.norm,
+            "class": idx.mode_class.value,
+            "k_par": list(idx.k_par),
+            "k_z": idx.k_z,
+        }
+        return ({"mode_profile.csv": _profile_table(zs, fields), "mode_profile.json": sidecar},
+                [f"wrote {Path(out_dir) / 'mode_profile.csv'} and sidecar"])
+
+    _run(out_dir, lambda: parse_mode(config_path, units), compute)
 
 
 @main.command("solve")
@@ -190,43 +172,20 @@ def solve_cmd(config_path, out_dir, units, tol):
     """Solve the discretized eigensystem; emit eigenfrequencies and profiles."""
     from . import realspace as rs
 
-    try:
-        cfg = load_json(config_path)
-        geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
-        n = _get(_get(cfg, "grid", "", dict), "n", "/grid", int)
-        k_par = _number(cfg, "k_par", "")
-        pol = _get(cfg, "polarization", "", str)
-        if pol not in ("TE", "TM"):
-            raise ConfigError("polarization must be 'TE' or 'TM'", "/polarization")
-        window = _optional(cfg, "window", "", list, None)
-        if window is not None:
-            window = [_number(window, i, "/window") for i in range(len(window))]
-            if len(window) != 2 or window[0] >= window[1]:
-                raise ConfigError("window must be [lo, hi] with lo < hi", "/window")
-        n_profiles = _optional(cfg, "profiles", "", int, 0)
-        if n_profiles < 0:
-            raise ConfigError("profiles must be non-negative", "/profiles")
-    except ConfigError as exc:
-        _fail(exc, 2)
-    try:
+    def compute(geom, ref, n, k_par, pol, window, n_profiles, strict):
         grid = rs.Grid1D(n, geom.lz)
-        op = rs.assemble_operator(geom, grid, us.to_internal(k_par), pol,
-                                  strict_resolution=bool(cfg.get("strict_resolution", True)))
-        win = None if window is None else (us.to_internal(window[0]), us.to_internal(window[1]))
-        sol = rs.solve_spectrum(op, window=win, norm_tol=tol)
-    except InvalidGrid as exc:
-        _fail(ConfigError(str(exc), "/grid/n"), 2)
-    except PolmodesError as exc:
-        _fail(exc, 3)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "eigenfrequencies.csv", ["index", "omega"],
-               [(i, us.from_internal(float(w))) for i, w in enumerate(sol.omegas)])
-    for i in range(min(n_profiles, sol.omegas.size)):
-        fields = rs.reconstruct_node_fields(op, sol.vectors[:, i], float(sol.omegas[i]))
-        _write_profile_csv(out / f"mode_{i:04d}.csv", grid.nodes, fields)
-    click.echo(f"wrote {sol.omegas.size} eigenfrequencies"
-               + (f" and {min(n_profiles, sol.omegas.size)} profiles" if n_profiles else ""))
+        op = rs.assemble_operator(geom, grid, k_par, pol, strict_resolution=strict)
+        sol = rs.solve_spectrum(op, window=window, norm_tol=tol)
+        omegas = [(i, float(w) * ref) for i, w in enumerate(sol.omegas)]
+        artifacts = {"eigenfrequencies.csv": (["index", "omega"], omegas)}
+        shown = min(n_profiles, sol.omegas.size)
+        for i in range(shown):
+            fields = rs.reconstruct_node_fields(op, sol.vectors[:, i], float(sol.omegas[i]))
+            artifacts[f"mode_{i:04d}.csv"] = _profile_table(grid.nodes, fields)
+        return artifacts, [f"wrote {sol.omegas.size} eigenfrequencies"
+                           + (f" and {shown} profiles" if n_profiles else "")]
+
+    _run(out_dir, lambda: parse_solve(config_path, units), compute)
 
 
 @main.command("scatter")
@@ -234,114 +193,53 @@ def solve_cmd(config_path, out_dir, units, tol):
 @click.option("--tol", default=1e-9, type=float, help="in-plane momentum selection tolerance")
 def scatter_cmd(config_path, out_dir, units, tol):
     """Evaluate scattering coefficients for configured mode tuples."""
-    try:
-        cfg = load_json(config_path)
-        geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
-        if any(lay.medium is not None for lay in geom.layers):
-            sole_medium(geom, "/material")  # analytic modes hold one medium species
-        if "phi_path" in cfg:
-            phi_cfg = load_json(cfg["phi_path"])
-        else:
-            phi_cfg = _get(cfg, "phi", "", dict)
-        order = _get(phi_cfg, "order", "/phi", int)
-        try:
-            comps = np.asarray(_get(phi_cfg, "components", "/phi", list), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("phi components must be a regular array of numbers",
-                              "/phi/components") from exc
-        if comps.shape != (3,) * order:
-            raise ConfigError(f"phi components must have shape {(3,) * order}", "/phi/components")
-        phi = nl.NonlinearTensor.from_array(comps)
-        tuples_cfg = _get(cfg, "tuples", "", list)
-        tuples = []
-        for i, tup in enumerate(tuples_cfg):
-            if not isinstance(tup, list) or len(tup) != order:
-                raise ConfigError(f"tuple must list {order} modes", f"/tuples/{i}")
-            specs = []
-            for j, spec in enumerate(tup):
-                idx = _parse_mode_spec(spec, f"/tuples/{i}/{j}")
-                specs.append((idx, bool(spec.get("conjugate", False))))
-            tuples.append(specs)
-    except ConfigError as exc:
-        _fail(exc, 2)
-    try:
-        rows = []
+
+    def compute(geom, phi, tuples):
+        lines = []
         if phi.symmetrization_defect > 0:
-            click.echo(f"symmetrized phi (defect {phi.symmetrization_defect:.3e})")
+            lines.append(f"symmetrized phi (defect {phi.symmetrization_defect:.3e})")
+        rows = []
         for specs in tuples:
-            label_parts = []
-            mode_objs = []
+            labels, modes = [], []
             for idx, conj in specs:
                 mode = md.normalize(md.make_mode(geom, idx), geom)
-                if conj:
-                    mode = md.conjugate_mode(mode)
-                mode_objs.append(mode)
+                modes.append(md.conjugate_mode(mode) if conj else mode)
                 kz = "" if idx.k_z is None else f":{idx.k_z:g}"
-                label_parts.append(f"{'~' if conj else ''}{idx.mode_class.value}@{idx.k_par[0]:g}/{idx.k_par[1]:g}{kz}")
-            res = nl.scattering_coefficient(mode_objs, phi, geom, momentum_tol=tol)
-            rows.append((";".join(label_parts), float(res.value.real), float(res.value.imag),
+                labels.append(f"{'~' if conj else ''}{idx.mode_class.value}"
+                              f"@{idx.k_par[0]:g}/{idx.k_par[1]:g}{kz}")
+            res = nl.scattering_coefficient(modes, phi, geom, momentum_tol=tol)
+            rows.append((";".join(labels), float(res.value.real), float(res.value.imag),
                          int(res.momentum_ok)))
-    except UnsupportedGeometry as exc:
-        _fail(ConfigError(str(exc), "/material/layers"), 2)
-    except PolmodesError as exc:
-        _fail(exc, 3)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "scattering.csv", ["modes", "Re_Xi", "Im_Xi", "momentum_ok"], rows)
-    click.echo(f"wrote {out / 'scattering.csv'} ({len(rows)} rows)")
+        path = Path(out_dir) / "scattering.csv"
+        return ({path.name: (["modes", "Re_Xi", "Im_Xi", "momentum_ok"], rows)},
+                lines + [f"wrote {path} ({len(rows)} rows)"])
+
+    _run(out_dir, lambda: parse_scatter(config_path, units), compute)
 
 
 @main.command("lossy")
 @_common_options
 def lossy_cmd(config_path, out_dir, units):
     """Tabulate the bath-dressed dielectric function; optionally a driven field."""
-    try:
-        cfg = load_json(config_path)
-        geom, us = parse_geometry(_get(cfg, "material", "", dict), units, "/material")
-        medium = sole_medium(geom, "/material")
-        bath = parse_bath(_get(cfg, "bath", "", dict), medium, us, "/bath")
-        om_cfg = _get(cfg, "omega", "", dict)
-        w_min = us.to_internal(_number(om_cfg, "min", "/omega"))
-        w_max = us.to_internal(_number(om_cfg, "max", "/omega"))
-        num = _get(om_cfg, "num", "/omega", int)
-        if not (0 < w_min < w_max) or num < 2:
-            raise ConfigError("omega sweep needs 0 < min < max and num >= 2", "/omega")
-        driven_cfg = _optional(cfg, "driven", "", (dict, type(None)), None)
-        if driven_cfg is not None:
-            w_d = us.to_internal(_number(driven_cfg, "omega", "/driven"))
-            k_d = 0.0
-            if "k_par" in driven_cfg:
-                k_d = us.to_internal(_number(driven_cfg, "k_par", "/driven"))
-            sheets = []
-            for i, row in enumerate(_get(driven_cfg, "sheets", "/driven", list)):
-                rp = f"/driven/sheets/{i}"
-                if not isinstance(row, list) or len(row) not in (2, 3):
-                    raise ConfigError("sheet rows are [z, Re J] or [z, Re J, Im J]", rp)
-                im = _number(row, 2, rp) if len(row) > 2 else 0.0
-                sheets.append((_number(row, 0, rp), complex(_number(row, 1, rp), im)))
-            z_num = _optional(driven_cfg, "z_num", "/driven", int, 801)
-            if z_num < 1:
-                raise ConfigError("z_num must be positive", "/driven/z_num")
-    except ConfigError as exc:
-        _fail(exc, 2)
-    try:
+
+    def compute(geom, ref, medium, bath, sweep, driven):
         rows = []
-        for w in np.linspace(w_min, w_max, num):
+        for w in np.linspace(*sweep):
             e = diss.lossy_epsilon(medium, bath, float(w))
-            rows.append((us.from_internal(float(w)), float(e.real), float(e.imag)))
-        if driven_cfg is not None:
+            rows.append((float(w) * ref, float(e.real), float(e.imag)))
+        out = Path(out_dir)
+        artifacts = {"lossy_epsilon.csv": (["omega", "Re_eps", "Im_eps"], rows)}
+        lines = [f"wrote {out / 'lossy_epsilon.csv'} ({len(rows)} rows)"]
+        if driven is not None:
+            w_d, k_d, sheets, z_num = driven
             zs = np.linspace(-geom.lz / 2, geom.lz / 2, z_num)
             th = diss.driven_field(geom, bath, w_d, sheets, k_par=k_d).evaluate(zs)
-    except PolmodesError as exc:
-        _fail(exc, 3)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "lossy_epsilon.csv", ["omega", "Re_eps", "Im_eps"], rows)
-    click.echo(f"wrote {out / 'lossy_epsilon.csv'} ({len(rows)} rows)")
-    if driven_cfg is not None:
-        _write_csv(out / "driven_field.csv", ["z", "Re_theta", "Im_theta"],
-                   [(float(z), float(t.real), float(t.imag)) for z, t in zip(zs, th)])
-        click.echo(f"wrote {out / 'driven_field.csv'}")
+            field = [(float(z), float(t.real), float(t.imag)) for z, t in zip(zs, th)]
+            artifacts["driven_field.csv"] = (["z", "Re_theta", "Im_theta"], field)
+            lines.append(f"wrote {out / 'driven_field.csv'}")
+        return artifacts, lines
+
+    _run(out_dir, lambda: parse_lossy(config_path, units), compute)
 
 
 def _positive_finite(ctx, param, value):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -214,10 +214,13 @@ class LayeredGeometry:
         if not self.area > 0:
             raise ValueError("area must be positive")
         zs = sorted(self.layers, key=lambda l: l.z_min)
-        object.__setattr__(self, "layers", tuple(zs))
         for a, b in zip(zs[:-1], zs[1:]):
             if abs(a.z_max - b.z_min) > 1e-12 * max(1.0, abs(a.z_max)):
                 raise ValueError("layers must partition the box with no gaps/overlaps")
+        # close the gaps and overlaps below the tolerance, so that every z of the box lies
+        # in a layer
+        zs = zs[:1] + [replace(b, z_min=a.z_max) for a, b in zip(zs, zs[1:])]
+        object.__setattr__(self, "layers", tuple(zs))
         lz = zs[-1].z_max - zs[0].z_min
         if abs(zs[0].z_min + lz / 2) > 1e-12 * lz or abs(zs[-1].z_max - lz / 2) > 1e-12 * lz:
             raise ValueError("layers must cover [-Lz/2, Lz/2] symmetrically")

@@ -93,11 +93,6 @@ def matter_weight(mode: PolaritonMode, guard: float | None = None) -> VectorProf
     return mode.theta.profile._conj_mapped(factor)
 
 
-def _mode_momentum(weight: VectorProfile) -> Tuple[float, float]:
-    """In-plane wavevector carried by exp(+i k . r_par) of the weight profile."""
-    return -weight.k_inplane[0], -weight.k_inplane[1]
-
-
 def _contract(flat: List[complex], a) -> List[complex]:
     """Contract the first index of a tensor, flattened in C order, with the 3-vector a."""
     n = len(flat) // 3
@@ -131,8 +126,7 @@ def scattering_coefficient(
     """
     if len(modes) != phi.order:
         raise ValueError(f"need {phi.order} modes for an order-{phi.order} tensor")
-    weights = [matter_weight(md) for md in modes]
-    momenta = [_mode_momentum(w) for w in weights]
+    momenta = [md.theta.profile.k_inplane for md in modes]
     kx, ky = momenta[0]
     for px, py in momenta[1:]:
         kx, ky = kx + px, ky + py
@@ -140,6 +134,7 @@ def scattering_coefficient(
     if math.hypot(kx, ky) > momentum_tol * k_scale:
         return ScatteringAmplitude(0.0 + 0.0j, False, (kx, ky))
 
+    weights = [matter_weight(md) for md in modes]
     n_regions = {len(w.regions) for w in weights}
     if len(n_regions) != 1:
         raise ValueError("modes must share the same layer structure")

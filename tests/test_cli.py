@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polmodes.cli import main
 
@@ -116,6 +119,31 @@ class TestErrorHandling:
         ("dispersion", {"sweep": {"k_min": 0.1, "k_max": math.inf, "num": 5}}, "/sweep/k_max"),
         *[("mode", {"mode": spec}, "/mode" + sub) for spec, sub in BAD_MODE_SPECS],
         *[("scatter", {"tuples": [[spec] * 3]}, "/tuples/0/0" + sub) for spec, sub in BAD_MODE_SPECS],
+        ("scatter", {"phi": {"order": 1, "components": [0.0, 0.0, 1.0]}}, "/phi/order"),
+        ("scatter", {"phi": {"order": 2, "components": np.eye(3).tolist()}}, "/phi/order"),
+        ("scatter", {"phi": {"order": 10**9, "components": [[[0.0] * 3] * 3] * 3}}, "/phi/order"),
+        ("scatter", {"phi": {"order": True, "components": [0.0, 0.0, 1.0]}}, "/phi/order"),
+        ("scatter", {"phi": {"order": 3, "components": [[[math.nan] * 3] * 3] * 3}}, "/phi/components"),
+        ("lossy", {"bath": {"type": "flat", "upsilon": -0.05, "zeta_min": 0.5, "zeta_max": 3.0}},
+         "/bath/upsilon"),
+        ("lossy", {"bath": {"type": "ohmic", "amplitude": -0.1, "cutoff": 1.0}}, "/bath/amplitude"),
+        ("scatter", {"phi_path": 5}, "/phi_path"),
+        ("scatter", {"phi_path": ["phi.json"]}, "/phi_path"),
+        ("scatter", {"phi_path": "."}, "/phi_path"),  # a directory
+        ("dispersion", {"sweep": {"k_min": 0.1, "k_max": 5.0, "num": 10**30}}, "/sweep/num"),
+        ("lossy", {"omega": {"min": 0.2, "max": 2.9, "num": 10**30}}, "/omega/num"),
+        ("mode", {"samples": {"z_num": 10**30}}, "/samples/z_num"),
+        ("lossy", {"driven": {"omega": 1.1, "sheets": [], "z_num": 10**30}}, "/driven/z_num"),
+        ("solve", {"grid": {"n": 10**30}}, "/grid/n"),
+        ("solve", {"profiles": True}, "/profiles"),
+        ("mode", {"samples": {"z_num": True}}, "/samples/z_num"),
+        ("lossy", {"driven": {"omega": 1.1, "sheets": [], "z_num": True}}, "/driven/z_num"),
+        ("solve", {"strict_resolution": "no"}, "/strict_resolution"),
+        ("scatter", {"tuples": [[{"class": "S", "k_par": [2.0, 0.0], "conjugate": "no"}] * 3]},
+         "/tuples/0/0/conjugate"),
+        ("dispersion", {"material": dict(MATERIAL, box={"Lz": 1e308, "A": 1.0})}, "/material/box/Lz"),
+        ("dispersion", {"material": dict(MATERIAL, box={"Lz": 40.0 * (1 + 1e-11), "A": 1.0})},
+         "/material/box/Lz"),
     ])
     def test_malformed_optional_field_exit_2(self, runner, tmp_path, command, extra, pointer):
         base = {
@@ -132,6 +160,33 @@ class TestErrorHandling:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert f"(at {pointer})" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra", [
+        ("lossy", {"omega": {"min": 0.2, "max": 1e308, "num": 5}}),
+        ("lossy", {"driven": {"omega": 1e308, "sheets": [[5.0, 1.0]]}}),
+        ("lossy", {"driven": {"omega": 1.1, "k_par": 1e308, "sheets": [[5.0, 1.0]]}}),
+        ("lossy", {"bath": {"type": "ohmic", "amplitude": 1e200, "cutoff": 1.0}}),
+        ("lossy", {"bath": {"type": "ohmic", "amplitude": 0.1, "cutoff": 1e308}}),
+        ("lossy", {"bath": {"type": "flat", "upsilon": 1e200, "zeta_min": 0.5, "zeta_max": 3.0}}),
+        ("dispersion", {"material": {**MATERIAL, "layers": [
+            {"z_min": -20.0, "z_max": 0.0, "medium": {"omega_TO": 1.0, "omega_LO": 1e308, "rho": 1.0}},
+            MATERIAL["layers"][1]]}}),
+        ("mode", {"mode": {"class": "TMv", "k_par": [0.0, 0.0], "k_z": 1e308}}),
+        ("mode", {"material": dict(MATERIAL, box={"Lz": 40.0, "A": 1e-320})}),  # N = inf
+    ])
+    def test_overflow_exit_3(self, runner, tmp_path, command, extra):
+        base = {
+            "material": MATERIAL, "mode": {"class": "S", "k_par": [2.0, 0.0]},
+            "sweep": {"k_min": 0.1, "k_max": 5.0, "num": 5},
+            "bath": {"type": "flat", "upsilon": 0.05, "zeta_min": 0.5, "zeta_max": 3.0},
+            "omega": {"min": 0.2, "max": 2.9, "num": 5},
+        }
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, dict(base, **extra))
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["mode", "scatter"])
@@ -433,3 +488,93 @@ class TestVerifyCommand:
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert "--tol" in res.stderr
         assert "checks passed" not in res.output and "PASS" not in res.output
+
+
+def _leaf_pointers(node, path=()):
+    """Paths to every scalar of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else None
+    if items is None:
+        return [path]
+    return [p for key, child in items for p in _leaf_pointers(child, path + (key,))]
+
+
+def _cheap_config():
+    """The default config with a 64-cell grid, short sweeps, few samples and a driven sheet."""
+    cfg = json.loads((ROOT / "configs" / "default_interface.json").read_text())
+    cfg["grid"]["n"] = 64
+    cfg["sweep"]["num"] = 8
+    cfg["omega"]["num"] = 8
+    cfg["samples"] = {"z_num": 9}
+    cfg["driven"] = {"omega": 1.1, "k_par": 0.5, "sheets": [[5.0, 1.0, 0.0]], "z_num": 9}
+    return cfg
+
+
+FUZZ_BASE = _cheap_config()
+FUZZ_LEAVES = _leaf_pointers(FUZZ_BASE)
+DROP = object()
+FUZZ_VALUES = [DROP, None, "x", True, [], {}, [[1.0, 2.0], [3.0]], math.nan, math.inf, -math.inf,
+               -1, 0, 1e308, -1e308, 10**30, 1e-320]
+
+
+def _written_floats_finite(out):
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=lambda token: pytest.fail(f"{path.name}: {token}"))
+            continue
+        for line in path.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a label
+                assert math.isfinite(value), f"{path.name}: {line}"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["dispersion", "mode", "solve", "scatter", "lossy"]),
+       leaf=st.sampled_from(FUZZ_LEAVES), value=st.sampled_from(FUZZ_VALUES),
+       units=st.sampled_from(["internal", "cm-1"]))
+def test_fuzzed_config_keeps_the_exit_contract(command, leaf, value, units):
+    # one leaf of a cheap valid config dropped or replaced by a malformed or extreme value
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    parent = cfg
+    for key in leaf[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[leaf[-1]]
+    else:
+        parent[leaf[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg_path.write_text(json.dumps(cfg))
+        res = CliRunner().invoke(main, [command, "--config", str(cfg_path), "--out", str(out), "--units", units])
+        assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+        assert res.exit_code in (0, 2, 3), res.output
+        if res.exit_code:
+            assert not out.exists()
+        else:
+            _written_floats_finite(out)
+
+
+def test_out_naming_a_file_exit_2(runner, tmp_path):
+    cfg = write_cfg(tmp_path, FUZZ_BASE)
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    res = runner.invoke(main, ["dispersion", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert "--out" in res.stderr
+    assert out.read_text() == "kept"
+
+
+def test_failed_write_removes_what_it_wrote(runner, tmp_path):
+    # mode writes mode_profile.csv first; mode_profile.json is a directory and cannot be opened
+    cfg = write_cfg(tmp_path, FUZZ_BASE)
+    out = tmp_path / "out"
+    (out / "mode_profile.json").mkdir(parents=True)
+    res = runner.invoke(main, ["mode", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert "--out" in res.stderr
+    assert [p.name for p in out.iterdir()] == ["mode_profile.json"]
+    assert (out / "mode_profile.json").is_dir()

@@ -148,6 +148,12 @@ class TestGeometry:
         with pytest.raises(ValueError):
             LayeredGeometry((Layer(-2.0, 0.0, medium), Layer(0.0, 3.0, None)), 1.0)
 
+    @pytest.mark.parametrize("z_min", [1e-320, 1e-13, -1e-13])
+    def test_gap_below_tolerance_is_closed(self, medium, z_min):
+        geom = LayeredGeometry((Layer(-2.0, 0.0, medium), Layer(z_min, 2.0, None)), 1.0)
+        assert geom.layers[1].z_min == geom.layers[0].z_max == 0.0
+        assert geom.medium_at(abs(z_min) / 2) is None
+
     def test_homogeneous_box(self, medium):
         geom = homogeneous_box(medium, 8.0, area=2.0)
         assert geom.volume == pytest.approx(16.0)

@@ -13,9 +13,10 @@ from polmodes import (
     normalize,
     surface_dispersion_kpar,
 )
+from polmodes import nonlinear
 from polmodes.errors import PoleAtResonance
 from polmodes.modes import _scaled_mode
-from polmodes.nonlinear import NonlinearTensor, matter_weight, scattering_coefficient
+from polmodes.nonlinear import NonlinearTensor, ScatteringAmplitude, matter_weight, scattering_coefficient
 
 
 def diagonal_phi(order=3):
@@ -117,6 +118,20 @@ class TestScatteringCoefficient:
         res = scattering_coefficient([s_plus, s_plus, bulk], diagonal_phi(), interface)
         assert res.value == 0
         assert not res.momentum_ok
+
+    def test_flagged_tuple_builds_no_weight(self, s_pair_and_bulk, interface, monkeypatch):
+        # the momentum check reads theta's in-plane wavevector, the weight's negated twice
+        s_plus, _, bulk = s_pair_and_bulk
+        modes = [s_plus, s_plus, bulk]
+        weight_momenta = [(-w.k_inplane[0], -w.k_inplane[1]) for w in map(matter_weight, modes)]
+        kx, ky = weight_momenta[0]
+        for px, py in weight_momenta[1:]:
+            kx, ky = kx + px, ky + py
+        calls = []
+        monkeypatch.setattr(nonlinear, "matter_weight", lambda *a, **kw: calls.append(a) or matter_weight(*a, **kw))
+        res = scattering_coefficient(modes, diagonal_phi(), interface)
+        assert calls == []
+        assert res == ScatteringAmplitude(0j, False, (kx, ky))
 
     def test_momentum_conserving_tuple(self, s_pair_and_bulk, interface):
         res = scattering_coefficient(list(s_pair_and_bulk), diagonal_phi(), interface)

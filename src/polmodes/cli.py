@@ -156,8 +156,8 @@ def mode_cmd(config_path, out_dir, units, tol):
             "omega": mode.omega * ref,
             "N": mode.norm,
             "class": idx.mode_class.value,
-            "k_par": list(idx.k_par),
-            "k_z": idx.k_z,
+            "k_par": [k * ref for k in idx.k_par],
+            "k_z": None if idx.k_z is None else idx.k_z * ref,
         }
         return ({"mode_profile.csv": _profile_table(zs, fields), "mode_profile.json": sidecar},
                 [f"wrote {Path(out_dir) / 'mode_profile.csv'} and sidecar"])
@@ -194,7 +194,7 @@ def solve_cmd(config_path, out_dir, units, tol):
 def scatter_cmd(config_path, out_dir, units, tol):
     """Evaluate scattering coefficients for configured mode tuples."""
 
-    def compute(geom, phi, tuples):
+    def compute(geom, ref, phi, tuples):
         lines = []
         if phi.symmetrization_defect > 0:
             lines.append(f"symmetrized phi (defect {phi.symmetrization_defect:.3e})")
@@ -204,9 +204,9 @@ def scatter_cmd(config_path, out_dir, units, tol):
             for idx, conj in specs:
                 mode = md.normalize(md.make_mode(geom, idx), geom)
                 modes.append(md.conjugate_mode(mode) if conj else mode)
-                kz = "" if idx.k_z is None else f":{idx.k_z:g}"
+                kz = "" if idx.k_z is None else f":{idx.k_z * ref:g}"
                 labels.append(f"{'~' if conj else ''}{idx.mode_class.value}"
-                              f"@{idx.k_par[0]:g}/{idx.k_par[1]:g}{kz}")
+                              f"@{idx.k_par[0] * ref:g}/{idx.k_par[1] * ref:g}{kz}")
             res = nl.scattering_coefficient(modes, phi, geom, momentum_tol=tol)
             rows.append((";".join(labels), float(res.value.real), float(res.value.imag),
                          int(res.momentum_ok)))

@@ -8,10 +8,11 @@ Every count (sweep and sample numbers, grid cells, profiles) is an integer of at
 most MAX_COUNT; JSON `true` is not a count.
 
 Frequencies in configs are internal units by default. With units='cm-1' every
-frequency-like entry (omega_TO, omega_LO, sweep bounds, bath frequencies,
-drive frequencies) is divided by the reference omega_TO of the first matter
-layer; lengths are always in units of c/omega_ref. Output frequencies are
-converted back by the same reference.
+frequency-like entry (omega_TO, omega_LO, sweep bounds, bath, window and drive
+frequencies, and every wavevector: k_par, mode k_par and k_z) is divided by the
+reference omega_TO of the first matter layer; lengths are always in units of
+c/omega_ref. Output frequencies and wavevectors are converted back by the same
+reference.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _first_medium(geom: LayeredGeometry):
     raise ConfigError("configuration has no matter layer", "/material/layers")
 
 
-def _mode_spec(spec: dict, pointer: str) -> disp.ModeIndex:
+def _mode_spec(spec: dict, pointer: str, ref: float) -> disp.ModeIndex:
     cls_name = _get(spec, "class", pointer, str)
     try:
         cls = disp.ModeClass(cls_name)
@@ -169,8 +170,8 @@ def _mode_spec(spec: dict, pointer: str) -> disp.ModeIndex:
     k_par = _get(spec, "k_par", pointer, list)
     if len(k_par) != 2:
         raise ConfigError("k_par must be a 2-vector", f"{pointer}/k_par")
-    k_par = (_number(k_par, 0, f"{pointer}/k_par"), _number(k_par, 1, f"{pointer}/k_par"))
-    k_z = None if spec.get("k_z") is None else _number(spec, "k_z", pointer)
+    k_par = (_freq(k_par, 0, f"{pointer}/k_par", ref), _freq(k_par, 1, f"{pointer}/k_par", ref))
+    k_z = None if spec.get("k_z") is None else _freq(spec, "k_z", pointer, ref)
     try:
         return disp.ModeIndex(cls, k_par, k_z)
     except ValueError as exc:
@@ -193,7 +194,7 @@ def parse_dispersion(path, units_mode: str):
 def parse_mode(path, units_mode: str):
     """(geometry, ref, mode index, z samples) of the analytic /mode."""
     cfg, geom, ref = _load(path, units_mode)
-    idx = _mode_spec(_get(cfg, "mode", "", dict), "/mode")
+    idx = _mode_spec(_get(cfg, "mode", "", dict), "/mode", ref)
     z_num = _count(_optional(cfg, "samples", "", dict, {}), "z_num", "/samples", 1, 401)
     return geom, ref, idx, z_num
 
@@ -218,9 +219,9 @@ def parse_solve(path, units_mode: str):
 
 
 def parse_scatter(path, units_mode: str):
-    """(geometry, symmetrized phi, tuples of (mode index, conjugate) pairs). phi comes
-    from /phi, or from the file named by /phi_path."""
-    cfg, geom, _ = _load(path, units_mode)
+    """(geometry, ref, symmetrized phi, tuples of (mode index, conjugate) pairs). phi
+    comes from /phi, or from the file named by /phi_path."""
+    cfg, geom, ref = _load(path, units_mode)
     if "phi_path" in cfg:
         phi_cfg = load_json(_get(cfg, "phi_path", "", str), "/phi_path")
     else:
@@ -241,10 +242,10 @@ def parse_scatter(path, units_mode: str):
     for i, tup in enumerate(_get(cfg, "tuples", "", list)):
         if not isinstance(tup, list) or len(tup) != order:
             raise ConfigError(f"tuple must list {order} modes", f"/tuples/{i}")
-        tuples.append([(_mode_spec(spec, f"/tuples/{i}/{j}"),
+        tuples.append([(_mode_spec(spec, f"/tuples/{i}/{j}", ref),
                         _optional(spec, "conjugate", f"/tuples/{i}/{j}", bool, False))
                        for j, spec in enumerate(tup)])
-    return geom, phi, tuples
+    return geom, ref, phi, tuples
 
 
 def _bath(cfg: dict, medium, ref: float):

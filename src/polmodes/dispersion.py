@@ -80,10 +80,6 @@ class ModeIndex:
                 raise ValueError(f"{cls.value} requires k_z < 0")
 
     @property
-    def k_par_vec(self) -> np.ndarray:
-        return np.asarray(self.k_par, dtype=float)
-
-    @property
     def k_par_mag(self) -> float:
         return float(np.hypot(*self.k_par))
 

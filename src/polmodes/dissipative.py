@@ -20,9 +20,10 @@ its prefactor is pinned operationally by the Kramers-Kronig and damped-Lorentz
 checks in the test suite. Im eps_tilde >= 0 for omega > 0 follows structurally
 because Im F >= 0 and omega_L_tilde >= omega_T.
 
-The flat, ohmic and null baths carry closed forms of F(omega) and of the
-omega_L shift. Any other upsilon is integrated by quadrature, which also
-cross-checks the closed forms in `polmodes verify`.
+Every bath carries its own F(omega) and omega_L shift: the flat, ohmic and
+null baths in closed form, `quadrature_bath` by quadrature of any upsilon,
+which also cross-checks the closed forms in `polmodes verify`. F is even in
+omega, with F(0) = Int upsilon^2 / rho^2, twice the shift.
 
 The principal value is computed by singular subtraction: the numerator is
 frozen at the pole, the difference integrated as an ordinary (smooth)
@@ -63,19 +64,18 @@ _ENDPOINT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BathModel:
-    """Bath coupling spectrum upsilon(zeta) >= 0 on [zeta_min, zeta_max].
-
-    `kernel(omega)` and `shift`, when set, are closed forms of the principal-value
-    kernel F(omega) at omega > 0 and of the omega_L^2 shift Int upsilon^2 / (2 rho^2).
-    A bath without them is integrated by quadrature.
+    """Bath coupling spectrum upsilon(zeta) >= 0 on [zeta_min, zeta_max], with its
+    principal-value kernel `kernel(omega)` = F(omega) at omega > 0 and its omega_L^2 shift
+    Int upsilon^2 / (2 rho^2). `flat_bath`, `ohmic_bath` and `null_bath` set closed forms,
+    `quadrature_bath` integrates any other upsilon.
     """
 
     medium: MediumParams
     upsilon: Callable[[float], float]
     zeta_min: float
     zeta_max: float  # may be math.inf
-    kernel: Optional[Callable[[float], float]] = None
-    shift: Optional[float] = None
+    kernel: Callable[[float], float]
+    shift: float
 
     def __post_init__(self):
         if self.zeta_min < 0 or not self.zeta_max > self.zeta_min:
@@ -94,35 +94,38 @@ def _no_coupling(omega: float) -> float:
     return 0.0
 
 
-def _with_closed_forms(bath: BathModel, valid: bool, scale: float, kernel, shift: float) -> BathModel:
-    """bath with the closed forms kernel and shift, whose common factor is scale, where the
-    parameters are valid and the shift finite; else bath as it is, for quadrature (which
-    rejects a negative coupling on use)."""
-    if not (valid and math.isfinite(shift)):
-        return bath
-    return replace(bath, kernel=kernel if scale > 0 else _no_coupling, shift=shift)
-
-
 def flat_bath(medium: MediumParams, upsilon0: float, zeta_min: float, zeta_max: float) -> BathModel:
-    """Constant coupling on a compact band [a, b], with the closed forms
+    """Constant coupling upsilon0 >= 0 on a finite band [a, b], with the closed forms
 
         F(omega) = upsilon0^2/rho^2 [(b - a) + (omega/2) ln|(b - omega)(a + omega) / ((b + omega)(a - omega))|],
         shift    = upsilon0^2 (b - a) / (2 rho^2).
+
+    F raises SingularEndpoint for omega on a band edge (to 1e-9 relative), where it diverges;
+    a shift beyond the float range raises OverflowError.
     """
+    if not (upsilon0 >= 0 and math.isfinite(zeta_max)):
+        raise ValueError("a flat bath needs upsilon0 >= 0 on a finite band")
     c = (upsilon0 / medium.rho) ** 2
+    shift = c * (zeta_max - zeta_min) / 2
+    if shift == math.inf:
+        raise OverflowError(f"the shift of the flat bath {upsilon0} on [{zeta_min}, {zeta_max}]")
+    edge = _ENDPOINT_TOL * zeta_max
 
     def kernel(omega):
+        if zeta_min <= omega <= zeta_max and min(omega - zeta_min, zeta_max - omega) < edge:
+            raise SingularEndpoint(f"omega={omega} on an edge of the band [{zeta_min}, {zeta_max}]")
         return c * ((zeta_max - zeta_min) + omega**2 * _pv_log_primitive(zeta_min, zeta_max, omega))
 
-    bath = BathModel(medium, lambda z: upsilon0, zeta_min, zeta_max)
-    return _with_closed_forms(bath, upsilon0 >= 0, c, kernel, c * (zeta_max - zeta_min) / 2)
+    return BathModel(medium, lambda z: upsilon0, zeta_min, zeta_max,
+                     kernel if c > 0 else _no_coupling, shift)
 
 
 _ASYMPTOTIC_X = 60.0
 
 
 def ohmic_bath(medium: MediumParams, amplitude: float, cutoff: float) -> BathModel:
-    """Ohmic spectrum with exponential cutoff: upsilon^2 = amplitude^2 zeta exp(-zeta/cutoff).
+    """Ohmic spectrum with exponential cutoff: upsilon^2 = amplitude^2 zeta exp(-zeta/cutoff),
+    for amplitude >= 0 and a finite cutoff > 0.
 
     With x = omega/cutoff, E1 and Ei the exponential integrals and A = amplitude,
 
@@ -133,6 +136,8 @@ def ohmic_bath(medium: MediumParams, amplitude: float, cutoff: float) -> BathMod
     x = 60 on, where the leading cancellation would cost digits and e^x later
     overflows, the asymptotic series is summed instead (accurate to ~1e-16 there).
     """
+    if not (amplitude >= 0 and 0 < cutoff < math.inf):
+        raise ValueError("an ohmic bath needs amplitude >= 0 and a finite cutoff > 0")
     c = (amplitude * cutoff / medium.rho) ** 2
 
     def kernel(omega):
@@ -149,13 +154,23 @@ def ohmic_bath(medium: MediumParams, amplitude: float, cutoff: float) -> BathMod
 
         return c * (1.0 + 0.5 * x * x * (math.exp(x) * exp1(x) - math.exp(-x) * expi(x)))
 
-    bath = BathModel(medium, lambda z: amplitude * math.sqrt(z) * math.exp(-z / (2.0 * cutoff)), 0.0, math.inf)
-    return _with_closed_forms(bath, amplitude >= 0 and cutoff > 0, c, kernel, c / 2)
+    return BathModel(medium, lambda z: amplitude * math.sqrt(z) * math.exp(-z / (2.0 * cutoff)),
+                     0.0, math.inf, kernel if c > 0 else _no_coupling, c / 2)
 
 
 def null_bath(medium: MediumParams) -> BathModel:
     """Zero coupling: the lossless limit."""
     return BathModel(medium, lambda z: 0.0, 0.0, 1.0, _no_coupling, 0.0)
+
+
+def quadrature_bath(medium: MediumParams, upsilon: Callable[[float], float],
+                    zeta_min: float, zeta_max: float) -> BathModel:
+    """A bath of any coupling upsilon on [zeta_min, zeta_max] (zeta_max may be math.inf):
+    F(omega) by quadrature on every call (`_quadrature_kernel_F`), and the omega-independent
+    shift integrated once, here. A divergent shift raises DivergentBathIntegral."""
+    support = BathModel(medium, upsilon, zeta_min, zeta_max, _no_coupling, 0.0)
+    return replace(support, kernel=functools.partial(_quadrature_kernel_F, support),
+                   shift=_bath_shift_integral(support))
 
 
 def _pv_log_primitive(a: float, b: float, w: float) -> float:
@@ -196,18 +211,11 @@ def renormalized_omega_L(m: MediumParams, bath: BathModel) -> float:
     """Bath-shifted longitudinal frequency omega_L_tilde; m must be the bath's medium."""
     if bath.medium != m:
         raise BathMediumMismatch(f"bath bound to {bath.medium} used with medium {m}")
-    shift = _bath_shift_integral(bath) if bath.shift is None else bath.shift
-    return math.sqrt(m.omega_T**2 + m.kappa**2 / (EPS0 * m.rho) + shift)
+    return math.sqrt(m.omega_T**2 + m.kappa**2 / (EPS0 * m.rho) + bath.shift)
 
 
-@functools.lru_cache(maxsize=128)
 def _bath_shift_integral(bath: BathModel) -> float:
-    """Int upsilon^2 / (2 rho^2) over the bath support.
-
-    It does not depend on omega, so it is computed once per bath (BathModel is
-    frozen and hashes by its medium, its upsilon object and its support). A
-    divergent integral raises on every call: exceptions are not cached.
-    """
+    """Int upsilon^2 / (2 rho^2) over the bath support, or DivergentBathIntegral."""
     from scipy.integrate import IntegrationWarning, quad
 
     rho2 = bath.medium.rho**2
@@ -224,33 +232,21 @@ def _bath_shift_integral(bath: BathModel) -> float:
     return val
 
 
-def _pv_upper_end(bath: BathModel, omega: float) -> float:
-    """Upper end of the principal-value part: zeta_max, or for an infinite support
-    the split point past which the integrand is regular (a plain tail integral)."""
-    if math.isinf(bath.zeta_max):
-        return max(4.0 * omega, 4.0 * bath.zeta_min + 1.0)
-    return bath.zeta_max
-
-
 def bath_kernel_F(bath: BathModel, omega: float) -> float:
     """Real principal-value kernel F(omega) of the bath elimination.
 
-    The bath's closed form where it has one. Quadrature (`_quadrature_kernel_F`)
-    for any other bath, for omega <= 0 or not finite, and for omega on a support
-    end where upsilon(omega) != 0, which raises SingularEndpoint.
+    F depends on omega^2 only, so this is the bath's kernel at |omega|; at omega = 0,
+    where F = Int upsilon^2 / rho^2, it is twice the bath's shift.
     """
-    if bath.kernel is None or not 0 < omega < math.inf:
-        return _quadrature_kernel_F(bath, omega)
-    if bath.upsilon_at(omega) != 0.0:
-        a, b = bath.zeta_min, _pv_upper_end(bath, omega)
-        if min(abs(omega - a), abs(omega - b)) < _ENDPOINT_TOL * max(a, b, omega):
-            return _quadrature_kernel_F(bath, omega)
-    return bath.kernel(omega)
+    if not math.isfinite(omega):
+        raise ValueError(f"bath_kernel_F needs a finite omega, got {omega}")
+    return bath.kernel(abs(omega)) if omega else 2.0 * bath.shift
 
 
 def _quadrature_kernel_F(bath: BathModel, omega: float) -> float:
-    """F(omega) by quadrature of upsilon: the principal value by singular subtraction
-    on [zeta_min, b], plus a plain tail integral beyond b for an infinite support."""
+    """F(omega) at omega > 0 by quadrature of upsilon: the principal value by singular
+    subtraction on [zeta_min, b], where b is zeta_max or, for an infinite support, a split
+    point past which a plain tail integral is regular."""
     from scipy.integrate import quad
 
     rho2 = bath.medium.rho**2
@@ -258,12 +254,11 @@ def _quadrature_kernel_F(bath: BathModel, omega: float) -> float:
     def g(z):
         return bath.upsilon_at(z) ** 2 * z**2 / rho2
 
-    b = _pv_upper_end(bath, omega)
-    total = principal_value_integral(g, bath.zeta_min, b, omega)
     if math.isinf(bath.zeta_max):
+        b = max(4.0 * omega, 4.0 * bath.zeta_min + 1.0)
         tail, _ = quad(lambda z: g(z) / (z**2 - omega**2), b, np.inf, limit=400, epsabs=0)
-        total += tail
-    return total
+        return principal_value_integral(g, bath.zeta_min, b, omega) + tail
+    return principal_value_integral(g, bath.zeta_min, bath.zeta_max, omega)
 
 
 def lossy_epsilon(m: MediumParams, bath: BathModel, omega: float) -> complex:
@@ -278,17 +273,6 @@ def lossy_epsilon(m: MediumParams, bath: BathModel, omega: float) -> complex:
     if den == 0:
         raise PoleAtResonance(f"eps_tilde has a pole at omega={omega}: the bath does not damp it")
     return (wl2 - omega**2 - f) / den
-
-
-@dataclass(frozen=True)
-class ComplexDielectric:
-    """Frequency evaluator omega -> eps_tilde(omega) for one medium and bath."""
-
-    medium: MediumParams
-    bath: BathModel
-
-    def __call__(self, omega: float) -> complex:
-        return lossy_epsilon(self.medium, self.bath, omega)
 
 
 def y_to_source_current(m: MediumParams, bath: BathModel, omega: float, y: complex) -> complex:
@@ -382,43 +366,24 @@ def driven_field(
     qs = [np.sqrt(complex(u * e - k_par**2)) for _, _, e in segs]
     qs = [q if (q.imag > 0 or (q.imag == 0 and q.real >= 0)) else -q for q in qs]
 
-    # unknowns: top segment a only, bottom segment b only, two per inner segment
-    cols: List[Tuple[int, str]] = []
-    for i in range(n_seg):
-        if i > 0:
-            cols.append((i, "a"))
-        if i < n_seg - 1:
-            cols.append((i, "b"))
-    col_of = {key: j for j, key in enumerate(cols)}
-    dim = len(cols)
-    mat = np.zeros((dim, dim), dtype=complex)
+    # rows 2i and 2i + 1: continuity of theta and the derivative jump
+    # theta'(+) - theta'(-) = -i omega J at boundary i, over the columns (a_i, b_i, a_i+1, b_i+1)
+    # of the unknowns (a_0, b_0, a_1, b_1, ...)
+    dim = 2 * n_seg - 2
+    full = np.zeros((dim, dim + 2), dtype=complex)
     rhs = np.zeros(dim, dtype=complex)
     sheet_at = {float(z): complex(j) for z, j in sheets}
-
-    row = 0
     for i in range(n_seg - 1):
-        zb = segs[i][1]
         qi, qj = qs[i], qs[i + 1]
-        d_i = segs[i][1] - segs[i][0]
-        d_j = segs[i + 1][1] - segs[i + 1][0]
-        # values and derivatives at the boundary, per unknown
-        def add(row, key, val):
-            if key in col_of:
-                mat[row, col_of[key]] += val
-
-        # continuity of theta
-        add(row, (i, "a"), np.exp(1j * qi * d_i))
-        add(row, (i, "b"), 1.0)
-        add(row, (i + 1, "a"), -1.0)
-        add(row, (i + 1, "b"), -np.exp(1j * qj * d_j))
-        row += 1
-        # derivative jump: theta'(+) - theta'(-) = -i omega J
-        add(row, (i + 1, "a"), 1j * qj)
-        add(row, (i + 1, "b"), -1j * qj * np.exp(1j * qj * d_j))
-        add(row, (i, "a"), -1j * qi * np.exp(1j * qi * d_i))
-        add(row, (i, "b"), 1j * qi)
-        rhs[row] = -1j * omega * sheet_at.get(zb, 0.0)
-        row += 1
+        e_i = np.exp(1j * qi * (segs[i][1] - segs[i][0]))
+        e_j = np.exp(1j * qj * (segs[i + 1][1] - segs[i + 1][0]))
+        full[2 * i:2 * i + 2, 2 * i:2 * i + 4] = (
+            (e_i, 1.0, -1.0, -e_j),
+            (-1j * qi * e_i, 1j * qi, 1j * qj, -1j * qj * e_j),
+        )
+        rhs[2 * i + 1] = -1j * omega * sheet_at.get(segs[i][1], 0.0)
+    # the radiation conditions remove a_0 and b_n-1: no wave comes in from outside the box
+    mat = full[:, 1:-1]
 
     try:
         sol = np.linalg.solve(mat, rhs)
@@ -428,11 +393,9 @@ def driven_field(
     if resid > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
         raise NonConvergentTransfer(f"layer system ill-conditioned, residual {resid}")
 
-    segments = []
-    for i, (z0, z1, e) in enumerate(segs):
-        a = sol[col_of[(i, "a")]] if (i, "a") in col_of else 0.0
-        b = sol[col_of[(i, "b")]] if (i, "b") in col_of else 0.0
-        segments.append(_Segment(z0, z1, qs[i], complex(a), complex(b), e))
+    coef = [0.0, *sol.tolist(), 0.0]  # (a_0, b_0, ..., a_n-1, b_n-1)
+    segments = [_Segment(z0, z1, q, complex(coef[2 * i]), complex(coef[2 * i + 1]), e)
+                for i, ((z0, z1, e), q) in enumerate(zip(segs, qs))]
     return DrivenFieldSolution(omega, k_par, tuple(segments))
 
 

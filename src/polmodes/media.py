@@ -192,10 +192,6 @@ class Layer:
         if not self.z_max > self.z_min:
             raise ValueError("layer must have z_max > z_min")
 
-    @property
-    def thickness(self) -> float:
-        return self.z_max - self.z_min
-
 
 @dataclass(frozen=True)
 class LayeredGeometry:
@@ -244,12 +240,6 @@ class LayeredGeometry:
     def epsilon_at(self, omega: float, z: float, guard: Optional[float] = None) -> float:
         med = self.medium_at(z)
         return 1.0 if med is None else epsilon(med, omega, guard)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        meds = {id(l.medium) if l.medium is None else (l.medium.omega_T, l.medium.rho, l.medium.kappa)
-                for l in self.layers}
-        return len(meds) == 1
 
 
 def homogeneous_box(medium: Optional[MediumParams], lz: float, area: float = 1.0) -> LayeredGeometry:

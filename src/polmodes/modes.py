@@ -255,10 +255,6 @@ class PolaritonMode:
     theta: ThetaProfile
     hopfield: HopfieldProfile
 
-    @property
-    def energy_sign(self) -> int:
-        return 1 if self.omega > 0 else -1
-
 
 # ---------------------------------------------------------------------------
 # vertical wavenumbers and Fresnel coefficients
@@ -348,11 +344,6 @@ def _classify(geom: LayeredGeometry):
     raise UnsupportedGeometry(
         "unsupported geometry for analytic modes (need medium below z=0, vacuum above)"
     )
-
-
-def mode_frequency(geom: LayeredGeometry, idx: ModeIndex) -> float:
-    """Positive eigenfrequency of the labelled mode."""
-    return _frequency(*_classify(geom), idx)
 
 
 def _frequency(kind: str, medium: Optional[MediumParams], idx: ModeIndex) -> float:

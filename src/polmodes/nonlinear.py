@@ -24,7 +24,6 @@ primitives.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
@@ -54,11 +53,12 @@ class NonlinearTensor:
             raise ValueError("nonlinear tensor order must be >= 3")
         if a.shape != (3,) * order:
             raise ValueError(f"expected shape {(3,) * order}, got {a.shape}")
-        sym = np.zeros_like(a)
-        perms = list(itertools.permutations(range(order)))
-        for p in perms:
-            sym += np.transpose(a, p)
-        sym /= len(perms)
+        # the average over all index permutations is the mean over each multiset of
+        # indices, which the sorted index tuple labels
+        multiset = np.ravel_multi_index(np.sort(np.indices(a.shape).reshape(order, -1), axis=0),
+                                        a.shape)
+        sums, counts = np.bincount(multiset, weights=a.ravel()), np.bincount(multiset)
+        sym = (sums[multiset] / counts[multiset]).reshape(a.shape)
         defect = float(np.max(np.abs(sym - a)))
         return NonlinearTensor(order, sym, defect)
 

@@ -427,7 +427,7 @@ def check_lossless_limit(tol: float = 1e-12) -> VerifyResult:
 
 def check_pv_closed_form(tol: float = 1e-8) -> VerifyResult:
     """The closed-form kernel F and omega_L^2 shift of the flat bath (0.05 on [0.5, 3])
-    and of three ohmic baths against the quadrature route on the same upsilon, at omega
+    and of three ohmic baths against `quadrature_bath` on the same upsilon, at omega
     below, inside and above the flat band, on both sides of an ohmic cutoff, and far
     above a low cutoff (where F is ~1e-11, far below quad's default absolute tolerance)."""
     m = media.default_medium()
@@ -437,7 +437,7 @@ def check_pv_closed_form(tol: float = 1e-8) -> VerifyResult:
              (diss.ohmic_bath(m, 0.1, 0.01), (2.0, 5.0)))
     worst = 0.0
     for bath, omegas in cases:
-        quadrature = replace(bath, kernel=None, shift=None)
+        quadrature = diss.quadrature_bath(bath.medium, bath.upsilon, bath.zeta_min, bath.zeta_max)
         for w in omegas:
             closed, numeric = diss.bath_kernel_F(bath, w), diss.bath_kernel_F(quadrature, w)
             worst = max(worst, abs(closed - numeric) / abs(numeric))

@@ -315,6 +315,24 @@ class TestModeCommand:
             assert f"{field}_x_re" in header and f"{field}_z_im" in header
 
 
+    def test_cm1_units_agree_with_dispersion(self, runner, tmp_path):
+        # omega_TO = 500 cm-1: the surface mode at k_par = 1000 cm-1 in both commands
+        scaled = json.loads(json.dumps(MATERIAL))
+        scaled["layers"][0]["medium"] = {"omega_TO": 500.0, "omega_LO": 600.0, "rho": 1.0}
+        cfg = write_cfg(tmp_path, {"material": scaled,
+                                   "mode": {"class": "S", "k_par": [1000.0, 0.0]},
+                                   "sweep": {"k_min": 1000.0, "k_max": 2000.0, "num": 2}})
+        for command in ("dispersion", "mode"):
+            res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path),
+                                       "--units", "cm-1"])
+            assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in (tmp_path / "dispersion.csv").read_text().splitlines()]
+        (surface,) = [float(r[3]) for r in rows if r[0] == "S" and float(r[1]) == 1000.0]
+        sidecar = json.loads((tmp_path / "mode_profile.json").read_text())
+        assert sidecar["k_par"] == [1000.0, 0.0]
+        assert sidecar["omega"] == pytest.approx(surface, rel=1e-12)
+
+
 class TestSolveCommand:
     def test_windowed_solve_with_profile(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -366,6 +384,18 @@ class TestScatterCommand:
         assert ok_row[3] == "1" and bad_row[3] == "0"
         assert float(bad_row[1]) == 0.0 and float(bad_row[2]) == 0.0
         assert abs(complex(float(ok_row[1]), float(ok_row[2]))) > 0
+
+    def test_order_ten_phi(self, runner, tmp_path):
+        # 3^10 components: symmetrized per multiset of indices, not over 10! permutations
+        k = 1.2585
+        spec = [{"class": "S", "k_par": [sign * k, 0.0]} for sign in (1, -1) * 5]
+        phi = np.random.default_rng(10).standard_normal((3,) * 10)
+        cfg = write_cfg(tmp_path, {"material": MATERIAL, "tuples": [spec],
+                                   "phi": {"order": 10, "components": phi.tolist()}})
+        res = runner.invoke(main, ["scatter", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        row = (tmp_path / "scattering.csv").read_text().splitlines()[1].split(",")
+        assert row[3] == "1" and abs(complex(float(row[1]), float(row[2]))) > 0
 
 
 class TestLossyCommand:
@@ -446,19 +476,37 @@ def test_cli_import_defers_scipy_integrate():
     assert res.stdout.strip() == "[]"
 
 
+# runs the CLI on sys.argv and prints its exit code and the SciPy modules it loaded
+RUN_CLI = ("import sys\nfrom polmodes.cli import main\n"
+           "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+           f"print(code, {SCIPY_MODULES})")
+
+
 @pytest.mark.parametrize("command,artifact", [("dispersion", "dispersion.csv"),
                                               ("lossy", "lossy_epsilon.csv"),
                                               ("mode", "mode_profile.csv"),
                                               ("scatter", "scattering.csv")])
 def test_command_runs_without_scipy(tmp_path, command, artifact):
-    code = ("import sys\nfrom polmodes.cli import main\n"
-            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
-            f"print(code, {SCIPY_MODULES})")
-    res = fresh_python(code, command, "--config", str(ROOT / "configs" / "default_interface.json"),
-                       "--out", str(tmp_path))
+    res = fresh_python(RUN_CLI, command, "--config",
+                       str(ROOT / "configs" / "default_interface.json"), "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / artifact).exists()
+
+
+def test_ohmic_lossy_runs_without_quadrature(tmp_path):
+    # the ohmic closed form needs scipy.special's exponential integrals, and nothing else
+    cfg = json.loads((ROOT / "configs" / "default_interface.json").read_text())
+    cfg["bath"] = {"type": "ohmic", "amplitude": 0.1, "cutoff": 2.0}
+    cfg["driven"] = {"omega": 1.1, "k_par": 0.7, "sheets": [[-3.0, 1.0, 0.2], [2.0, 0.5]]}
+    res = fresh_python(RUN_CLI, "lossy", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    code, loaded = res.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0" and "'scipy.special'" in loaded
+    for package in ("scipy.integrate", "scipy.linalg", "scipy.sparse"):
+        assert f"'{package}'" not in loaded and f"'{package}." not in loaded
+    assert (tmp_path / "driven_field.csv").exists()
 
 
 @pytest.mark.parametrize("k_max", [1e150, 1e160])

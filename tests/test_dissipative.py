@@ -16,8 +16,6 @@ from polmodes import (
 )
 from polmodes.media import Layer, LayeredGeometry
 from polmodes.dissipative import (
-    BathModel,
-    ComplexDielectric,
     bath_kernel_F,
     driven_field,
     flat_bath,
@@ -27,6 +25,7 @@ from polmodes.dissipative import (
     ohmic_bath,
     power_balance,
     principal_value_integral,
+    quadrature_bath,
     renormalized_omega_L,
     source_current_to_y,
     y_to_source_current,
@@ -40,8 +39,8 @@ def bath(medium):
 
 
 def generic(bath):
-    """The same upsilon as a bath without closed forms: the quadrature route."""
-    return BathModel(bath.medium, bath.upsilon, bath.zeta_min, bath.zeta_max)
+    """The same upsilon as a bath integrated by quadrature."""
+    return quadrature_bath(bath.medium, bath.upsilon, bath.zeta_min, bath.zeta_max)
 
 
 class TestRenormalization:
@@ -78,15 +77,13 @@ class TestRenormalization:
         assert renormalized_omega_L(m, generic(bath)) == pytest.approx(expected, rel=1e-12)
 
     def test_divergent_bath(self, medium):
-        b = BathModel(medium, lambda z: 1.0, 0.0, math.inf)
         with pytest.raises(DivergentBathIntegral):
-            renormalized_omega_L(medium, b)
+            quadrature_bath(medium, lambda z: 1.0, 0.0, math.inf)
 
     def test_divergent_bath_raises_on_every_call(self, medium):
-        b = BathModel(medium, lambda z: 1.0, 0.0, math.inf)
         for _ in range(3):
             with pytest.raises(DivergentBathIntegral):
-                lossy_epsilon(medium, b, 1.1)
+                quadrature_bath(medium, lambda z: 1.0, 0.0, math.inf)
 
     def test_shift_integrated_once_per_bath(self, medium, monkeypatch):
         import scipy.integrate
@@ -113,14 +110,15 @@ class TestRenormalization:
             assert callers == []
         assert bath_kernel_F(null_bath(medium), 1.0) == 0.0 and callers == []
 
-    def test_unphysical_couplings_keep_the_quadrature_route(self, medium):
-        # a negative coupling is rejected on use; a growing or an infinite one has no closed form
-        for bath in (flat_bath(medium, -0.05, 0.5, 3.0), ohmic_bath(medium, -0.1, 2.0),
-                     ohmic_bath(medium, 0.1, -2.0), flat_bath(medium, 0.05, 0.5, math.inf),
-                     ohmic_bath(medium, 0.1, math.inf)):
-            assert bath.kernel is None and bath.shift is None
-        with pytest.raises(ValueError):
-            lossy_epsilon(medium, flat_bath(medium, -0.05, 0.5, 3.0), 0.2)
+    def test_unphysical_couplings_rejected_at_construction(self, medium):
+        # a negative coupling, a growing one or an infinite one has no closed form
+        for make, args in ((flat_bath, (-0.05, 0.5, 3.0)), (ohmic_bath, (-0.1, 2.0)),
+                           (ohmic_bath, (0.1, -2.0)), (flat_bath, (0.05, 0.5, math.inf)),
+                           (ohmic_bath, (0.1, math.inf))):
+            with pytest.raises(ValueError):
+                make(medium, *args)
+        with pytest.raises(OverflowError):  # a shift beyond the float range
+            flat_bath(medium, 1e154, 0.0, 10.0)
 
     def test_bath_bound_to_another_medium(self, medium):
         other = from_phonon_frequencies(1.0, 1.2, 2.0)
@@ -183,15 +181,19 @@ class TestBathKernel:
         bath = ohmic_bath(medium, 0.1, cutoff)
         assert bath_kernel_F(generic(bath), w) == pytest.approx(bath_kernel_F(bath, w), rel=1e-10, abs=0)
 
-    def test_nonpositive_omega_takes_the_quadrature_route(self, medium, bath):
-        for b, omegas in ((bath, (0.0, -0.2, -5.0)), (ohmic_bath(medium, 0.1, 2.0), (0.0, -0.1))):
-            for w in omegas:
-                assert bath_kernel_F(b, w) == bath_kernel_F(generic(b), w)
+    def test_kernel_is_even_in_omega(self, medium, bath):
+        # F depends on omega^2 only; at omega = 0 it is Int upsilon^2/rho^2, twice the shift
+        ohmic = ohmic_bath(medium, 0.1, 2.0)
+        for b in (bath, ohmic, generic(bath), generic(ohmic), null_bath(medium)):
+            for w in (0.2, 1.0, 2.2, 5.0):  # below, inside and above the flat band
+                assert bath_kernel_F(b, -w) == bath_kernel_F(b, w)
+            assert bath_kernel_F(b, 0.0) == 2.0 * b.shift
+            with pytest.raises(ValueError):
+                bath_kernel_F(b, math.inf)
             with pytest.raises(ValueError):
                 lossy_epsilon(medium, b, 0.0)
-        # outside the band the kernel is even in omega
-        assert bath_kernel_F(bath, -5.0) == pytest.approx(bath_kernel_F(bath, 5.0), rel=1e-10)
         assert bath_kernel_F(bath, 0.0) == pytest.approx(0.05**2 * 2.5 / medium.rho**2, rel=1e-14)
+        assert bath_kernel_F(ohmic, 0.0) == pytest.approx(0.1**2 * 4.0 / medium.rho**2, rel=1e-14)
 
     def test_pv_primitive_antisymmetry(self):
         # P Int over a symmetric window of 1/(z^2-w^2) vanishes as the window
@@ -253,10 +255,6 @@ class TestLossyEpsilon:
                 lambda z: lossy_epsilon(medium, bath, z).imag, (0.5, 3.0), w,
                 breakpoints=[w_res - 0.02, w_res + 0.02])
             assert abs(rec - target) < 0.01 * (1.0 + abs(target))
-
-    def test_complex_dielectric_evaluator(self, medium, bath):
-        eps_t = ComplexDielectric(medium, bath)
-        assert eps_t(1.1) == lossy_epsilon(medium, bath, 1.1)
 
     def test_y_current_roundtrip(self, medium, bath):
         y = 0.3 + 0.1j

@@ -157,5 +157,3 @@ class TestGeometry:
     def test_homogeneous_box(self, medium):
         geom = homogeneous_box(medium, 8.0, area=2.0)
         assert geom.volume == pytest.approx(16.0)
-        assert geom.is_homogeneous
-        assert not vacuum_interface(medium, 8.0).is_homogeneous

@@ -66,6 +66,17 @@ class TestNonlinearTensor:
         sym = diagonal_phi()
         assert sym.symmetrization_defect == 0.0
 
+    @pytest.mark.parametrize("order", [3, 4, 5, 6, 7])
+    def test_symmetrization_is_the_permutation_average(self, rng, order):
+        arr = rng.standard_normal((3,) * order)
+        perms = list(itertools.permutations(range(order)))
+        ref = sum(np.transpose(arr, p) for p in perms) / len(perms)
+        phi = NonlinearTensor.from_array(arr)
+        scale = np.max(np.abs(arr))
+        np.testing.assert_allclose(phi.components, ref, rtol=0, atol=1e-13 * scale)
+        assert phi.symmetrization_defect == pytest.approx(np.max(np.abs(ref - arr)), rel=0,
+                                                          abs=1e-13 * scale)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             NonlinearTensor.from_array(np.zeros((3, 3)))

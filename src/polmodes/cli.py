@@ -167,22 +167,26 @@ def mode_cmd(config_path, out_dir, units, tol):
 
 @main.command("solve")
 @_common_options
-@click.option("--tol", default=1e-10, type=float, help="degenerate-norm detection tolerance")
-def solve_cmd(config_path, out_dir, units, tol):
-    """Solve the discretized eigensystem; emit eigenfrequencies and profiles."""
+def solve_cmd(config_path, out_dir, units):
+    """Solve the discretized eigensystem; emit the eigenfrequencies in the window and
+    profiles of the first of them."""
     from . import realspace as rs
 
     def compute(geom, ref, n, k_par, pol, window, n_profiles, strict):
         grid = rs.Grid1D(n, geom.lz)
         op = rs.assemble_operator(geom, grid, k_par, pol, strict_resolution=strict)
-        sol = rs.solve_spectrum(op, window=window, norm_tol=tol)
-        omegas = [(i, float(w) * ref) for i, w in enumerate(sol.omegas)]
-        artifacts = {"eigenfrequencies.csv": (["index", "omega"], omegas)}
-        shown = min(n_profiles, sol.omegas.size)
+        sol = rs.solve_spectrum(op)
+        omegas, vectors = sol.omegas, sol.vectors
+        if window is not None:
+            sel = (omegas >= window[0]) & (omegas <= window[1])
+            omegas, vectors = omegas[sel], vectors[:, sel]
+        artifacts = {"eigenfrequencies.csv": (["index", "omega"],
+                                              [(i, float(w) * ref) for i, w in enumerate(omegas)])}
+        shown = min(n_profiles, omegas.size)
         for i in range(shown):
-            fields = rs.reconstruct_node_fields(op, sol.vectors[:, i], float(sol.omegas[i]))
+            fields = rs.reconstruct_node_fields(op, vectors[:, i], float(omegas[i]))
             artifacts[f"mode_{i:04d}.csv"] = _profile_table(grid.nodes, fields)
-        return artifacts, [f"wrote {sol.omegas.size} eigenfrequencies"
+        return artifacts, [f"wrote {omegas.size} eigenfrequencies"
                            + (f" and {shown} profiles" if n_profiles else "")]
 
     _run(out_dir, lambda: parse_solve(config_path, units), compute)

@@ -45,7 +45,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -372,7 +372,10 @@ def driven_field(
     dim = 2 * n_seg - 2
     full = np.zeros((dim, dim + 2), dtype=complex)
     rhs = np.zeros(dim, dtype=complex)
-    sheet_at = {float(z): complex(j) for z, j in sheets}
+    sheet_at: Dict[float, complex] = {}  # the summed current of the sheets at each z
+    for z, j in sheets:
+        z, j = float(z), complex(j)
+        sheet_at[z] = sheet_at[z] + j if z in sheet_at else j
     for i in range(n_seg - 1):
         qi, qj = qs[i], qs[i + 1]
         e_i = np.exp(1j * qi * (segs[i][1] - segs[i][0]))

@@ -36,10 +36,6 @@ class ResolutionTooCoarse(PolmodesError):
     """Grid spacing violates the shortest-wavelength resolution advisory."""
 
 
-class DegenerateKreinNorm(PolmodesError):
-    """An eigenvector has (near-)zero indefinite norm: spurious or null mode."""
-
-
 class IncompleteSpectrum(PolmodesError):
     """Completeness check requested on a partially solved spectrum."""
 

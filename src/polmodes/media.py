@@ -35,7 +35,7 @@ EPS0 = 1.0
 MU0 = 1.0
 C = 1.0
 
-# Default pole guard, as a frequency distance relative to omega_T.
+# Pole guard, as a frequency distance relative to omega_T.
 POLE_GUARD_REL = 1e-9
 
 
@@ -84,10 +84,6 @@ def longitudinal_frequency(m: MediumParams) -> float:
     return math.sqrt(m.omega_T**2 + m.kappa**2 / (EPS0 * m.rho))
 
 
-def _guard_value(m: MediumParams, guard: Optional[float]) -> float:
-    return POLE_GUARD_REL * m.omega_T if guard is None else guard
-
-
 def _real(omega):
     """omega as a float if it is a scalar, else as a float array.
 
@@ -105,14 +101,14 @@ def _near(w, center: float, g: float) -> bool:
     return hit if isinstance(hit, bool) else bool(hit.any())
 
 
-def epsilon(m: MediumParams, omega, guard: Optional[float] = None):
+def epsilon(m: MediumParams, omega):
     """Lossless Lorentz dielectric function (omega_L^2 - omega^2)/(omega_T^2 - omega^2).
 
     Accepts scalars (returns a float) or arrays. Raises PoleAtResonance when any
-    |omega| is within the guard distance of the pole at omega_T; callers must
+    |omega| is within POLE_GUARD_REL * omega_T of the pole at omega_T; callers must
     handle the pole explicitly because the coefficient maps diverge there.
     """
-    g = _guard_value(m, guard)
+    g = POLE_GUARD_REL * m.omega_T
     w = _real(omega)
     if _near(w, m.omega_T, g):
         raise PoleAtResonance(f"omega within {g} of the resonance at {m.omega_T}")
@@ -120,9 +116,9 @@ def epsilon(m: MediumParams, omega, guard: Optional[float] = None):
     return (m.omega_L**2 - w2) / (m.omega_T**2 - w2)
 
 
-def epsilon_derivative(m: MediumParams, omega, guard: Optional[float] = None):
+def epsilon_derivative(m: MediumParams, omega):
     """Closed-form d(epsilon)/d(omega) = 2*omega*(omega_L^2-omega_T^2)/(omega_T^2-omega^2)^2."""
-    g = _guard_value(m, guard)
+    g = POLE_GUARD_REL * m.omega_T
     w = _real(omega)
     if _near(w, m.omega_T, g):
         raise PoleAtResonance(f"omega within {g} of the resonance at {m.omega_T}")
@@ -130,7 +126,7 @@ def epsilon_derivative(m: MediumParams, omega, guard: Optional[float] = None):
     return 2.0 * w * (m.omega_L**2 - m.omega_T**2) / (den * den)
 
 
-def nu(m: MediumParams, omega, guard: Optional[float] = None):
+def nu(m: MediumParams, omega):
     """Normalization weight nu(omega) = 1 + (1/eps) d[eps*omega]/d(omega).
 
     Evaluated with the closed-form derivative of the Lorentz epsilon; no
@@ -138,12 +134,11 @@ def nu(m: MediumParams, omega, guard: Optional[float] = None):
     response (eps identically 1). Raises ZeroEpsilon at the longitudinal zero.
     Accepts scalars (returns a float) or arrays.
     """
-    g = _guard_value(m, guard)
     w = _real(omega)
-    if _near(w, m.omega_L, g):
+    if _near(w, m.omega_L, POLE_GUARD_REL * m.omega_T):
         raise ZeroEpsilon(f"epsilon vanishes at omega_L = {m.omega_L}")
-    e = epsilon(m, w, guard)
-    de = epsilon_derivative(m, w, guard)
+    e = epsilon(m, w)
+    de = epsilon_derivative(m, w)
     return 2.0 + w * de / e
 
 
@@ -237,9 +232,9 @@ class LayeredGeometry:
                 return lay.medium
         raise ValueError(f"z={z} outside the quantization box")
 
-    def epsilon_at(self, omega: float, z: float, guard: Optional[float] = None) -> float:
+    def epsilon_at(self, omega: float, z: float) -> float:
         med = self.medium_at(z)
-        return 1.0 if med is None else epsilon(med, omega, guard)
+        return 1.0 if med is None else epsilon(med, omega)
 
 
 def homogeneous_box(medium: Optional[MediumParams], lz: float, area: float = 1.0) -> LayeredGeometry:

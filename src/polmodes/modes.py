@@ -432,13 +432,13 @@ def build_theta(geom: LayeredGeometry, idx: ModeIndex) -> ThetaProfile:
 # Hopfield coefficients, modes, normalization
 
 
-def hopfield_from_theta(theta: ThetaProfile, guard: Optional[float] = None) -> HopfieldProfile:
-    """Map theta to the coefficient profiles (alpha, beta, gamma, eta)."""
+def hopfield_from_theta(theta: ThetaProfile) -> HopfieldProfile:
+    """Map theta to the coefficient profiles (alpha, beta, gamma, eta). Raises
+    PoleAtResonance where |omega| is within POLE_GUARD_REL * omega_T of a resonance."""
     omega = theta.omega
     for reg in theta.profile.regions:
         if reg.medium is not None:
-            g = POLE_GUARD_REL * reg.medium.omega_T if guard is None else guard
-            if abs(abs(omega) - reg.medium.omega_T) < g:
+            if abs(abs(omega) - reg.medium.omega_T) < POLE_GUARD_REL * reg.medium.omega_T:
                 raise PoleAtResonance(
                     f"|omega|={abs(omega)} within guard of omega_T={reg.medium.omega_T}"
                 )

@@ -30,8 +30,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import PoleAtResonance
-from .media import HBAR, LayeredGeometry, POLE_GUARD_REL, exp_integral
+from .media import HBAR, LayeredGeometry, exp_integral
 from .modes import PolaritonMode, ProfileRegion, VectorProfile
 
 MOMENTUM_TOL = 1e-9
@@ -72,12 +71,12 @@ class ScatteringAmplitude:
     total_k_par: Tuple[float, float]
 
 
-def matter_weight(mode: PolaritonMode, guard: float | None = None) -> VectorProfile:
+def matter_weight(mode: PolaritonMode) -> VectorProfile:
     """Weight profile of this mode's operator in the matter displacement field.
 
     sgn(omega) * kappa hbar omega / (rho (omega_T^2 - omega^2)) * conj(theta),
-    zero outside matter regions. Raises PoleAtResonance within the guard of
-    the transverse resonance.
+    zero outside matter regions. The mode's coefficient map (`hopfield_from_theta`)
+    already rejected an |omega| at the transverse resonance.
     """
     omega = mode.omega
 
@@ -85,9 +84,6 @@ def matter_weight(mode: PolaritonMode, guard: float | None = None) -> VectorProf
         if reg.medium is None:
             return 0.0
         m = reg.medium
-        g = POLE_GUARD_REL * m.omega_T if guard is None else guard
-        if abs(abs(omega) - m.omega_T) < g:
-            raise PoleAtResonance(f"|omega|={abs(omega)} at the resonance of omega_T={m.omega_T}")
         return math.copysign(1.0, omega) * m.kappa * HBAR * omega / (m.rho * (m.omega_T**2 - omega**2))
 
     return mode.theta.profile._conj_mapped(factor)

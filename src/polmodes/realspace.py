@@ -67,13 +67,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    DegenerateKreinNorm,
-    IncompleteSpectrum,
-    InvalidGrid,
-    ResolutionTooCoarse,
-    SolverContractViolation,
-)
+from .errors import IncompleteSpectrum, InvalidGrid, ResolutionTooCoarse, SolverContractViolation
 from .media import C, EPS0, HBAR, LayeredGeometry, epsilon, locate
 
 
@@ -426,19 +420,14 @@ def _reduce(op: DiscreteOperator) -> _Reduction:
     return _Reduction(side, other, phase, b_os, a, zb, null)
 
 
-def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.ndarray,
-            norm_tol: float) -> np.ndarray:
+def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """Full-space eigenvectors, columns with Krein norm sgn(omega), from the real
     reduced S-parts s (columns with s^T a s = 1) of the eigenvalues omega.
 
     psi = (B0[O, S] s / omega, s) sqrt(|omega| / 2) on (O, S), with the
-    transverse-projected coupling in B0[O, S]. An indefinite norm below norm_tol
-    in the energy normalization (|omega| above 1/norm_tol) raises
-    DegenerateKreinNorm.
+    transverse-projected coupling in B0[O, S]; its Krein norm is
+    sgn(omega) s^T a s = sgn(omega) by construction.
     """
-    w_max = float(np.max(np.abs(omegas)))
-    if w_max * norm_tol > 1.0:
-        raise DegenerateKreinNorm(f"eigenvector at |omega| = {w_max:.6g} has vanishing indefinite norm")
     layout = op.layout
     if red.null is not None:
         s = np.vstack([np.zeros((1, s.shape[1])), s])
@@ -461,30 +450,24 @@ def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.nda
 
 @dataclass
 class DiscreteEigenSolution:
-    """Full or windowed spectrum with Krein-normalized eigenvectors (full-space)."""
+    """Full spectrum, or the eigenpair nearest a shift, with Krein-normalized
+    eigenvectors (full-space)."""
 
     operator: DiscreteOperator
     omegas: np.ndarray
     vectors: np.ndarray  # columns, Krein-normalized: <<v|v>> = sgn(omega)
-    complete: bool = True
 
     @property
     def krein(self) -> sp.csr_matrix:
         return self.operator.krein
 
 
-def solve_spectrum(
-    op: DiscreteOperator,
-    window: Optional[Tuple[float, float]] = None,
-    norm_tol: float = 1e-10,
-) -> DiscreteEigenSolution:
-    """All eigenpairs of the restricted operator (optionally filtered to a window).
+def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
+    """All eigenpairs of the restricted operator, omegas ascending.
 
     With the Cholesky factor L of A[S, S], omega are the singular values of
     Z B0[O, S] L^{-T} (see _reduce) and s = L^{-T} w on S for its right singular
-    vectors w. Eigenvectors are Krein-normalized, <<v|v>> = sgn(omega); an
-    indefinite norm below norm_tol in the energy normalization (|omega| above
-    1/norm_tol) raises DegenerateKreinNorm.
+    vectors w. Eigenvectors are Krein-normalized, <<v|v>> = sgn(omega).
     """
     red = _reduce(op)
     try:
@@ -500,31 +483,21 @@ def solve_spectrum(
         raise SolverContractViolation("zero frequency: energy form singular on the other half")
     s_vecs = sla.solve_triangular(l_fac, w_vecs, lower=True, trans="T")
     # psi_+- = (o, +-s) on (O, S); omegas ascending
-    vectors = _expand(op, red, s_vecs, sigma, norm_tol)
+    vectors = _expand(op, red, s_vecs, sigma)
     vectors = np.hstack([vectors, vectors[:, ::-1]])
     vectors[red.side, :sigma.size] *= -1
     omegas = np.concatenate([-sigma, sigma[::-1]])
-    complete = True
-    if window is not None:
-        lo, hi = window
-        sel = (omegas >= lo) & (omegas <= hi)
-        omegas, vectors = omegas[sel], vectors[:, sel]
-        complete = bool(sel.all())
-    return DiscreteEigenSolution(op, omegas, vectors, complete)
+    return DiscreteEigenSolution(op, omegas, vectors)
 
 
-def solve_windowed(op: DiscreteOperator, sigma: float, count: int = 1) -> DiscreteEigenSolution:
-    """The count eigenpairs nearest sigma, ordered by |omega - sigma|, with
-    Krein-normalized full-space eigenvectors.
+def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
+    """The eigenpair nearest sigma, with its Krein-normalized full-space eigenvector.
 
     Shift-invert Lanczos (ARPACK, fixed start vector) on the pencil H x = omega M x
     of _reduce: one sparse LU of H - sigma M, and omega directly (the omega^2 form
-    would square the condition number). A single start vector cannot resolve a
-    multiple eigenvalue: a cluster such as the omega_L matter modes of a TM box at
-    k_par = 0 may come back fewer times than its multiplicity, with farther
-    eigenvalues filling the count and no error raised. Raises SolverContractViolation if ARPACK
-    does not converge, a residual ||H x - omega M x|| exceeds
-    1e-10 max(|sigma|, 1) ||x||, or an omega is zero to that scale.
+    would square the condition number). Raises SolverContractViolation if ARPACK
+    does not converge, the residual ||H x - omega M x|| exceeds
+    1e-10 max(|sigma|, 1) ||x||, or omega is zero to that scale.
     """
     red = _reduce(op)
     r = red.zb.shape[0]
@@ -532,7 +505,7 @@ def solve_windowed(op: DiscreteOperator, sigma: float, count: int = 1) -> Discre
     mass = sp.block_diag([sp.eye(r), red.a], format="csc")
     v0 = np.cos(np.arange(pencil.shape[0]))  # fixed, with weight on every block
     try:
-        omegas, x = spla.eigsh(pencil, k=count, M=mass, sigma=sigma, v0=v0)
+        omegas, x = spla.eigsh(pencil, k=1, M=mass, sigma=sigma, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise SolverContractViolation(f"windowed solve did not converge: {exc}") from exc
     tol = 1e-10 * max(abs(sigma), 1.0)
@@ -541,11 +514,8 @@ def solve_windowed(op: DiscreteOperator, sigma: float, count: int = 1) -> Discre
         raise SolverContractViolation(f"windowed solve residuals {resid} at omega {omegas}")
     if np.any(np.abs(omegas) <= tol):  # in TM at k_par = 0 the pencil has one null vector
         raise SolverContractViolation("zero frequency nearest sigma: no mode")
-    order = np.argsort(np.abs(omegas - sigma), kind="stable")
-    omegas = omegas[order]
     # x^T diag(I, a) x = 1 splits equally between the halves, so s^T a s = 1 for s = sqrt(2) x_S
-    vectors = _expand(op, red, math.sqrt(2.0) * x[r:, order], omegas, norm_tol=1e-10)
-    return DiscreteEigenSolution(op, omegas, vectors, complete=False)
+    return DiscreteEigenSolution(op, omegas, _expand(op, red, math.sqrt(2.0) * x[r:], omegas))
 
 
 def krein_inner(sol: DiscreteEigenSolution, m: int, n: int) -> complex:
@@ -597,14 +567,14 @@ def completeness_check(sol: DiscreteEigenSolution, test_vectors: np.ndarray) -> 
     eigenvectors) carry no spectral weight and are excluded by construction.
     The subspace comes from the exact discrete sequence (div curl = 0,
     ker div = range curl), never from the eigenvectors. Requires the complete
-    spectrum.
+    spectrum; test_vectors are the columns of a (dim, k) array.
     """
     project, rank = _physical_projector(sol.operator)
-    if not sol.complete or sol.omegas.size != rank:
+    if sol.omegas.size != rank:
         raise IncompleteSpectrum(f"need all {rank} eigenpairs, have {sol.omegas.size}")
-    tv = np.atleast_2d(np.asarray(test_vectors, dtype=complex))
-    if tv.shape[0] != sol.vectors.shape[0]:
-        tv = tv.T
+    tv = np.asarray(test_vectors, dtype=complex)
+    if tv.ndim != 2 or tv.shape[0] != sol.vectors.shape[0]:
+        raise ValueError(f"test vectors must be a ({sol.vectors.shape[0]}, k) array, got {tv.shape}")
     proj = project(tv)
     signs = np.sign(sol.omegas)
     coeff = sol.vectors.conj().T @ (sol.krein @ proj)

@@ -340,21 +340,34 @@ class TestSolveCommand:
             "grid": {"n": 128},
             "k_par": 2.0,
             "polarization": "TM",
-            "window": [1.02, 1.18],
-            "profiles": 1,
+            "window": [0.99, 1.18],
+            "profiles": 2,
             "strict_resolution": False,
         })
         res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         lines = (tmp_path / "eigenfrequencies.csv").read_text().splitlines()
         ws = np.array([float(line.split(",")[1]) for line in lines[1:]])
-        assert ws.size >= 1
-        # the surface mode sits isolated in the reststrahlen window
-        from polmodes import surface_dispersion_omega, default_medium
+        assert ws.size >= 2
+        # the window holds the top of the lower bulk band and the surface mode
+        from polmodes import surface_dispersion_omega, default_medium, vacuum_interface
+        from polmodes import realspace as rs
 
         target = surface_dispersion_omega(default_medium(), 2.0)
         assert np.min(np.abs(ws - target)) / target < 5e-3
-        assert (tmp_path / "mode_0000.csv").exists()
+        # the CSV holds the full spectrum's pairs in the window, value for value (%.17g
+        # round-trips), and mode_0001 the second of them
+        op = rs.assemble_operator(vacuum_interface(default_medium(), 40.0), rs.Grid1D(128, 40.0),
+                                  2.0, "TM", strict_resolution=False)
+        sol = rs.solve_spectrum(op)
+        inside = np.nonzero((sol.omegas >= 0.99) & (sol.omegas <= 1.18))[0]
+        assert np.array_equal(ws, sol.omegas[inside])
+        fields = rs.reconstruct_node_fields(op, sol.vectors[:, inside[1]], float(ws[1]))
+        expected = np.column_stack([op.grid.nodes] + [part(v[:, c]) for v in fields.values()
+                                                      for c in range(3) for part in (np.real, np.imag)])
+        table = np.loadtxt(tmp_path / "mode_0001.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table, expected)
+        assert not (tmp_path / "mode_0002.csv").exists()
 
 
 class TestScatterCommand:

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from polmodes import (
-    default_medium,
     epsilon,
     fresnel_te,
     from_phonon_frequencies,
@@ -315,6 +314,16 @@ class TestDrivenField:
         scale = max(abs(lhs), abs(rhs), 1.1 * abs(sol.evaluate(-5.0)[0]))
         assert np.isfinite(lhs) and np.isfinite(rhs)
         assert abs(lhs - rhs) <= 1e-6 * scale
+
+    def test_sheets_at_one_z_add(self, medium, bath):
+        geom = vacuum_interface(medium, 40.0)
+        sheets = [(-3.0, 1.0), (-3.0, 2.0)]
+        sol = driven_field(geom, bath, 1.1, sheets, k_par=0.7)
+        summed = driven_field(geom, bath, 1.1, [(-3.0, 1.0 + 2.0)], k_par=0.7)
+        zs = np.linspace(-20.0, 20.0, 81)
+        assert np.array_equal(sol.evaluate(zs), summed.evaluate(zs))
+        lhs, rhs = power_balance(sol, geom, bath, sheets, -15.0, 15.0)
+        assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs))
 
     def test_lossless_limit_reproduces_te_scattering(self, medium):
         geom = vacuum_interface(medium, 60.0)

@@ -9,7 +9,6 @@ from polmodes import (
     Layer,
     LayeredGeometry,
     MediumParams,
-    default_medium,
     epsilon,
     from_phonon_frequencies,
     homogeneous_box,
@@ -65,9 +64,6 @@ class TestEpsilon:
             epsilon(medium, medium.omega_T * (1 + 1e-12))
         with pytest.raises(PoleAtResonance):
             epsilon(medium, -medium.omega_T)
-        # a custom guard widens the window
-        with pytest.raises(PoleAtResonance):
-            epsilon(medium, 1.001, guard=1e-2)
 
     def test_vectorized(self, medium):
         ws = np.array([0.0, 0.5, 1.1, 2.0])

@@ -12,12 +12,10 @@ from polmodes import (
     ModeIndex,
     build_theta,
     conjugate_mode,
-    default_medium,
     epsilon,
     field_expansion_coefficients,
     fresnel_te,
     fresnel_tm,
-    from_phonon_frequencies,
     homogeneous_box,
     hopfield_from_theta,
     make_mode,
@@ -290,11 +288,13 @@ class TestHopfield:
                                        rtol=1e-6, atol=1e-9 * np.abs(beta).max())
 
     def test_pole_guard(self, medium, interface):
-        # a mode close to (but outside) the default epsilon guard builds fine,
-        # then a wider coefficient-map guard rejects it
-        theta = build_theta(interface, ModeIndex(ModeClass.TEv, (0.0, 0.0), 1.0 + 1e-6))
+        # in a matter box nothing evaluates epsilon before the coefficient map: a TEl mode
+        # 2.2e-9 below omega_T builds, one 2.4e-10 below (inside the guard) is rejected there
+        box = homogeneous_box(medium, 10.0)
+        hopfield_from_theta(build_theta(box, ModeIndex(ModeClass.TEl, (0.0, 0.0), -1e4)))
+        theta = build_theta(box, ModeIndex(ModeClass.TEl, (0.0, 0.0), -3e4))
         with pytest.raises(PoleAtResonance):
-            hopfield_from_theta(theta, guard=1e-3)
+            hopfield_from_theta(theta)
         with pytest.raises(PoleAtResonance):
             build_theta(interface, ModeIndex(ModeClass.TEv, (0.0, 0.0), 1.0 + 1e-12))
 

@@ -14,7 +14,6 @@ from polmodes import (
     surface_dispersion_kpar,
 )
 from polmodes import nonlinear
-from polmodes.errors import PoleAtResonance
 from polmodes.modes import _scaled_mode
 from polmodes.nonlinear import NonlinearTensor, ScatteringAmplitude, matter_weight, scattering_coefficient
 
@@ -116,11 +115,6 @@ class TestMatterWeight:
         w = matter_weight(mode).evaluate(z)[0]
         w_bar = matter_weight(conjugate_mode(mode)).evaluate(z)[0]
         np.testing.assert_allclose(w_bar, np.conj(w), rtol=1e-13)
-
-    def test_pole_guard(self, medium, interface):
-        theta_mode = make_mode(interface, ModeIndex(ModeClass.TEv, (0.0, 0.0), 1.0 + 1e-6))
-        with pytest.raises(PoleAtResonance):
-            matter_weight(theta_mode, guard=1e-3)
 
 
 class TestScatteringCoefficient:

@@ -14,6 +14,8 @@ from polmodes import (
     surface_dispersion_kpar,
 )
 from polmodes import nonlinear
+from polmodes.errors import PoleAtResonance
+from polmodes.media import HBAR, POLE_GUARD_REL
 from polmodes.modes import _scaled_mode
 from polmodes.nonlinear import NonlinearTensor, ScatteringAmplitude, matter_weight, scattering_coefficient
 
@@ -113,6 +115,22 @@ class TestMatterWeight:
         mode = normalize(make_mode(interface, ModeIndex(ModeClass.S, (k, 0.0))), interface)
         z = np.array([-0.6])
         w = matter_weight(mode).evaluate(z)[0]
+        w_bar = matter_weight(conjugate_mode(mode)).evaluate(z)[0]
+        np.testing.assert_allclose(w_bar, np.conj(w), rtol=1e-13)
+
+    def test_pole_guard(self, medium, interface):
+        # the weight's pole at omega_T is guarded where the mode is built: inside the guard
+        # make_mode rejects the mode, just outside it the weight keeps its closed form
+        g = POLE_GUARD_REL * medium.omega_T
+        with pytest.raises(PoleAtResonance):
+            make_mode(interface, ModeIndex(ModeClass.TEv, (0.0, 0.0), medium.omega_T + 0.5 * g))
+        mode = make_mode(interface, ModeIndex(ModeClass.TEv, (0.0, 0.0), medium.omega_T + 2.0 * g))
+        z = np.array([-1e-5])
+        w = matter_weight(mode).evaluate(z)[0]
+        factor = medium.kappa * HBAR * mode.omega / (medium.rho * (medium.omega_T**2 - mode.omega**2))
+        assert np.all(np.isfinite(w)) and np.max(np.abs(w)) > 0
+        np.testing.assert_allclose(w, factor * np.conj(mode.theta.profile.evaluate(z)[0]), rtol=1e-12)
+        # the partner keeps |omega|, so its weight is the conjugate and equally finite
         w_bar = matter_weight(conjugate_mode(mode)).evaluate(z)[0]
         np.testing.assert_allclose(w_bar, np.conj(w), rtol=1e-13)
 

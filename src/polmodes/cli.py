@@ -137,13 +137,11 @@ def dispersion_cmd(config_path, out_dir, units):
 
 @main.command("mode")
 @_common_options
-@click.option("--tol", default=1e-8, type=float,
-              help="relative tolerance of the closed-form normalization vs the box integral")
-def mode_cmd(config_path, out_dir, units, tol):
+def mode_cmd(config_path, out_dir, units):
     """Emit z-sampled analytic mode profiles plus a JSON sidecar."""
 
     def compute(geom, ref, idx, z_num):
-        mode = md.normalize(md.make_mode(geom, idx), geom, rtol=tol)
+        mode = md.normalize(md.make_mode(geom, idx), geom)
         zs = np.linspace(-geom.lz / 2, geom.lz / 2, z_num)
         fields = {
             "theta": mode.theta.profile.evaluate(zs),
@@ -194,8 +192,7 @@ def solve_cmd(config_path, out_dir, units):
 
 @main.command("scatter")
 @_common_options
-@click.option("--tol", default=1e-9, type=float, help="in-plane momentum selection tolerance")
-def scatter_cmd(config_path, out_dir, units, tol):
+def scatter_cmd(config_path, out_dir, units):
     """Evaluate scattering coefficients for configured mode tuples."""
 
     def compute(geom, ref, phi, tuples):
@@ -211,7 +208,7 @@ def scatter_cmd(config_path, out_dir, units, tol):
                 kz = "" if idx.k_z is None else f":{idx.k_z * ref:g}"
                 labels.append(f"{'~' if conj else ''}{idx.mode_class.value}"
                               f"@{idx.k_par[0] * ref:g}/{idx.k_par[1] * ref:g}{kz}")
-            res = nl.scattering_coefficient(modes, phi, geom, momentum_tol=tol)
+            res = nl.scattering_coefficient(modes, phi, geom)
             rows.append((";".join(labels), float(res.value.real), float(res.value.imag),
                          int(res.momentum_ok)))
         path = Path(out_dir) / "scattering.csv"

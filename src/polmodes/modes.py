@@ -81,6 +81,7 @@ from .media import (
 
 Vec3 = Tuple[complex, complex, complex]
 E_Z = (0.0, 0.0, 1.0)
+BOX_RTOL = 1e-8  # relative gap allowed between the closed-form N and the box integral's
 
 
 # ---------------------------------------------------------------------------
@@ -526,20 +527,19 @@ def surface_norm_constant(m: MediumParams, omega: float, k_par: float, area: flo
     return math.sqrt(n2)
 
 
-def _check_against_box_integral(mode: PolaritonMode, geom: LayeredGeometry, n_closed: float,
-                                rtol: float, what: str) -> None:
-    """Raise QuadratureDisagreement if n_closed and the N of the box integral differ beyond rtol."""
+def _check_against_box_integral(mode: PolaritonMode, geom: LayeredGeometry, n_closed: float, what: str) -> None:
+    """Raise QuadratureDisagreement if n_closed and the N of the box integral differ beyond BOX_RTOL."""
     n_box = 1.0 / math.sqrt(HBAR * abs(mode.omega) * normalization_integral(mode, geom))
-    if abs(n_closed - n_box) > rtol * n_closed:
+    if abs(n_closed - n_box) > BOX_RTOL * n_closed:
         raise QuadratureDisagreement(f"{what} N closed={n_closed!r} vs box integral={n_box!r}")
 
 
-def normalize(mode: PolaritonMode, geom: LayeredGeometry, rtol: float = 1e-8) -> PolaritonMode:
+def normalize(mode: PolaritonMode, geom: LayeredGeometry) -> PolaritonMode:
     """Fix N so the bosonic normalization integral equals sgn(omega).
 
     Surface modes: closed form cross-checked against the box integral of the
     exponential primitives (`normalization_integral`); QuadratureDisagreement
-    beyond rtol signals a convention bug or a box too short for the decay.
+    beyond BOX_RTOL signals a convention bug or a box too short for the decay.
     Homogeneous boxes: closed form N = sqrt(1/(eps0 hbar omega V eps_i nu_i))
     cross-checked the same way. Interface propagating classes: the box
     integral is continuum bookkeeping, so the closed form is used and the
@@ -554,7 +554,7 @@ def normalize(mode: PolaritonMode, geom: LayeredGeometry, rtol: float = 1e-8) ->
 
     if cls is ModeClass.S:
         n_closed = surface_norm_constant(medium, omega, mode.index.k_par_mag, geom.area)
-        _check_against_box_integral(mode, geom, n_closed, rtol, "surface")
+        _check_against_box_integral(mode, geom, n_closed, "surface")
         return _scaled_mode(mode, n_closed)
 
     # propagating classes: incidence-side epsilon*nu weight
@@ -562,7 +562,7 @@ def normalize(mode: PolaritonMode, geom: LayeredGeometry, rtol: float = 1e-8) ->
     weight = _eps_nu(inc_medium, omega)
     n_closed = math.sqrt(1.0 / (EPS0 * HBAR * omega * geom.volume * weight))
     if kind != "interface":
-        _check_against_box_integral(mode, geom, n_closed, rtol, "homogeneous")
+        _check_against_box_integral(mode, geom, n_closed, "homogeneous")
     return _scaled_mode(mode, n_closed)
 
 

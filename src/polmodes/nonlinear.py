@@ -111,12 +111,11 @@ def scattering_coefficient(
     modes: Sequence[PolaritonMode],
     phi: NonlinearTensor,
     geom: LayeredGeometry,
-    momentum_tol: float = MOMENTUM_TOL,
 ) -> ScatteringAmplitude:
     """Scattering coefficient Xi for an N-tuple of normalized modes.
 
     In-plane momentum selection is exact: a nonzero total in-plane wavevector
-    (beyond momentum_tol relative to the largest mode momentum) returns a
+    (beyond MOMENTUM_TOL relative to the largest mode momentum) returns a
     flagged exact zero. Otherwise Xi = A * sum_j Phi contraction of the
     z-integrated weight products, each z-integral an exponential primitive.
     """
@@ -127,7 +126,7 @@ def scattering_coefficient(
     for px, py in momenta[1:]:
         kx, ky = kx + px, ky + py
     k_scale = max(1.0, max(math.hypot(*p) for p in momenta))
-    if math.hypot(kx, ky) > momentum_tol * k_scale:
+    if math.hypot(kx, ky) > MOMENTUM_TOL * k_scale:
         return ScatteringAmplitude(0.0 + 0.0j, False, (kx, ky))
 
     weights = [matter_weight(md) for md in modes]

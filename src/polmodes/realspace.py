@@ -28,9 +28,9 @@ convergence.
 
 The transverse projection [.]^T in the alpha equation is a discrete Helmholtz
 decomposition: P = I - GRAD LAP^{-1} DIV with a Dirichlet Poisson problem,
-where GRAD = -DIV^H so P is an orthogonal projector and div curl = 0 holds
-exactly (entrywise float cancellation). The assembled pair (B0, K), with K the
-indefinite inner-product matrix, then satisfies K B0 = B0^H K to machine zeros.
+where GRAD = -DIV^H so P is an orthogonal projector and curl GRAD = 0 holds
+exactly (entrywise float cancellation, checked by _Operators). The pair (B0, K),
+with K the indefinite inner product, then satisfies K B0 = B0^H K to machine zeros.
 
 Physical subspace: alpha is restricted to ker(DIV) minus ker(curl) (the
 latter removes the non-dynamical k_par = 0 capacitor direction), beta to
@@ -50,8 +50,8 @@ sparse shift-invert Lanczos on the same problem written as a symmetric pencil.
 B0 and K are assembled once, from sparse blocks, with the unprojected
 coupling, and stay sparse. The projected coupling enters only through one
 correction on alpha (_coupling_correction), which `apply`, the eigenvector
-expansion, the field reconstruction and the blockwise self-adjointness defect
-share; the dense B0 is built only on request, for residual checks.
+expansion and the field reconstruction share, from one LU of LAP = DIV GRAD;
+K B0 does not see it. The dense B0 is built only on request, for residual checks.
 """
 
 from __future__ import annotations
@@ -182,11 +182,17 @@ def _build_layout(mats: _Materials, polarization: str) -> FieldLayout:
 
 @dataclass
 class _Operators:
-    """Polarization-specific building blocks (sparse)."""
+    """Polarization-specific building blocks (sparse), with curl GRAD = 0 (TM) checked entrywise."""
 
     curl_ba: sp.csr_matrix  # beta-space -> alpha-space  (C)
     curl_ab: sp.csr_matrix  # alpha-space -> beta-space  (G = C^H)
     div: Optional[sp.csr_matrix]  # alpha-space -> potential space, or None (TE)
+    grad: Optional[sp.csc_matrix]  # -DIV^H: potential space -> alpha-space, or None (TE)
+
+    def __post_init__(self):
+        # unscaled: K[beta, alpha] GRAD, from K's w-scaled entries, keeps roundoff residues
+        if self.grad is not None and np.any((self.curl_ab @ self.grad).data):
+            raise SolverContractViolation("curl GRAD is not zero: the discrete sequence is not exact")
 
 
 def _build_operators(grid: Grid1D, k_par: float, polarization: str) -> _Operators:
@@ -194,19 +200,14 @@ def _build_operators(grid: Grid1D, k_par: float, polarization: str) -> _Operator
     d_hi = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n), format="csr")  # halves -> nodes
     if polarization == "TE":
         c = sp.hstack([d_hi, 1j * k_par * sp.eye(n - 1)], format="csr")
-        div = None
+        div = grad = None
     else:
         c = sp.vstack([-d_hi, -1j * k_par * sp.eye(n)], format="csr")
         # [-i k_par I, d_hi]: alpha_par and alpha_z to interior nodes
         div = sp.diags([-1j * k_par, -1.0 / h, 1.0 / h], [0, n - 1, n], shape=(n - 1, 2 * n - 1),
                        format="csr")
-    return _Operators(c, c.conj().T.tocsr(), div)
-
-
-def _longitudinal(div: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
-    """GRAD LAP^{-1} DIV v: the part of alpha-space vectors that the transverse projection removes."""
-    grad = -div.conj().T
-    return grad @ spla.splu((div @ grad).tocsc()).solve(div @ v)
+        grad = -div.conj().T
+    return _Operators(c, c.conj().T.tocsr(), div, grad)
 
 
 def _coupling_correction(op: DiscreteOperator, gamma: np.ndarray, factor: complex) -> Optional[np.ndarray]:
@@ -215,7 +216,7 @@ def _coupling_correction(op: DiscreteOperator, gamma: np.ndarray, factor: comple
     is transverse already: in TE, or without matter."""
     if op.ops.div is None or op.kappa_embed.shape[1] == 0:
         return None
-    return factor * _longitudinal(op.ops.div, op.kappa_embed @ gamma)
+    return factor * op._longitudinal(op.kappa_embed @ gamma)
 
 
 def _matter_coefficients(layout: FieldLayout, mats: _Materials):
@@ -283,6 +284,15 @@ class DiscreteOperator:
     mats: _Materials = field(repr=False)
     kappa_embed: sp.csr_matrix = field(repr=False)
 
+    @functools.cached_property
+    def poisson(self) -> Optional[spla.SuperLU]:
+        """LU factors of LAP = DIV GRAD, built on first use; None in TE, which has no DIV."""
+        return None if self.ops.div is None else spla.splu((self.ops.div @ self.ops.grad).tocsc())
+
+    def _longitudinal(self, v: np.ndarray) -> np.ndarray:
+        """GRAD LAP^{-1} DIV v: the part of alpha-space vectors that the transverse projection removes."""
+        return self.ops.grad @ self.poisson.solve(self.ops.div @ v)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """B0 v (vector or columns) with the transverse-projected coupling, from the sparse
         B0: equal to `b0 @ v` without densifying B0."""
@@ -329,26 +339,13 @@ def assemble_operator(
 
 
 def self_adjointness_defect(op: DiscreteOperator) -> float:
-    """Bound on max |K B0 - B0^H K| entry from sparse blocks: zero for an exactly
-    Krein-self-adjoint pair.
+    """max |K B0 - B0^H K| entry in O(dim) memory: zero for a Krein-self-adjoint pair.
 
-    K is Hermitian and K[:, alpha] lives on beta rows, so K B0 = K B0s except in the
-    (beta, gamma) block, which loses K[beta, alpha] X for the correction X of
-    _coupling_correction. The bound is max|D| of D = K B0s - (K B0s)^H and of D's
-    (beta, gamma) block minus that term; D's (gamma, beta) block mirrors the
-    uncorrected one, so up to roundoff the bound is never below the dense defect.
+    K is Hermitian, so this is max|D| of D = K B0s - (K B0s)^H: the projected coupling changes
+    B0s by a gradient on (alpha, gamma), which K[beta, alpha] = i w curl maps to curl GRAD = 0.
     """
     kb = op.krein @ op.b0_sparse
-    d = kb - kb.conj().T
-    defect = float(np.max(np.abs(d.data), initial=0.0))
-    lay = op.layout
-    g_sl = lay._span("gamma")
-    corr = _coupling_correction(op, np.eye(g_sl.stop - g_sl.start), 1j / EPS0)
-    if corr is not None:
-        b_sl = lay._span("beta")
-        d_bg = d[b_sl, g_sl].toarray() - op.krein[b_sl, lay._span("alpha")] @ corr
-        defect = max(defect, float(np.max(np.abs(d_bg))))
-    return defect
+    return float(np.max(np.abs((kb - kb.conj().T).data), initial=0.0))
 
 
 def _gauge(layout: FieldLayout) -> np.ndarray:
@@ -495,9 +492,9 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
 
     Shift-invert Lanczos (ARPACK, fixed start vector) on the pencil H x = omega M x
     of _reduce: one sparse LU of H - sigma M, and omega directly (the omega^2 form
-    would square the condition number). Raises SolverContractViolation if ARPACK
-    does not converge, the residual ||H x - omega M x|| exceeds
-    1e-10 max(|sigma|, 1) ||x||, or omega is zero to that scale.
+    would square the condition number). Raises SolverContractViolation if H - sigma M
+    is exactly singular, ARPACK does not converge, the residual ||H x - omega M x||
+    exceeds 1e-10 max(|sigma|, 1) ||x||, or omega is zero to that scale.
     """
     red = _reduce(op)
     r = red.zb.shape[0]
@@ -508,6 +505,8 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
         omegas, x = spla.eigsh(pencil, k=1, M=mass, sigma=sigma, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise SolverContractViolation(f"windowed solve did not converge: {exc}") from exc
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SolverContractViolation(f"shift-invert at sigma = {sigma!r} failed: {exc}") from exc
     tol = 1e-10 * max(abs(sigma), 1.0)
     resid = np.linalg.norm(pencil @ x - (mass @ x) * omegas, axis=0)
     if np.any(resid > tol * np.linalg.norm(x, axis=0)):
@@ -539,7 +538,7 @@ def _physical_projector(op: DiscreteOperator):
     def apply(v: np.ndarray) -> np.ndarray:
         out = v.copy()
         if cg is None:
-            out[a_sl] -= _longitudinal(ops.div, v[a_sl])
+            out[a_sl] -= op._longitudinal(v[a_sl])
         else:
             out[b_sl] = ops.curl_ab @ cg.solve(ops.curl_ba @ v[b_sl])
         if static:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import polmodes.realspace as rs
 from polmodes import (
@@ -184,6 +187,26 @@ class TestSingleAssembly:
         assert sp.issparse(op.b0_sparse) and sp.issparse(op.krein)
         assert op.krein.nnz <= 4 * layout.dim
 
+    @pytest.mark.parametrize("with_matter", [False, True])
+    def test_one_poisson_factorization_per_operator(self, medium, monkeypatch, with_matter):
+        # every coupling correction and both projections of completeness_check share one LU of
+        # LAP = DIV GRAD; the defect needs none
+        geom = vacuum_interface(medium, 40.0) if with_matter else homogeneous_box(None, 40.0)
+        factored, spla_splu = [], spla.splu
+
+        def splu(a, *args, **kwargs):
+            factored.append(a.shape)
+            return spla_splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", splu)
+        op = assemble_operator(geom, Grid1D(64, 40.0), 0.8, "TM", strict_resolution=False)
+        sol = solve_spectrum(op)
+        completeness_check(sol, np.ones((op.layout.dim, 2)))
+        reconstruct_node_fields(op, sol.vectors[:, 0], float(sol.omegas[0]))
+        op.apply(sol.vectors[:, 0])
+        rs.self_adjointness_defect(op)
+        assert factored == [(63, 63)]
+
     @pytest.mark.parametrize("polarization", ["TE", "TM"])
     @pytest.mark.parametrize("k_par", [0.0, 2.0])
     def test_apply_is_dense_b0_times_v(self, interface, rng, polarization, k_par):
@@ -199,6 +222,21 @@ class TestSingleAssembly:
 def _dense_defect(op):
     kb = op.krein @ op.b0
     return np.max(np.abs(kb - (op.krein.conj().T @ op.b0).conj().T)), np.max(np.abs(kb))
+
+
+def _defect_with_dense_correction(op):
+    """The defect with the (beta, gamma) block corrected by K[beta, alpha] X for the dense
+    coupling correction X of every gamma unit vector."""
+    kb = op.krein @ op.b0_sparse
+    d = kb - kb.conj().T
+    lay = op.layout
+    b_sl, g_sl = lay._span("beta"), lay._span("gamma")
+    defect = np.max(np.abs(d.data), initial=0.0)
+    corr = rs._coupling_correction(op, np.eye(g_sl.stop - g_sl.start), 1j / rs.EPS0)
+    if corr is None:
+        return defect
+    d_bg = d[b_sl, g_sl].toarray() - op.krein[b_sl, lay._span("alpha")] @ corr
+    return max(defect, np.max(np.abs(d_bg)))
 
 
 class TestSparseDefect:
@@ -226,18 +264,37 @@ class TestSparseDefect:
         assert defect >= dense > 1e-8 * scale
 
     def test_flags_correction_that_is_no_gradient(self, interface, monkeypatch):
-        op = assemble_operator(interface, Grid1D(96, 40.0), 2.0, "TM", strict_resolution=False)
-        scale = abs(op.krein @ op.b0_sparse).max()
-        assert rs.self_adjointness_defect(op) <= 1e-15 * scale
-        longitudinal = rs._longitudinal
+        # the defect drops K[beta, alpha] X because curl GRAD = 0; assembly checks that once
+        build = rs._build_operators
 
-        def par_part(div, v):  # the gradient's alpha_par part alone is not curl-free
-            out = longitudinal(div, v)
-            out[div.shape[0]:] = 0
-            return out
+        def par_part(grid, k_par, polarization):  # the gradient's alpha_par part alone is not curl-free
+            ops = build(grid, k_par, polarization)
+            grad = ops.grad.tolil()
+            grad[grad.shape[1]:] = 0
+            return rs._Operators(ops.curl_ba, ops.curl_ab, ops.div, grad.tocsc())
 
-        monkeypatch.setattr(rs, "_longitudinal", par_part)
-        assert rs.self_adjointness_defect(op) > 1e-3 * scale
+        monkeypatch.setattr(rs, "_build_operators", par_part)
+        with pytest.raises(SolverContractViolation, match="not exact"):
+            assemble_operator(interface, Grid1D(96, 40.0), 2.0, "TM", strict_resolution=False)
+
+    @pytest.mark.parametrize("n,cases", [(128, (("TE", 2.0), ("TM", 2.0))),
+                                         (96, (("TE", 0.8), ("TM", 0.8), ("TM", 0.0)))])
+    def test_matches_dense_correction_at_verify_sizes(self, n, cases):
+        for polarization, k_par in cases:
+            op = verify._interface_operator(n, polarization, k_par)
+            scale = abs(op.krein @ op.b0_sparse).max()
+            got = rs.self_adjointness_defect(op)
+            assert abs(got - _defect_with_dense_correction(op)) <= 1e-15 * scale
+
+    def test_memory_is_linear_in_dim(self, interface):
+        op = assemble_operator(interface, Grid1D(2000, 40.0), 2.0, "TM", strict_resolution=False)
+        tracemalloc.start()
+        try:
+            rs.self_adjointness_defect(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # a dense n_gamma block alone would take 2000^2 * 16 bytes
 
     def test_reads_no_dense_b0(self, interface, monkeypatch):
         op = assemble_operator(interface, Grid1D(96, 40.0), 2.0, "TM", strict_resolution=False)
@@ -360,6 +417,17 @@ class TestWindowedSolve:
         dense = solve_spectrum(op).omegas
         assert np.sum(np.abs(dense - medium.omega_L) < 1e-9) == 128
         np.testing.assert_allclose(solve_windowed(op, sigma).omegas, [medium.omega_L], rtol=1e-10)
+
+    @pytest.mark.parametrize("geometry", ["interface", "matter box"])
+    def test_singular_shift_is_a_contract_violation(self, medium, geometry):
+        # at k_par = 0 in TM the reduced pencil has a null vector, so H - 0 M is exactly singular
+        geom = vacuum_interface(medium, 40.0) if geometry == "interface" else homogeneous_box(medium, 40.0)
+        grid = Grid1D(64, 40.0)
+        op = assemble_operator(geom, grid, 0.0, "TM", strict_resolution=False)
+        with pytest.raises(SolverContractViolation, match="sigma = 0.0"):
+            solve_windowed(op, 0.0)
+        with pytest.raises(SolverContractViolation, match="sigma = 0.0"):
+            surface_mode_frequency(geom, grid, 0.0, 0.0, strict_resolution=False)
 
     def test_zero_frequency_is_not_a_mode(self, dense_spectra):
         # in TM at k_par = 0 the reduced pencil keeps one null vector, which is no mode

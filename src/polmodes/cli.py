@@ -167,20 +167,22 @@ def mode_cmd(config_path, out_dir, units):
 @_common_options
 def solve_cmd(config_path, out_dir, units):
     """Solve the discretized eigensystem; emit the eigenfrequencies in the window and
-    profiles of the first of them."""
+    profiles of the first of them. The window is taken from the full spectrum, and
+    only the eigenvectors of the written profiles are expanded."""
     from . import realspace as rs
 
     def compute(geom, ref, n, k_par, pol, window, n_profiles, strict):
         grid = rs.Grid1D(n, geom.lz)
         op = rs.assemble_operator(geom, grid, k_par, pol, strict_resolution=strict)
         sol = rs.solve_spectrum(op)
-        omegas, vectors = sol.omegas, sol.vectors
+        idx = np.arange(sol.omegas.size)
         if window is not None:
-            sel = (omegas >= window[0]) & (omegas <= window[1])
-            omegas, vectors = omegas[sel], vectors[:, sel]
+            idx = idx[(sol.omegas >= window[0]) & (sol.omegas <= window[1])]
+        omegas = sol.omegas[idx]
         artifacts = {"eigenfrequencies.csv": (["index", "omega"],
                                               [(i, float(w) * ref) for i, w in enumerate(omegas)])}
         shown = min(n_profiles, omegas.size)
+        vectors = sol.columns(idx[:shown])
         for i in range(shown):
             fields = rs.reconstruct_node_fields(op, vectors[:, i], float(omegas[i]))
             artifacts[f"mode_{i:04d}.csv"] = _profile_table(grid.nodes, fields)

@@ -46,6 +46,9 @@ reduction) gives real eigenvalues in exact +/- pairs, with Krein
 orthonormality and the signed completeness relation to roundoff. The full
 spectrum solves it with one dense SVD; windows (surface-mode sweeps) with
 sparse shift-invert Lanczos on the same problem written as a symmetric pencil.
+Both solves keep the real reduced S-parts and expand full-space eigenvectors
+on demand, column by column: `polmodes solve` expands only the profiles it
+writes, and a surface-mode frequency expands none.
 
 B0 and K are assembled once, from sparse blocks, with the unprojected
 coupling, and stay sparse. The projected coupling enters only through one
@@ -289,6 +292,14 @@ class DiscreteOperator:
         """LU factors of LAP = DIV GRAD, built on first use; None in TE, which has no DIV."""
         return None if self.ops.div is None else spla.splu((self.ops.div @ self.ops.grad).tocsc())
 
+    @functools.cached_property
+    def curl_curl(self) -> Optional[spla.SuperLU]:
+        """LU factors of C G = curl curl on alpha-space, built on first use, for the TE
+        projector onto range(curl); None in TM, whose C G is singular on the gradients."""
+        if self.ops.div is not None:
+            return None
+        return spla.splu((self.ops.curl_ba @ self.ops.curl_ab).tocsc())
+
     def _longitudinal(self, v: np.ndarray) -> np.ndarray:
         """GRAD LAP^{-1} DIV v: the part of alpha-space vectors that the transverse projection removes."""
         return self.ops.grad @ self.poisson.solve(self.ops.div @ v)
@@ -371,6 +382,15 @@ class _Reduction:
     zb: sp.csr_matrix  # Z B0[O, S] in the gauge, as rows of real and imaginary parts
     null: Optional[np.ndarray]  # unit null vector of A[S, S] whose coordinate 0 was dropped
 
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """S-parts on the whole S side from reduced coordinates (columns): restores the
+        dropped coordinate and removes the null direction, if there is one."""
+        if self.null is None:
+            return x
+        s = np.vstack([np.zeros((1, x.shape[1])), x])
+        s -= np.outer(self.null, self.null @ s)
+        return s
+
 
 def _reduce(op: DiscreteOperator) -> _Reduction:
     """Split the state into P = (alpha, eta) and Q = (beta, gamma), where B0 and K are
@@ -419,16 +439,14 @@ def _reduce(op: DiscreteOperator) -> _Reduction:
 
 def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """Full-space eigenvectors, columns with Krein norm sgn(omega), from the real
-    reduced S-parts s (columns with s^T a s = 1) of the eigenvalues omega.
+    S-parts s (lifted columns with s^T A[S, S] s = 1) of the eigenvalues omega.
 
     psi = (B0[O, S] s / omega, s) sqrt(|omega| / 2) on (O, S), with the
     transverse-projected coupling in B0[O, S]; its Krein norm is
-    sgn(omega) s^T a s = sgn(omega) by construction.
+    sgn(omega) s^T A[S, S] s = sgn(omega) by construction. Each column is
+    expanded on its own, so a subset of columns gives the same bits.
     """
     layout = op.layout
-    if red.null is not None:
-        s = np.vstack([np.zeros((1, s.shape[1])), s])
-        s -= np.outer(red.null, red.null @ s)
     s = red.phase[:, None] * s
     o = red.b_os @ s
     # where there is a correction (TM), S = (beta, gamma) and alpha leads O = (alpha, eta)
@@ -446,13 +464,58 @@ def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.nda
 
 
 @dataclass
-class DiscreteEigenSolution:
-    """Full spectrum, or the eigenpair nearest a shift, with Krein-normalized
-    eigenvectors (full-space)."""
+class _Pairs:
+    """Eigenvectors in reduced form: the lifted S-parts s (columns) of eigenpairs at
+    frequencies `omegas`, and the pair behind each column of a solution. A column at
+    minus its pair's frequency is the pair's mirror, (o, -s) for the pair's (o, s)."""
 
-    operator: DiscreteOperator
+    reduction: _Reduction
+    s: np.ndarray
     omegas: np.ndarray
-    vectors: np.ndarray  # columns, Krein-normalized: <<v|v>> = sgn(omega)
+    index: np.ndarray
+
+
+class DiscreteEigenSolution:
+    """Full spectrum, or the eigenpair nearest a shift, with Krein-normalized full-space
+    eigenvectors, <<v|v>> = sgn(omega).
+
+    The solves keep the eigenvectors in reduced form and expand them on demand:
+    `columns(idx)` builds only the requested ones, `vectors` every one, once, on first
+    read. A solution may also be built from explicit `vectors`.
+    """
+
+    def __init__(self, operator: DiscreteOperator, omegas: np.ndarray,
+                 vectors: Optional[np.ndarray] = None, pairs: Optional[_Pairs] = None):
+        if (vectors is None) == (pairs is None):
+            raise ValueError("give either the eigenvectors or their reduced pairs")
+        self.operator = operator
+        self.omegas = omegas
+        self._pairs = pairs
+        if vectors is not None:
+            self.vectors = vectors
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """Every eigenvector, as columns: (dim, omegas.size)."""
+        vectors = self._build(np.arange(self.omegas.size))
+        self._pairs = None  # `columns` reads them from here on
+        return vectors
+
+    def columns(self, idx) -> np.ndarray:
+        """The eigenvectors of columns idx, (dim, len(idx)), bit for bit vectors[:, idx];
+        only their pairs are expanded unless `vectors` was read already."""
+        if "vectors" in self.__dict__:
+            return self.vectors[:, idx]
+        return self._build(np.asarray(idx, dtype=int))
+
+    def _build(self, idx: np.ndarray) -> np.ndarray:
+        """Expand each pair behind the columns idx once, then mirror where omega is -omega_pair."""
+        pairs = self._pairs
+        pair = pairs.index[idx]
+        used, col = np.unique(pair, return_inverse=True)
+        vecs = _expand(self.operator, pairs.reduction, pairs.s[:, used], pairs.omegas[used])[:, col]
+        vecs[np.ix_(pairs.reduction.side, np.nonzero(self.omegas[idx] != pairs.omegas[pair])[0])] *= -1
+        return vecs
 
     @property
     def krein(self) -> sp.csr_matrix:
@@ -464,7 +527,9 @@ def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
 
     With the Cholesky factor L of A[S, S], omega are the singular values of
     Z B0[O, S] L^{-T} (see _reduce) and s = L^{-T} w on S for its right singular
-    vectors w. Eigenvectors are Krein-normalized, <<v|v>> = sgn(omega).
+    vectors w. The solution keeps s, one real column per +/- pair, and expands
+    Krein-normalized full-space eigenvectors, <<v|v>> = sgn(omega), on demand:
+    a caller that reads only the omegas and a few columns never holds all of them.
     """
     red = _reduce(op)
     try:
@@ -479,16 +544,16 @@ def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
     if sigma[-1] <= np.finfo(float).eps * sigma.size * sigma[0]:
         raise SolverContractViolation("zero frequency: energy form singular on the other half")
     s_vecs = sla.solve_triangular(l_fac, w_vecs, lower=True, trans="T")
-    # psi_+- = (o, +-s) on (O, S); omegas ascending
-    vectors = _expand(op, red, s_vecs, sigma)
-    vectors = np.hstack([vectors, vectors[:, ::-1]])
-    vectors[red.side, :sigma.size] *= -1
-    omegas = np.concatenate([-sigma, sigma[::-1]])
-    return DiscreteEigenSolution(op, omegas, vectors)
+    # psi_+- = (o, +-s) on (O, S); omegas ascending, so column i < m mirrors pair i
+    # (sigma descending) and column m + i is pair m - 1 - i
+    pair = np.arange(sigma.size)
+    pairs = _Pairs(red, red.lift(s_vecs), sigma, np.concatenate([pair, pair[::-1]]))
+    return DiscreteEigenSolution(op, np.concatenate([-sigma, sigma[::-1]]), pairs=pairs)
 
 
 def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
-    """The eigenpair nearest sigma, with its Krein-normalized full-space eigenvector.
+    """The eigenpair nearest sigma. Its Krein-normalized full-space eigenvector is
+    expanded only when read, so `surface_mode_frequency` builds none.
 
     Shift-invert Lanczos (ARPACK, fixed start vector) on the pencil H x = omega M x
     of _reduce: one sparse LU of H - sigma M, and omega directly (the omega^2 form
@@ -514,7 +579,8 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     if np.any(np.abs(omegas) <= tol):  # in TM at k_par = 0 the pencil has one null vector
         raise SolverContractViolation("zero frequency nearest sigma: no mode")
     # x^T diag(I, a) x = 1 splits equally between the halves, so s^T a s = 1 for s = sqrt(2) x_S
-    return DiscreteEigenSolution(op, omegas, _expand(op, red, math.sqrt(2.0) * x[r:], omegas))
+    pairs = _Pairs(red, red.lift(math.sqrt(2.0) * x[r:]), omegas, np.zeros(1, dtype=int))
+    return DiscreteEigenSolution(op, omegas, pairs=pairs)
 
 
 def krein_inner(sol: DiscreteEigenSolution, m: int, n: int) -> complex:
@@ -533,7 +599,7 @@ def _physical_projector(op: DiscreteOperator):
     a_sl, b_sl = layout._span("alpha"), layout._span("beta")
     n_alpha, n_beta = a_sl.stop - a_sl.start, b_sl.stop - b_sl.start
     static = op.polarization == "TM" and op.k_par == 0
-    cg = spla.splu((ops.curl_ba @ ops.curl_ab).tocsc()) if op.polarization == "TE" else None
+    cg = op.curl_curl
 
     def apply(v: np.ndarray) -> np.ndarray:
         out = v.copy()

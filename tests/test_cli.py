@@ -334,40 +334,44 @@ class TestModeCommand:
 
 
 class TestSolveCommand:
-    def test_windowed_solve_with_profile(self, runner, tmp_path):
-        cfg = write_cfg(tmp_path, {
-            "material": MATERIAL,
-            "grid": {"n": 128},
-            "k_par": 2.0,
-            "polarization": "TM",
-            "window": [0.99, 1.18],
-            "profiles": 2,
-            "strict_resolution": False,
-        })
-        res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path)])
+    @pytest.mark.parametrize("polarization, k_par, window, profiles", [
+        ("TM", 2.0, [0.99, 1.18], 2),  # the top of the lower bulk band and the surface mode
+        ("TE", 0.8, None, 3),  # the lowest columns mirror positive pairs
+        ("TM", 0.0, [-1.3, 1.3], 4),  # k_par = 0: S-parts with the null direction removed
+    ], ids=["TM-window", "TE-mirrored", "TM-static"])
+    def test_windowed_solve_with_profile(self, runner, tmp_path, polarization, k_par, window,
+                                         profiles):
+        cfg = {"material": MATERIAL, "grid": {"n": 128}, "k_par": k_par,
+               "polarization": polarization, "profiles": profiles, "strict_resolution": False}
+        if window is not None:
+            cfg["window"] = window
+        res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         lines = (tmp_path / "eigenfrequencies.csv").read_text().splitlines()
         ws = np.array([float(line.split(",")[1]) for line in lines[1:]])
-        assert ws.size >= 2
-        # the window holds the top of the lower bulk band and the surface mode
+        assert ws.size >= profiles
         from polmodes import surface_dispersion_omega, default_medium, vacuum_interface
         from polmodes import realspace as rs
 
-        target = surface_dispersion_omega(default_medium(), 2.0)
-        assert np.min(np.abs(ws - target)) / target < 5e-3
+        if k_par == 2.0:
+            target = surface_dispersion_omega(default_medium(), 2.0)
+            assert np.min(np.abs(ws - target)) / target < 5e-3
         # the CSV holds the full spectrum's pairs in the window, value for value (%.17g
-        # round-trips), and mode_0001 the second of them
+        # round-trips), and each mode_*.csv the field of the matching column of the full
+        # spectrum's vectors, bit for bit
         op = rs.assemble_operator(vacuum_interface(default_medium(), 40.0), rs.Grid1D(128, 40.0),
-                                  2.0, "TM", strict_resolution=False)
+                                  k_par, polarization, strict_resolution=False)
         sol = rs.solve_spectrum(op)
-        inside = np.nonzero((sol.omegas >= 0.99) & (sol.omegas <= 1.18))[0]
+        lo, hi = window or (-np.inf, np.inf)
+        inside = np.nonzero((sol.omegas >= lo) & (sol.omegas <= hi))[0]
         assert np.array_equal(ws, sol.omegas[inside])
-        fields = rs.reconstruct_node_fields(op, sol.vectors[:, inside[1]], float(ws[1]))
-        expected = np.column_stack([op.grid.nodes] + [part(v[:, c]) for v in fields.values()
-                                                      for c in range(3) for part in (np.real, np.imag)])
-        table = np.loadtxt(tmp_path / "mode_0001.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(table, expected)
-        assert not (tmp_path / "mode_0002.csv").exists()
+        for i in range(profiles):
+            fields = rs.reconstruct_node_fields(op, sol.vectors[:, inside[i]], float(ws[i]))
+            expected = np.column_stack([op.grid.nodes] + [part(v[:, c]) for v in fields.values()
+                                                          for c in range(3) for part in (np.real, np.imag)])
+            table = np.loadtxt(tmp_path / f"mode_{i:04d}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(table, expected)
+        assert not (tmp_path / f"mode_{profiles:04d}.csv").exists()
 
 
 class TestScatterCommand:

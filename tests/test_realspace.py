@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,13 @@ class TestSingleAssembly:
         op.apply(sol.vectors[:, 0])
         rs.self_adjointness_defect(op)
         assert factored == [(63, 63)]
+        # TE: the projector of every completeness_check shares one LU of C G
+        factored.clear()
+        op = assemble_operator(geom, Grid1D(64, 40.0), 0.8, "TE", strict_resolution=False)
+        sol = solve_spectrum(op)
+        for _ in range(2):
+            completeness_check(sol, np.ones((op.layout.dim, 2)))
+        assert factored == [(63, 63)]
 
     @pytest.mark.parametrize("polarization", ["TE", "TM"])
     @pytest.mark.parametrize("k_par", [0.0, 2.0])
@@ -351,6 +359,21 @@ class TestSurfaceMode:
             np.linalg.norm(theta_ana) * np.linalg.norm(theta_num))
         assert overlap > 0.9999
 
+    def test_one_factorization_per_surface_solve(self, medium, interface, monkeypatch):
+        # the shift-invert LU only: the eigenvector, and with it the Poisson LU, is never built
+        factored, spla_splu = [], spla.splu
+
+        def splu(a, *args, **kwargs):
+            factored.append(a.shape)
+            return spla_splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", splu)
+        # eigsh factors H - sigma M with its own import of splu
+        monkeypatch.setattr(importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack"), "splu", splu)
+        sigma = surface_dispersion_omega(medium, 2.0) * 1.001
+        surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
+        assert len(factored) == 1
+
     def test_sparse_matches_dense_generic(self, medium):
         geom = vacuum_interface(medium, 40.0)
         grid = Grid1D(128, 40.0)
@@ -433,6 +456,48 @@ class TestWindowedSolve:
         # in TM at k_par = 0 the reduced pencil keeps one null vector, which is no mode
         with pytest.raises(SolverContractViolation, match="zero frequency"):
             solve_windowed(dense_spectra("TM", 0.0).operator, 0.01)
+
+
+class TestOnDemandVectors:
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    @pytest.mark.parametrize("k_par", [0.0, 0.8])
+    def test_columns_are_vectors_bit_for_bit(self, interface, polarization, k_par):
+        op = assemble_operator(interface, Grid1D(64, 40.0), k_par, polarization, strict_resolution=False)
+        sol = solve_spectrum(op)
+        assert "vectors" not in sol.__dict__  # the solve expands nothing
+        m = sol.omegas.size // 2
+        idx = [0, m - 1, m, 2 * m - 1, 5, 2 * m - 6, 5]  # mirrored and direct columns, a repeat
+        cols = sol.columns(idx)
+        one_by_one = np.column_stack([sol.columns([i]) for i in range(2 * m)])
+        assert "vectors" not in sol.__dict__
+        assert np.array_equal(cols, sol.vectors[:, idx]) and np.array_equal(one_by_one, sol.vectors)
+        assert np.array_equal(sol.columns(idx), cols)  # from the built vectors
+        win = solve_windowed(op, -1.1)
+        assert np.array_equal(win.columns([0]), win.vectors)
+
+    def test_built_from_vectors(self, interface):
+        op = assemble_operator(interface, Grid1D(64, 40.0), 0.8, "TE", strict_resolution=False)
+        pairs = solve_spectrum(op)._pairs
+        full = solve_spectrum(op)
+        sol = rs.DiscreteEigenSolution(op, full.omegas, full.vectors)
+        assert sol.vectors is full.vectors and np.array_equal(sol.columns([2, 1]), full.vectors[:, [2, 1]])
+        for args in ((), (full.vectors, pairs)):
+            with pytest.raises(ValueError):
+                rs.DiscreteEigenSolution(op, full.omegas, *args)
+
+    def test_solve_path_holds_less_than_all_vectors(self, interface):
+        # the solve path of `polmodes solve` on the default interface at twice its n
+        op = assemble_operator(interface, Grid1D(512, 40.0), 2.0, "TM", strict_resolution=False)
+        tracemalloc.start()
+        try:
+            sol = solve_spectrum(op)
+            idx = np.nonzero((sol.omegas >= 0.2) & (sol.omegas <= 2.0))[0]
+            col = sol.columns(idx[:1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert col.shape == (op.layout.dim, 1)
+        assert peak < op.layout.dim * sol.omegas.size * 16  # one complex array of every vector
 
 
 class TestGridAndErrors:

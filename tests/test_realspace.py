@@ -374,6 +374,25 @@ class TestSurfaceMode:
         surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
         assert len(factored) == 1
 
+    def test_surface_solve_fills_the_basis_once(self, medium, interface, monkeypatch):
+        # an isolated eigenvalue near the shift converges in one fill of the 12-vector basis:
+        # 13 shift-invert solves (SciPy's default basis of 20 takes 21)
+        factors, spla_splu = [], spla.splu
+
+        class CountingLU:
+            def __init__(self, a):
+                self.lu, self.solves = spla_splu(a), 0
+                factors.append(self)
+
+            def solve(self, b):
+                self.solves += 1
+                return self.lu.solve(b)
+
+        monkeypatch.setattr(spla, "splu", CountingLU)
+        sigma = surface_dispersion_omega(medium, 2.0) * 1.001
+        surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
+        assert len(factors) == 1 and factors[0].solves <= 13
+
     def test_sparse_matches_dense_generic(self, medium):
         geom = vacuum_interface(medium, 40.0)
         grid = Grid1D(128, 40.0)
@@ -431,6 +450,18 @@ class TestWindowedSolve:
             overlap = abs(np.vdot(ref, win)) / (np.linalg.norm(ref) * np.linalg.norm(win))
             assert overlap > 0.9999
 
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    @pytest.mark.parametrize("k_par", [0.0, 0.8])
+    def test_shift_sweep_finds_every_eigenvalue(self, interface, polarization, k_par):
+        # a shift a quarter of the gap above each distinct positive eigenvalue, so the nearest
+        # one is always below it; the 12-vector basis converges at all of them
+        op = assemble_operator(interface, Grid1D(64, 40.0), k_par, polarization, strict_resolution=False)
+        w = solve_spectrum(op).omegas
+        w = w[w > 0]
+        w = w[np.r_[True, np.diff(w) > 1e-10 * w[1:]]]
+        found = [solve_windowed(op, lo + 0.25 * (hi - lo)).omegas[0] for lo, hi in zip(w[:-1], w[1:])]
+        np.testing.assert_allclose(found, w[:-1], rtol=1e-10)
+
     def test_multiple_eigenvalue_returns_one_copy(self, medium):
         # the TM box at k_par = 0 holds 128 degenerate matter modes at omega_L; the windowed
         # solve returns one of them
@@ -474,6 +505,14 @@ class TestOnDemandVectors:
         assert np.array_equal(sol.columns(idx), cols)  # from the built vectors
         win = solve_windowed(op, -1.1)
         assert np.array_equal(win.columns([0]), win.vectors)
+
+    def test_krein_inner_expands_two_columns(self, interface):
+        op = assemble_operator(interface, Grid1D(64, 40.0), 0.8, "TM", strict_resolution=False)
+        sol = solve_spectrum(op)
+        m = sol.omegas.size // 2
+        value = krein_inner(sol, 3, m + 3)
+        assert "vectors" not in sol.__dict__
+        assert value == complex(sol.vectors[:, 3].conj() @ (sol.krein @ sol.vectors[:, m + 3]))
 
     def test_built_from_vectors(self, interface):
         op = assemble_operator(interface, Grid1D(64, 40.0), 0.8, "TE", strict_resolution=False)

@@ -44,16 +44,20 @@ k_par = 0): this is the omega_T > 0 stability condition. omega^2 is the
 spectrum of B0[P, Q] B0[Q, P], so one real half-size problem (Colpa's bosonic
 reduction) gives real eigenvalues in exact +/- pairs, with Krein
 orthonormality and the signed completeness relation to roundoff. The full
-spectrum solves it with one dense SVD; windows (surface-mode sweeps) with
-sparse shift-invert Lanczos on the same problem written as a symmetric pencil,
-from one SuperLU factor of the shifted pencil and a 12-vector Lanczos basis
-(one basis fill, 13 solves, for an isolated eigenvalue near the shift).
+spectrum solves it with one dense SVD of N = Z B0[O, S] L^{-T} (see _reduce: Z
+a sparse root of one energy block, L L^T the Cholesky factor of the other);
+windows (surface-mode sweeps) with shift-invert Lanczos on the same matrix in
+standard form, [[0, N], [N^T, 0]]. With the unknowns in grid order the shifted
+pencil is a band matrix of half-bandwidth at most 8, and the Cholesky one of at
+most 3, whatever n: one LAPACK banded LU of the shifted pencil, one banded
+Cholesky, and a 12-vector Lanczos basis (one basis fill, 13 solves, for an
+isolated eigenvalue near the shift).
 Both solves keep the real reduced S-parts and expand full-space eigenvectors
 on demand, column by column: `polmodes solve` expands only the profiles it
 writes, and a surface-mode frequency expands none.
 
-B0 and K are assembled once, from sparse blocks, with the unprojected
-coupling, and stay sparse. The projected coupling enters only through one
+B0 and K are assembled once, each from its triplets in one sparse
+construction, with the unprojected coupling, and stay sparse. The projected coupling enters only through one
 correction on alpha (_coupling_correction), which `apply`, the eigenvector
 expansion and the field reconstruction share, from one LU of LAP = DIV GRAD;
 K B0 does not see it. The dense B0 is built only on request, for residual checks.
@@ -70,12 +74,14 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 import scipy.sparse.linalg as spla
 
 from .errors import IncompleteSpectrum, InvalidGrid, ResolutionTooCoarse, SolverContractViolation
 from .media import C, EPS0, HBAR, LayeredGeometry, epsilon, locate
 
 _NCV = 12  # Lanczos basis of solve_windowed; its docstring says why 12
+_RITZ_TOL = 1e-14  # ARPACK's Ritz tolerance in solve_windowed; its docstring says why
 
 
 @dataclass(frozen=True)
@@ -202,19 +208,35 @@ class _Operators:
             raise SolverContractViolation("curl GRAD is not zero: the discrete sequence is not exact")
 
 
+def _csr(shape, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix from its triplets, in one construction, without the zero entries: the
+    i k_par entries at k_par = 0, which SciPy's diagonal constructors leave out too."""
+    keep = data != 0
+    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=shape)
+
+
 def _build_operators(grid: Grid1D, k_par: float, polarization: str) -> _Operators:
+    """C, G = C^H, DIV and GRAD = -DIV^H from their triplets. d/dz takes the half points
+    i and i + 1 to the interior node i as (v[i + 1] - v[i]) / h."""
     n, h = grid.n, grid.h
-    d_hi = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n), format="csr")  # halves -> nodes
+    i, j = np.arange(n - 1), np.arange(n)  # interior nodes, half points
+    d_lo, d_hi = np.full(n - 1, -1.0 / h), np.full(n - 1, 1.0 / h)
+    div = grad = None
     if polarization == "TE":
-        c = sp.hstack([d_hi, 1j * k_par * sp.eye(n - 1)], format="csr")
-        div = grad = None
+        # beta = (beta_par at half points, beta_z at nodes) -> alpha: [d/dz, i k_par]
+        shape = (n - 1, 2 * n - 1)
+        rows, cols = np.concatenate((i, i, i)), np.concatenate((i, i + 1, n + i))
+        data = np.concatenate((d_lo, d_hi, np.full(n - 1, 1j * k_par)))
     else:
-        c = sp.vstack([-d_hi, -1j * k_par * sp.eye(n)], format="csr")
-        # [-i k_par I, d_hi]: alpha_par and alpha_z to interior nodes
-        div = sp.diags([-1j * k_par, -1.0 / h, 1.0 / h], [0, n - 1, n], shape=(n - 1, 2 * n - 1),
-                       format="csr")
-        grad = -div.conj().T
-    return _Operators(c, c.conj().T.tocsr(), div, grad)
+        # beta at half points -> alpha = (alpha_par at nodes, alpha_z at half points): [-d/dz; -i k_par]
+        shape = (2 * n - 1, n)
+        rows, cols = np.concatenate((i, i, n - 1 + j)), np.concatenate((i, i + 1, j))
+        data = np.concatenate((-d_lo, -d_hi, np.full(n, -1j * k_par)))
+        # [-i k_par, d/dz]: alpha_par and alpha_z to interior nodes
+        div = _csr((n - 1, 2 * n - 1), np.concatenate((i, i, i)), np.concatenate((i, n - 1 + i, n + i)),
+                   np.concatenate((np.full(n - 1, -1j * k_par), d_lo, d_hi)))
+        grad = sp.csc_matrix((-div.data.conj(), div.indices, div.indptr), shape=div.shape[::-1])
+    return _Operators(_csr(shape, rows, cols, data), _csr(shape[::-1], cols, rows, data.conj()), div, grad)
 
 
 def _coupling_correction(op: DiscreteOperator, gamma: np.ndarray, factor: complex) -> Optional[np.ndarray]:
@@ -255,29 +277,45 @@ def _resolution_check(geom: LayeredGeometry, grid: Grid1D, k_par: float, strict:
         warnings.warn(msg)
 
 
-def _block_layout(ab, ag, ba, ge, eb, eg):
-    """Sparse matrix over the blocks (alpha, beta, gamma, eta) with the pattern shared by
-    B0 and K: alpha-beta, alpha-gamma, beta-alpha, gamma-eta, eta-beta and eta-gamma.
-    The blocks' COO triplets are concatenated in row-major block order, as `sp.bmat` does,
-    and converted once."""
-    n_a, n_b, n_m = ba.shape[1], ba.shape[0], ge.shape[0]
-    g0, e0 = n_a + n_b, n_a + n_b + n_m
-    placed = [(blk.tocoo(), r0, c0) for blk, r0, c0 in
-              ((ab, 0, n_a), (ag, 0, g0), (ba, n_a, 0), (ge, g0, e0), (eb, e0, n_a), (eg, e0, g0))
-              if blk is not None]
-    data = np.concatenate([blk.data for blk, _, _ in placed]).astype(complex, copy=False)
-    rows = np.concatenate([blk.row + r0 for blk, r0, _ in placed])
-    cols = np.concatenate([blk.col + c0 for blk, _, c0 in placed])
-    return sp.csr_matrix((data, (rows, cols)), shape=(e0 + n_m, e0 + n_m))
+def _triplets(m: sp.csr_matrix):
+    """(rows, cols, data) of a CSR matrix, read off its arrays."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
 
 
-def _sparse_b0(ops: _Operators, e_kappa: sp.csr_matrix, kap, rho, w_t):
-    """B0 from sparse blocks, with the unprojected matter coupling."""
-    c_mat = ops.curl_ba
+def _sparse_b0_krein(ops: _Operators, rows: np.ndarray, kap, rho, w_t, w: float):
+    """B0, with the unprojected matter coupling, and K over the blocks (alpha, beta, gamma,
+    eta), each from its triplets in one construction. Matter degree of freedom m couples to
+    the alpha-space row rows[m].
+
+    B0: alpha-beta -i c^2 C, alpha-gamma (i / eps0) kappa, beta-alpha i G, gamma-eta i / rho,
+    eta-beta i c^2 kappa C[rows] and eta-gamma -i rho omega_L^2. K: w times -i C, i G, i
+    and -i at alpha-beta, beta-alpha, gamma-eta and eta-gamma (1/mu0 = 1).
+    """
+    n_a, n_b = ops.curl_ba.shape
+    g0, e0 = n_a + n_b, n_a + n_b + rows.size
+    m = np.arange(rows.size)
+    c_r, c_c, c_d = _triplets(ops.curl_ba)
+    g_r, g_c, g_d = _triplets(ops.curl_ab)
+    # eta-beta: the entries of C in the rows that matter couples to; a zero product (kappa = 0)
+    # is left out, as the sparse product E^H C leaves it out
+    matter_of = np.full(n_a, -1)
+    matter_of[rows] = m
+    coupled = np.flatnonzero(matter_of[c_r] >= 0)
+    e_m = matter_of[c_r[coupled]]
+    eb = kap[e_m] * c_d[coupled]
+    nz = eb != 0
     rho_wl2 = rho * _Materials.omega_L2(kap, rho, w_t)
-    return _block_layout(-1j * C**2 * c_mat, (1j / EPS0) * e_kappa, 1j * ops.curl_ab,
-                         1j * sp.diags(1.0 / rho), 1j * C**2 * (e_kappa.conj().T @ c_mat),
-                         -1j * sp.diags(rho_wl2))
+    shape = (e0 + m.size, e0 + m.size)
+    b0 = sp.csr_matrix((np.concatenate((c_d * (-1j * C**2), kap * (1j / EPS0), g_d * 1j, (1.0 / rho) * 1j,
+                                        eb[nz] * (1j * C**2), rho_wl2 * -1j)),
+                        (np.concatenate((c_r, rows, n_a + g_r, g0 + m, e0 + e_m[nz], e0 + m)),
+                         np.concatenate((n_a + c_c, g0 + m, g_c, e0 + m, n_a + c_c[coupled[nz]], g0 + m)))),
+                       shape=shape)
+    ones = np.ones(m.size)
+    krein = sp.csr_matrix((np.concatenate((c_d * (-1j * w), g_d * (1j * w), ones * (1j * w), ones * (-1j * w))),
+                           (np.concatenate((c_r, n_a + g_r, g0 + m, e0 + m)),
+                            np.concatenate((n_a + c_c, g_c, e0 + m, g0 + m)))), shape=shape)
+    return b0, krein
 
 
 @dataclass
@@ -345,16 +383,11 @@ def assemble_operator(
     layout = _build_layout(mats, polarization)
     ops = _build_operators(grid, k_par, polarization)
     rows, kap, rho, w_t = _matter_coefficients(layout, mats)
-    # alpha-space x matter-space matrix with kappa at matching positions
-    e_kappa = sp.csr_matrix((kap, (rows, np.arange(rows.size))),
-                            shape=(ops.curl_ba.shape[0], rows.size))
-    b0 = _sparse_b0(ops, e_kappa, kap, rho, w_t)
+    b0, krein = _sparse_b0_krein(ops, rows, kap, rho, w_t, HBAR * grid.h * geom.area)
     if b0.shape != (layout.dim, layout.dim):
         raise SolverContractViolation("sparse assembly dimension mismatch")
-    w = HBAR * grid.h * geom.area
-    eye = sp.eye(e_kappa.shape[1])
-    krein = _block_layout(-1j * w * ops.curl_ba, None, 1j * w * ops.curl_ab,  # 1/mu0 = 1
-                          1j * w * eye, None, -1j * w * eye)
+    # alpha-space x matter-space matrix with kappa at matching positions
+    e_kappa = sp.csr_matrix((kap, (rows, np.arange(rows.size))), shape=(ops.curl_ba.shape[0], rows.size))
     return DiscreteOperator(geom, grid, k_par, polarization, layout, b0, krein, ops, mats, e_kappa)
 
 
@@ -389,6 +422,7 @@ class _Reduction:
     b_os: sp.csr_matrix  # B0[O, S] with the unprojected coupling
     a: sp.csr_matrix  # A[S, S] in the gauge
     zb: sp.csr_matrix  # Z B0[O, S] in the gauge, as rows of real and imaginary parts
+    z_rows: np.ndarray  # the row of Z, an index into S, that each row of zb comes from
     null: Optional[np.ndarray]  # unit null vector of A[S, S] whose coordinate 0 was dropped
 
     def lift(self, x: np.ndarray) -> np.ndarray:
@@ -401,6 +435,22 @@ class _Reduction:
         return s
 
 
+def _coupling_block(m: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    """m[rows][:, cols], read off m's arrays, for ascending rows and cols where the rows
+    of m hold entries in cols only: B0 and K couple P to Q and Q to P, nothing else."""
+    counts = np.diff(m.indptr)
+    picked = np.zeros(m.shape[0], dtype=bool)
+    picked[rows] = True
+    col_of = np.full(m.shape[1], -1)
+    col_of[cols] = np.arange(cols.size)
+    keep = np.repeat(picked, counts)
+    idx = col_of[m.indices[keep]]
+    if np.any(idx < 0):
+        raise SolverContractViolation("B0 or K couples P to P or Q to Q")
+    return sp.csr_matrix((m.data[keep], idx, np.concatenate(([0], np.cumsum(counts[rows])))),
+                         shape=(rows.size, cols.size))
+
+
 def _reduce(op: DiscreteOperator) -> _Reduction:
     """Split the state into P = (alpha, eta) and Q = (beta, gamma), where B0 and K are
     block off-diagonal and A = K B0 = diag(T, V) is block diagonal, and make it real.
@@ -409,41 +459,57 @@ def _reduce(op: DiscreteOperator) -> _Reduction:
     for TM), O the other, and Z a sparse root of the other energy block,
     A[O, O] = Z^H Z. In the i^n gauge of _gauge, A[S, S] is real and each row of
     Z B0[O, S] has one phase, so the nonempty rows of its real and imaginary parts
-    have its Gram matrix. At k_par = 0 in TM the constant beta vector spans
-    ker A[S, S] = ker Z B0[O, S]; dropping the first beta coordinate leaves a
-    positive definite problem with the same nonzero spectrum.
+    have its Gram matrix. Z has one row per coordinate of S, on its grid point: the
+    curl maps O's field onto S's (beta onto alpha in TE, alpha onto beta in TM), and
+    each matter row sits at the matter point of its gamma and eta. At k_par = 0 in TM
+    the constant beta vector spans ker A[S, S] = ker Z B0[O, S]; dropping the first
+    beta coordinate leaves a positive definite problem with the same nonzero spectrum.
     """
     layout = op.layout
     p_idx = np.r_[layout._span("alpha"), layout._span("eta")]
     q_idx = np.r_[layout._span("beta"), layout._span("gamma")]
-    _, _, rho, w_t = _matter_coefficients(layout, op.mats)
+    rows, kap, rho, w_t = _matter_coefficients(layout, op.mats)
     rw = math.sqrt(HBAR * op.grid.h * op.geom.area)
+    n_a, n_b = op.ops.curl_ba.shape
+    m = np.arange(rows.size)
     if op.polarization == "TE":
         # V = Z^H Z with Z = sqrt(w) [[c C, -E / (c eps0)], [0, sqrt(rho) omega_T]] (c^2 eps0 = 1)
-        z = rw * sp.bmat([[C * op.ops.curl_ba, -op.kappa_embed / (C * EPS0)],
-                          [None, sp.diags(np.sqrt(rho) * w_t)]], format="csr")
+        c_r, c_c, c_d = _triplets(op.ops.curl_ba)
+        z = sp.csr_matrix((np.concatenate((c_d * C, -kap / (C * EPS0), np.sqrt(rho) * w_t)) * rw,
+                           (np.concatenate((c_r, rows, n_a + m)), np.concatenate((c_c, n_b + m, n_b + m)))),
+                          shape=(n_a + m.size, n_b + m.size))
         side, other = p_idx, q_idx
     else:
         # T = Z^H Z with Z = sqrt(w) diag(G, rho^-1/2)
-        z = rw * sp.block_diag([op.ops.curl_ab, sp.diags(1.0 / np.sqrt(rho))], format="csr")
+        g_r, g_c, g_d = _triplets(op.ops.curl_ab)
+        z = sp.csr_matrix((np.concatenate((g_d, 1.0 / np.sqrt(rho))) * rw,
+                           (np.concatenate((g_r, n_b + m)), np.concatenate((g_c, n_a + m)))),
+                          shape=(n_b + m.size, n_a + m.size))
         side, other = q_idx, p_idx
-    b_os = op.b0_sparse[other][:, side]
+    b_os = _coupling_block(op.b0_sparse, other, side)
     phase = _gauge(layout)[side]
-    b_gauge = b_os @ sp.diags(phase)
-    a = sp.diags(phase.conj()) @ (op.krein[side][:, other] @ b_gauge)
-    if np.any(a.data.imag):
+    b_gauge = sp.csr_matrix((b_os.data * phase[b_os.indices], b_os.indices, b_os.indptr), shape=b_os.shape)
+    ka = _coupling_block(op.krein, side, other) @ b_gauge
+    a = ka.data * phase.conj()[_triplets(ka)[0]]
+    if np.any(a.imag):
         raise SolverContractViolation("energy form is not real in the i^n gauge")
+    a = sp.csr_matrix((a.real, ka.indices, ka.indptr), shape=ka.shape)
+    # Z B0[O, S] in the gauge: the rows of its real parts over those of its imaginary parts,
+    # without zeros, and without the rows that are left empty
     zb = z @ b_gauge
-    zb = sp.vstack([zb.real, zb.imag], format="csr")
+    zb = sp.csr_matrix((np.concatenate((zb.data.real, zb.data.imag)), np.concatenate((zb.indices, zb.indices)),
+                        np.concatenate((zb.indptr, zb.indptr[1:] + zb.nnz))), shape=(2 * zb.shape[0], zb.shape[1]))
     zb.eliminate_zeros()
-    a, zb = a.real.tocsr(), zb[np.diff(zb.indptr) > 0]
+    z_rows = np.flatnonzero(np.diff(zb.indptr))
+    zb = sp.csr_matrix((zb.data, zb.indices, zb.indptr[np.concatenate(([0], z_rows + 1))]),
+                       shape=(z_rows.size, zb.shape[1]))
     null = None
     if op.polarization == "TM" and op.k_par == 0:
         n_beta = layout._span("beta").stop - layout._span("beta").start
         null = np.zeros(side.size)
         null[:n_beta] = 1.0 / math.sqrt(n_beta)
         a, zb = a[1:, 1:], zb[:, 1:]
-    return _Reduction(side, other, phase, b_os, a, zb, null)
+    return _Reduction(side, other, phase, b_os, a, zb, z_rows % side.size, null)
 
 
 def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -561,60 +627,158 @@ def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
     return DiscreteEigenSolution(op, np.concatenate([-sigma, sigma[::-1]]), pairs=pairs)
 
 
+def _grid_position(layout: FieldLayout) -> np.ndarray:
+    """Grid position of every state coordinate, in cells from the left wall: interior
+    node i at i + 1, half point i at i + 1/2; a matter block's coordinates at the points
+    of its `matter_index`."""
+    pos = np.empty(layout.dim)
+    for name in layout.blocks:
+        sl = layout.slices[name]
+        idx = layout.matter_index.get(name, np.arange(sl.stop - sl.start))
+        pos[sl] = idx + (0.5 if name in layout.halves else 1.0)
+    return pos
+
+
+@dataclass
+class _GridPencil:
+    """The reduced pencil H x = omega M x of _reduce, H = [[0, zb], [zb^T, 0]] and
+    M = diag(I, a), with its unknowns in grid order.
+
+    The unknowns, the rows of zb and then the S coordinates, are sorted by grid position
+    (_grid_position): an S coordinate sits at its own, a row of zb at that of the Z row it
+    comes from (the rows of Z lie on the grid points of S, see _reduce); ties keep the
+    reduced order. In this order H - sigma M is a band matrix of half-bandwidth kl, and
+    a, among the S coordinates, one of half-bandwidth kd. Both widths are known before
+    any band storage is allocated.
+    """
+
+    slot: np.ndarray  # grid slot of each unknown
+    s_slots: np.ndarray  # slots of the S coordinates, ascending
+    zb: Tuple[np.ndarray, np.ndarray, np.ndarray]  # (row, column, value) of zb, between slots
+    a: Tuple[np.ndarray, np.ndarray, np.ndarray]  # (row, column, value) of a, between S ranks
+    kl: int
+    kd: int
+
+
+def _grid_pencil(op: DiscreteOperator, red: _Reduction) -> _GridPencil:
+    r, n_s = red.zb.shape
+    pos = _grid_position(op.layout)[red.side]
+    # the kept S coordinates: at k_par = 0 in TM the first one is dropped
+    order = np.argsort(np.concatenate((pos[red.z_rows], pos[pos.size - n_s:])), kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    s_slots = np.flatnonzero(order >= r)
+    s_rank = np.empty_like(order, shape=n_s)
+    s_rank[order[s_slots] - r] = np.arange(n_s)
+    z_r, z_c, z_d = _triplets(red.zb)
+    z_r, z_c = slot[z_r], slot[r + z_c]
+    a_r, a_c, a_d = _triplets(red.a)
+    a_r, a_c = s_rank[a_r], s_rank[a_c]
+    kl = max(np.max(np.abs(z_r - z_c)), np.max(np.abs(s_slots[a_r] - s_slots[a_c])))
+    return _GridPencil(slot, s_slots, (z_r, z_c, z_d), (a_r, a_c, a_d), int(kl), int(np.max(a_r - a_c)))
+
+
 def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     """The eigenpair nearest sigma. Its Krein-normalized full-space eigenvector is
     expanded only when read, so `surface_mode_frequency` builds none.
 
-    Shift-invert Lanczos (ARPACK, fixed start vector) on the pencil H x = omega M x
-    of _reduce, for omega directly (the omega^2 form would square the condition
-    number). H - sigma M is built once: one SuperLU factor of it is ARPACK's
-    inverse operator, and the residual is taken from it.
+    Shift-invert Lanczos (ARPACK, fixed start vector) for omega directly (the omega^2
+    form would square the condition number), in standard form: with a = L L^T, the
+    pencil H x = omega M x of _reduce becomes the symmetric matrix
+    Hs = [[0, zb L^{-T}], [L^{-1} zb^T, 0]] on u = diag(I, L^T) x, whose positive
+    eigenvalues are the singular values that solve_spectrum takes. Its shift-invert
+    operator is diag(I, L^T) (H - sigma M)^{-1} diag(I, L), so M is never formed.
+
+    With the unknowns in grid order (_GridPencil), H - sigma M is a band matrix and a
+    is one among the S coordinates, whatever n: half-bandwidths 3 and 1 in a vacuum
+    box, 6 and 2 in TE and 8 and 3 in TM with matter, at every k_par. One LAPACK
+    banded LU of H - sigma M (dgbtrf, with row pivoting) and one banded Cholesky of a
+    (dpbtrf) cost O(n), and each shift-invert solve is one dgbtrs between two
+    triangular band products. The residual is taken from the sparse pencil itself.
 
     The Lanczos basis holds 12 vectors. ARPACK tests convergence only once its basis
     is full, so an isolated eigenvalue near sigma (a surface-mode sweep) costs 13
     solves with it, against 21 with SciPy's default of 20. Next to the omega_L
     cluster, 4 and 8 vectors do not converge within ARPACK's iteration limit while 6
     and 10 do, so smaller is not monotonically worse; 12 is the smallest size with
-    margin there (145 solves, against 111 with 20). The cost falls on a shift at an
-    accumulation point of the spectrum: at sigma = omega_T (TM, k_par 0.8, n = 1000)
-    the solve takes 6745 solves, against 2151 with the default basis. No surface-mode
-    sweep asks for such a shift.
+    margin there. ARPACK's Ritz tolerance is 1e-14 (_RITZ_TOL), not its default of
+    machine precision, which next to a cluster is met or missed by roundoff: a shift a
+    quarter of a gap above omega_L (TM, k_par 0.8, n = 64) converges in 67 solves with
+    it, and without it runs out of ARPACK's iterations after 15373 solves with one
+    BLAS thread while it converges with two. The residual gate below is the accuracy
+    guard. At sigma = omega_L + 1e-4 (TM, k_par 0.8, n = 128) the solve takes 61
+    solves. The cost falls on a shift at an accumulation point of the spectrum: at
+    sigma = omega_T (TM, k_par 0.8, n = 1000) it takes 6013. No surface-mode sweep
+    asks for such a shift.
 
-    Raises SolverContractViolation if H - sigma M is exactly singular, ARPACK does
-    not converge, the residual ||H x - omega M x|| exceeds 1e-10 max(|sigma|, 1) ||x||,
-    or omega is zero to that scale.
+    Raises SolverContractViolation if a is not positive definite, H - sigma M is
+    exactly singular, ARPACK does not converge, the residual ||H x - omega M x||
+    exceeds 1e-10 max(|sigma|, 1) ||x||, or omega is zero to that scale.
     """
     red = _reduce(op)
-    r = red.zb.shape[0]
-    zb, a = red.zb.tocoo(), red.a.tocoo()
-    n = r + a.shape[0]
-    # M = diag(I, a) and H - sigma M with H = [[0, zb], [zb^T, 0]], each from its triplets
-    m_rows, m_cols = np.r_[np.arange(r), a.row + r], np.r_[np.arange(r), a.col + r]
-    m_data = np.r_[np.ones(r), a.data]
-    mass = sp.csc_matrix((m_data, (m_rows, m_cols)), shape=(n, n))
-    shifted = sp.csc_matrix((np.r_[zb.data, zb.data, -sigma * m_data],
-                             (np.r_[zb.row, zb.col + r, m_rows], np.r_[zb.col + r, zb.row, m_cols])),
-                            shape=(n, n))
-    try:
-        lu = spla.splu(shifted)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SolverContractViolation(f"shift-invert at sigma = {sigma!r} failed: {exc}") from exc
-    # ARPACK reads only the shape and dtype of H once it has OPinv; H = (H - sigma M) + sigma M
-    pencil = spla.aslinearoperator(shifted) + sigma * spla.aslinearoperator(mass)
-    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    grid = _grid_pencil(op, red)
+    r, n = red.zb.shape[0], grid.slot.size
+    kl, kd, s_sl = grid.kl, grid.kd, grid.s_slots
+    z_r, z_c, z_d = grid.zb
+    a_r, a_c, a_d = grid.a
+    # H - sigma M in LAPACK's band storage, entry (i, j) at [2 kl + i - j, j]: the kl rows on
+    # top hold the fill of row pivoting
+    band = np.zeros((3 * kl + 1, n), order="F")
+    for rows, cols, data in ((z_r, z_c, z_d), (z_c, z_r, z_d), (grid.slot[:r], grid.slot[:r], -sigma),
+                             (s_sl[a_r], s_sl[a_c], -sigma * a_d)):
+        band[2 * kl + rows - cols, cols] = data
+    lu, piv, info = lapack.dgbtrf(band, kl, kl, overwrite_ab=True)
+    if info > 0:
+        raise SolverContractViolation(f"shift-invert at sigma = {sigma!r} failed: the factor is exactly singular")
+    # a = L L^T, lower band storage: entry (i, j), i >= j, at [i - j, j]
+    lower = a_r >= a_c
+    a_band = np.zeros((kd + 1, s_sl.size), order="F")
+    a_band[a_r[lower] - a_c[lower], a_c[lower]] = a_d[lower]
+    l_band, info = lapack.dpbtrf(a_band, lower=1, overwrite_ab=True)
+    if info > 0:
+        raise SolverContractViolation("energy form not positive definite")
+
+    def opinv(v: np.ndarray) -> np.ndarray:
+        """(Hs - sigma I)^{-1} v = diag(I, L^T) (H - sigma M)^{-1} diag(I, L) v"""
+        w = v.copy()
+        w[s_sl] = blas.dtbmv(kd, l_band, v[s_sl], lower=1)
+        y = lapack.dgbtrs(lu, kl, kl, w, piv, overwrite_b=True)[0]
+        y[s_sl] = blas.dtbmv(kd, l_band, y[s_sl], lower=1, trans=1)
+        return y
+
+    def pencil(u: np.ndarray) -> np.ndarray:
+        """x = diag(I, L^{-T}) u, in the reduced order"""
+        x = u.copy()
+        x[s_sl] = blas.dtbsv(kd, l_band, u[s_sl], lower=1, trans=1)
+        return x[grid.slot]
+
+    def h_dot(x: np.ndarray) -> np.ndarray:
+        """H x, in the reduced order"""
+        return np.concatenate((red.zb @ x[r:], red.zb.T @ x[:r]))
+
+    def standard(u: np.ndarray) -> np.ndarray:
+        """Hs u = diag(I, L^{-1}) H diag(I, L^{-T}) u; eigsh reads only its shape and dtype"""
+        y = np.empty_like(u)
+        y[grid.slot] = h_dot(pencil(u))
+        y[s_sl] = blas.dtbsv(kd, l_band, y[s_sl], lower=1)
+        return y
+
     v0 = np.cos(np.arange(n))  # fixed, with weight on every block
     try:
-        omegas, x = spla.eigsh(pencil, k=1, M=mass, sigma=sigma, v0=v0, ncv=_NCV, OPinv=opinv)
+        omegas, u = spla.eigsh(spla.LinearOperator((n, n), matvec=standard, dtype=float), k=1, sigma=sigma,
+                               v0=v0, ncv=_NCV, tol=_RITZ_TOL,
+                               OPinv=spla.LinearOperator((n, n), matvec=opinv, dtype=float))
     except spla.ArpackNoConvergence as exc:
         raise SolverContractViolation(f"windowed solve did not converge: {exc}") from exc
+    x = pencil(u[:, 0])
     tol = 1e-10 * max(abs(sigma), 1.0)
-    resid = np.linalg.norm(shifted @ x - (mass @ x) * (omegas - sigma), axis=0)
-    if np.any(resid > tol * np.linalg.norm(x, axis=0)):
+    resid = np.linalg.norm(h_dot(x) - omegas[0] * np.concatenate((x[:r], red.a @ x[r:])))
+    if resid > tol * np.linalg.norm(x):
         raise SolverContractViolation(f"windowed solve residuals {resid} at omega {omegas}")
     if np.any(np.abs(omegas) <= tol):  # in TM at k_par = 0 the pencil has one null vector
         raise SolverContractViolation("zero frequency nearest sigma: no mode")
-    # x^T diag(I, a) x = 1 splits equally between the halves, so s^T a s = 1 for s = sqrt(2) x_S
-    pairs = _Pairs(red, red.lift(math.sqrt(2.0) * x[r:]), omegas, np.zeros(1, dtype=int))
+    # u^T u = x^T diag(I, a) x = 1 splits equally between the halves, so s^T a s = 1 for s = sqrt(2) x_S
+    pairs = _Pairs(red, red.lift(math.sqrt(2.0) * x[r:, None]), omegas, np.zeros(1, dtype=int))
     return DiscreteEigenSolution(op, omegas, pairs=pairs)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 import polmodes.realspace as rs
 from polmodes import (
@@ -188,6 +189,26 @@ class TestSingleAssembly:
         assert sp.issparse(op.b0_sparse) and sp.issparse(op.krein)
         assert op.krein.nnz <= 4 * layout.dim
 
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    @pytest.mark.parametrize("k_par", [0.0, 0.37, 2.0])
+    @pytest.mark.parametrize("geometry", ["interface", "vacuum box", "kappa = 0"])
+    def test_triplets_match_sparse_constructors(self, medium, polarization, k_par, geometry):
+        # the same arrays, bit for bit, as the sparse constructors give: no explicit zero for
+        # the k_par blocks at k_par = 0, an explicit zero coupling where kappa = 0, signed zeros
+        geom = {"interface": vacuum_interface(medium, 40.0), "vacuum box": homogeneous_box(None, 40.0),
+                "kappa = 0": vacuum_interface(MediumParams(1.0, 1.0, 0.0), 40.0)}[geometry]
+        op = assemble_operator(geom, Grid1D(64, 40.0), k_par, polarization, strict_resolution=False)
+        got = {"curl_ba": op.ops.curl_ba, "curl_ab": op.ops.curl_ab, "div": op.ops.div, "grad": op.ops.grad,
+               "b0_sparse": op.b0_sparse, "krein": op.krein}
+        for name, ref in _reference_assembly(op).items():
+            mat = got[name]
+            if ref is None:
+                assert mat is None, name
+                continue
+            assert (mat.format, mat.dtype, mat.shape) == (ref.format, ref.dtype, ref.shape), name
+            for arr in ("indptr", "indices", "data"):
+                assert getattr(mat, arr).tobytes() == getattr(ref, arr).tobytes(), (name, arr)
+
     @pytest.mark.parametrize("with_matter", [False, True])
     def test_one_poisson_factorization_per_operator(self, medium, monkeypatch, with_matter):
         # every coupling correction and both projections of completeness_check share one LU of
@@ -225,6 +246,42 @@ class TestSingleAssembly:
         ref = op.b0 @ v
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
         assert np.linalg.norm(op.apply(v[:, 1]) - got[:, 1]) <= 1e-14 * np.linalg.norm(got[:, 1])  # one vector
+
+
+def _reference_assembly(op):
+    """C, G, DIV, GRAD, B0 and K from SciPy's sparse constructors: the reference that
+    assemble_operator's triplets must reproduce bit for bit."""
+    n, h, k_par = op.grid.n, op.grid.h, op.k_par
+    d_hi = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n), format="csr")
+    if op.polarization == "TE":
+        c = sp.hstack([d_hi, 1j * k_par * sp.eye(n - 1)], format="csr")
+        div = grad = None
+    else:
+        c = sp.vstack([-d_hi, -1j * k_par * sp.eye(n)], format="csr")
+        div = sp.diags([-1j * k_par, -1.0 / h, 1.0 / h], [0, n - 1, n], shape=(n - 1, 2 * n - 1), format="csr")
+        grad = -div.conj().T
+    g = c.conj().T.tocsr()
+    rows, kap, rho, w_t = rs._matter_coefficients(op.layout, op.mats)
+    e_kappa = sp.csr_matrix((kap, (rows, np.arange(rows.size))), shape=(c.shape[0], rows.size))
+
+    def block_layout(ab, ag, ba, ge, eb, eg):
+        n_a, n_b, n_m = ba.shape[1], ba.shape[0], ge.shape[0]
+        g0, e0 = n_a + n_b, n_a + n_b + n_m
+        placed = [(blk.tocoo(), r0, c0) for blk, r0, c0 in
+                  ((ab, 0, n_a), (ag, 0, g0), (ba, n_a, 0), (ge, g0, e0), (eb, e0, n_a), (eg, e0, g0))
+                  if blk is not None]
+        data = np.concatenate([blk.data for blk, _, _ in placed]).astype(complex, copy=False)
+        rows = np.concatenate([blk.row + r0 for blk, r0, _ in placed])
+        cols = np.concatenate([blk.col + c0 for blk, _, c0 in placed])
+        return sp.csr_matrix((data, (rows, cols)), shape=(e0 + n_m, e0 + n_m))
+
+    rho_wl2 = rho * rs._Materials.omega_L2(kap, rho, w_t)
+    b0 = block_layout(-1j * rs.C**2 * c, (1j / rs.EPS0) * e_kappa, 1j * g, 1j * sp.diags(1.0 / rho),
+                      1j * rs.C**2 * (e_kappa.conj().T @ c), -1j * sp.diags(rho_wl2))
+    w = rs.HBAR * h * op.geom.area
+    eye = sp.eye(rows.size)
+    krein = block_layout(-1j * w * c, None, 1j * w * g, 1j * w * eye, None, -1j * w * eye)
+    return {"curl_ba": c, "curl_ab": g, "div": div, "grad": grad, "b0_sparse": b0, "krein": krein}
 
 
 def _dense_defect(op):
@@ -359,39 +416,40 @@ class TestSurfaceMode:
             np.linalg.norm(theta_ana) * np.linalg.norm(theta_num))
         assert overlap > 0.9999
 
-    def test_one_factorization_per_surface_solve(self, medium, interface, monkeypatch):
-        # the shift-invert LU only: the eigenvector, and with it the Poisson LU, is never built
-        factored, spla_splu = [], spla.splu
+    @staticmethod
+    def _count_traffic(monkeypatch):
+        """Count the band factors and band solves of the windowed solve, and every SuperLU
+        factor, through scipy.sparse.linalg and ARPACK's own import of splu."""
+        calls = {"dgbtrf": 0, "dgbtrs": 0, "splu": 0}
 
-        def splu(a, *args, **kwargs):
-            factored.append(a.shape)
-            return spla_splu(a, *args, **kwargs)
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
 
+        for name in ("dgbtrf", "dgbtrs"):
+            monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+        splu = counted("splu", spla.splu)
         monkeypatch.setattr(spla, "splu", splu)
-        # eigsh factors H - sigma M with its own import of splu
         monkeypatch.setattr(importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack"), "splu", splu)
+        return calls
+
+    def test_one_factorization_per_surface_solve(self, medium, interface, monkeypatch):
+        # one band LU of the shifted pencil and no SuperLU factor: the eigenvector, and with it
+        # the Poisson LU, is never built
+        calls = self._count_traffic(monkeypatch)
         sigma = surface_dispersion_omega(medium, 2.0) * 1.001
         surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
-        assert len(factored) == 1
+        assert calls["dgbtrf"] == 1 and calls["splu"] == 0
 
     def test_surface_solve_fills_the_basis_once(self, medium, interface, monkeypatch):
         # an isolated eigenvalue near the shift converges in one fill of the 12-vector basis:
         # 13 shift-invert solves (SciPy's default basis of 20 takes 21)
-        factors, spla_splu = [], spla.splu
-
-        class CountingLU:
-            def __init__(self, a):
-                self.lu, self.solves = spla_splu(a), 0
-                factors.append(self)
-
-            def solve(self, b):
-                self.solves += 1
-                return self.lu.solve(b)
-
-        monkeypatch.setattr(spla, "splu", CountingLU)
+        calls = self._count_traffic(monkeypatch)
         sigma = surface_dispersion_omega(medium, 2.0) * 1.001
         surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
-        assert len(factors) == 1 and factors[0].solves <= 13
+        assert calls["dgbtrf"] == 1 and calls["dgbtrs"] <= 13 and calls["splu"] == 0
 
     def test_sparse_matches_dense_generic(self, medium):
         geom = vacuum_interface(medium, 40.0)
@@ -461,6 +519,51 @@ class TestWindowedSolve:
         w = w[np.r_[True, np.diff(w) > 1e-10 * w[1:]]]
         found = [solve_windowed(op, lo + 0.25 * (hi - lo)).omegas[0] for lo, hi in zip(w[:-1], w[1:])]
         np.testing.assert_allclose(found, w[:-1], rtol=1e-10)
+
+    @pytest.mark.parametrize("geometry", ["interface", "matter box", "vacuum box"])
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    @pytest.mark.parametrize("k_par", [0.0, 0.8])
+    @pytest.mark.parametrize("n", [64, 4000])
+    def test_grid_order_is_banded(self, medium, geometry, polarization, k_par, n):
+        # the band LU costs O(n kl^2) in O(n kl) storage only while the grid order keeps the
+        # widths fixed; a broken order makes them grow with n, towards dense work
+        geom = {"interface": vacuum_interface(medium, 40.0), "matter box": homogeneous_box(medium, 40.0),
+                "vacuum box": homogeneous_box(None, 40.0)}[geometry]
+        op = assemble_operator(geom, Grid1D(n, 40.0), k_par, polarization, strict_resolution=False)
+        red = rs._reduce(op)
+        grid = rs._grid_pencil(op, red)
+        assert grid.kl <= 10 and grid.kd <= 3
+        # the widths are those of the pencil and of a themselves
+        r = red.zb.shape[0]
+        zb, a = red.zb.tocoo(), red.a.tocoo()
+        pencil = np.abs(grid.slot[zb.row] - grid.slot[r + zb.col]).max()
+        pencil = max(pencil, np.abs(grid.slot[r + a.row] - grid.slot[r + a.col]).max())
+        assert grid.kl == pencil
+        s_rank = np.argsort(np.argsort(grid.slot[r:]))
+        assert grid.kd == np.abs(s_rank[a.row] - s_rank[a.col]).max()
+
+    @pytest.mark.parametrize("polarization,k_par", [("TE", 0.8), ("TM", 0.0), ("TM", 2.0)])
+    def test_standard_form_operators(self, interface, monkeypatch, rng, polarization, k_par):
+        # ARPACK gets the symmetric standard-form matrix and its shift-invert operator: they are
+        # inverse to each other after the shift, and the eigenpair satisfies the standard form
+        op = assemble_operator(interface, Grid1D(128, 40.0), k_par, polarization, strict_resolution=False)
+        seen, eigsh = {}, spla.eigsh
+
+        def spy(a, **kwargs):
+            seen.update(a=a, opinv=kwargs["OPinv"])
+            seen["result"] = eigsh(a, **kwargs)
+            return seen["result"]
+
+        monkeypatch.setattr(spla, "eigsh", spy)
+        sigma = 1.1
+        solve_windowed(op, sigma)
+        hs, opinv = seen["a"], seen["opinv"]
+        v = rng.standard_normal((hs.shape[0], 2))
+        back = opinv.matvec(hs.matvec(v[:, 0]) - sigma * v[:, 0])
+        assert np.linalg.norm(back - v[:, 0]) <= 1e-10 * np.linalg.norm(v[:, 0])
+        assert v[:, 1] @ hs.matvec(v[:, 0]) == pytest.approx(v[:, 0] @ hs.matvec(v[:, 1]), rel=1e-12)
+        omegas, u = seen["result"]
+        assert np.linalg.norm(hs.matvec(u[:, 0]) - omegas[0] * u[:, 0]) <= 1e-10
 
     def test_multiple_eigenvalue_returns_one_copy(self, medium):
         # the TM box at k_par = 0 holds 128 degenerate matter modes at omega_L; the windowed

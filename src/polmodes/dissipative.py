@@ -281,15 +281,6 @@ def y_to_source_current(m: MediumParams, bath: BathModel, omega: float, y: compl
     return bath.upsilon_at(omega) / (m.kappa * m.rho * C**2) * (eps_t - 1.0) * y
 
 
-def source_current_to_y(m: MediumParams, bath: BathModel, omega: float, j: complex) -> complex:
-    """Inverse of y_to_source_current (requires nonzero coupling at omega)."""
-    eps_t = lossy_epsilon(m, bath, omega)
-    ups = bath.upsilon_at(omega)
-    if ups == 0 or eps_t == 1.0:
-        raise ValueError("conversion undefined where the bath does not couple")
-    return j * m.kappa * m.rho * C**2 / (ups * (eps_t - 1.0))
-
-
 # ---------------------------------------------------------------------------
 # driven field
 

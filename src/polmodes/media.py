@@ -232,10 +232,6 @@ class LayeredGeometry:
                 return lay.medium
         raise ValueError(f"z={z} outside the quantization box")
 
-    def epsilon_at(self, omega: float, z: float) -> float:
-        med = self.medium_at(z)
-        return 1.0 if med is None else epsilon(med, omega)
-
 
 def homogeneous_box(medium: Optional[MediumParams], lz: float, area: float = 1.0) -> LayeredGeometry:
     """A box filled with a single medium (or vacuum if medium is None)."""

@@ -56,11 +56,14 @@ Both solves keep the real reduced S-parts and expand full-space eigenvectors
 on demand, column by column: `polmodes solve` expands only the profiles it
 writes, and a surface-mode frequency expands none.
 
-B0 and K are assembled once, each from its triplets in one sparse
-construction, with the unprojected coupling, and stay sparse. The projected coupling enters only through one
-correction on alpha (_coupling_correction), which `apply`, the eigenvector
-expansion and the field reconstruction share, from one LU of LAP = DIV GRAD;
-K B0 does not see it. The dense B0 is built only on request, for residual checks.
+Both solves write the reduced blocks from the stencil coefficients (_reduce), with
+no full-space matrix: a windowed solve builds none at all. B0, with the unprojected
+coupling, and K are built on first use, each from its triplets in one sparse
+construction, and stay sparse; the eigenvector expansion, `apply`, the Krein
+products and the checks read them. The projected coupling
+enters only through one correction on alpha (_coupling_correction), which `apply`
+and the field reconstruction share, from one LU of LAP = DIV GRAD; K B0 does not
+see it. The dense B0 is built only on request, for residual checks.
 """
 
 from __future__ import annotations
@@ -209,34 +212,34 @@ class _Operators:
 
 
 def _csr(shape, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix from its triplets, in one construction, without the zero entries: the
-    i k_par entries at k_par = 0, which SciPy's diagonal constructors leave out too."""
+    """CSR matrix from its triplets, listed row by row with ascending columns, in one
+    construction and without a sort, and without the zero entries: the i k_par entries at
+    k_par = 0, which SciPy's diagonal constructors leave out too."""
     keep = data != 0
-    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=shape)
+    indptr = np.searchsorted(rows[keep], np.arange(shape[0] + 1))
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=shape)
 
 
 def _build_operators(grid: Grid1D, k_par: float, polarization: str) -> _Operators:
-    """C, G = C^H, DIV and GRAD = -DIV^H from their triplets. d/dz takes the half points
-    i and i + 1 to the interior node i as (v[i + 1] - v[i]) / h."""
+    """C and DIV from their triplets, G = C^H and GRAD = -DIV^H by transposition. d/dz takes
+    the half points i and i + 1 to the interior node i as (v[i + 1] - v[i]) / h."""
     n, h = grid.n, grid.h
     i, j = np.arange(n - 1), np.arange(n)  # interior nodes, half points
-    d_lo, d_hi = np.full(n - 1, -1.0 / h), np.full(n - 1, 1.0 / h)
     div = grad = None
     if polarization == "TE":
         # beta = (beta_par at half points, beta_z at nodes) -> alpha: [d/dz, i k_par]
-        shape = (n - 1, 2 * n - 1)
-        rows, cols = np.concatenate((i, i, i)), np.concatenate((i, i + 1, n + i))
-        data = np.concatenate((d_lo, d_hi, np.full(n - 1, 1j * k_par)))
+        c = _csr((n - 1, 2 * n - 1), np.repeat(i, 3), np.column_stack((i, i + 1, n + i)).ravel(),
+                 np.tile([-1.0 / h, 1.0 / h, 1j * k_par], n - 1))
     else:
         # beta at half points -> alpha = (alpha_par at nodes, alpha_z at half points): [-d/dz; -i k_par]
-        shape = (2 * n - 1, n)
-        rows, cols = np.concatenate((i, i, n - 1 + j)), np.concatenate((i, i + 1, j))
-        data = np.concatenate((-d_lo, -d_hi, np.full(n, -1j * k_par)))
+        c = _csr((2 * n - 1, n), np.concatenate((np.repeat(i, 2), n - 1 + j)),
+                 np.concatenate((np.column_stack((i, i + 1)).ravel(), j)),
+                 np.concatenate((np.tile([1.0 / h, -1.0 / h], n - 1), np.full(n, -1j * k_par))))
         # [-i k_par, d/dz]: alpha_par and alpha_z to interior nodes
-        div = _csr((n - 1, 2 * n - 1), np.concatenate((i, i, i)), np.concatenate((i, n - 1 + i, n + i)),
-                   np.concatenate((np.full(n - 1, -1j * k_par), d_lo, d_hi)))
+        div = _csr((n - 1, 2 * n - 1), np.repeat(i, 3), np.column_stack((i, n - 1 + i, n + i)).ravel(),
+                   np.tile([-1j * k_par, -1.0 / h, 1.0 / h], n - 1))
         grad = sp.csc_matrix((-div.data.conj(), div.indices, div.indptr), shape=div.shape[::-1])
-    return _Operators(_csr(shape, rows, cols, data), _csr(shape[::-1], cols, rows, data.conj()), div, grad)
+    return _Operators(c, c.conj().T.tocsr(), div, grad)
 
 
 def _coupling_correction(op: DiscreteOperator, gamma: np.ndarray, factor: complex) -> Optional[np.ndarray]:
@@ -282,14 +285,13 @@ def _triplets(m: sp.csr_matrix):
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
 
 
-def _sparse_b0_krein(ops: _Operators, rows: np.ndarray, kap, rho, w_t, w: float):
-    """B0, with the unprojected matter coupling, and K over the blocks (alpha, beta, gamma,
-    eta), each from its triplets in one construction. Matter degree of freedom m couples to
-    the alpha-space row rows[m].
+def _sparse_b0(ops: _Operators, rows: np.ndarray, kap, rho, w_t) -> sp.csr_matrix:
+    """B0, with the unprojected matter coupling, over the blocks (alpha, beta, gamma, eta),
+    from its triplets in one construction. Matter degree of freedom m couples to the
+    alpha-space row rows[m].
 
-    B0: alpha-beta -i c^2 C, alpha-gamma (i / eps0) kappa, beta-alpha i G, gamma-eta i / rho,
-    eta-beta i c^2 kappa C[rows] and eta-gamma -i rho omega_L^2. K: w times -i C, i G, i
-    and -i at alpha-beta, beta-alpha, gamma-eta and eta-gamma (1/mu0 = 1).
+    alpha-beta -i c^2 C, alpha-gamma (i / eps0) kappa, beta-alpha i G, gamma-eta i / rho,
+    eta-beta i c^2 kappa C[rows] and eta-gamma -i rho omega_L^2.
     """
     n_a, n_b = ops.curl_ba.shape
     g0, e0 = n_a + n_b, n_a + n_b + rows.size
@@ -305,34 +307,64 @@ def _sparse_b0_krein(ops: _Operators, rows: np.ndarray, kap, rho, w_t, w: float)
     eb = kap[e_m] * c_d[coupled]
     nz = eb != 0
     rho_wl2 = rho * _Materials.omega_L2(kap, rho, w_t)
-    shape = (e0 + m.size, e0 + m.size)
-    b0 = sp.csr_matrix((np.concatenate((c_d * (-1j * C**2), kap * (1j / EPS0), g_d * 1j, (1.0 / rho) * 1j,
-                                        eb[nz] * (1j * C**2), rho_wl2 * -1j)),
-                        (np.concatenate((c_r, rows, n_a + g_r, g0 + m, e0 + e_m[nz], e0 + m)),
-                         np.concatenate((n_a + c_c, g0 + m, g_c, e0 + m, n_a + c_c[coupled[nz]], g0 + m)))),
-                       shape=shape)
-    ones = np.ones(m.size)
-    krein = sp.csr_matrix((np.concatenate((c_d * (-1j * w), g_d * (1j * w), ones * (1j * w), ones * (-1j * w))),
-                           (np.concatenate((c_r, n_a + g_r, g0 + m, e0 + m)),
-                            np.concatenate((n_a + c_c, g_c, e0 + m, g0 + m)))), shape=shape)
-    return b0, krein
+    return sp.csr_matrix((np.concatenate((c_d * (-1j * C**2), kap * (1j / EPS0), g_d * 1j, (1.0 / rho) * 1j,
+                                          eb[nz] * (1j * C**2), rho_wl2 * -1j)),
+                          (np.concatenate((c_r, rows, n_a + g_r, g0 + m, e0 + e_m[nz], e0 + m)),
+                           np.concatenate((n_a + c_c, g0 + m, g_c, e0 + m, n_a + c_c[coupled[nz]], g0 + m)))),
+                         shape=(e0 + m.size, e0 + m.size))
+
+
+def _sparse_krein(ops: _Operators, n_matter: int, w: float) -> sp.csr_matrix:
+    """K over the blocks (alpha, beta, gamma, eta), from its triplets in one construction:
+    w times -i C, i G, i and -i at alpha-beta, beta-alpha, gamma-eta and eta-gamma (1/mu0 = 1)."""
+    n_a, n_b = ops.curl_ba.shape
+    g0, e0 = n_a + n_b, n_a + n_b + n_matter
+    m = np.arange(n_matter)
+    c_r, c_c, c_d = _triplets(ops.curl_ba)
+    g_r, g_c, g_d = _triplets(ops.curl_ab)
+    ones = np.ones(n_matter)
+    return sp.csr_matrix((np.concatenate((c_d * (-1j * w), g_d * (1j * w), ones * (1j * w), ones * (-1j * w))),
+                          (np.concatenate((c_r, n_a + g_r, g0 + m, e0 + m)),
+                           np.concatenate((n_a + c_c, g_c, e0 + m, g0 + m)))), shape=(e0 + n_matter, e0 + n_matter))
 
 
 @dataclass
 class DiscreteOperator:
-    """Assembled eigensystem: sparse B0 with the unprojected matter coupling, sparse
-    Krein matrix K, and metadata. Nothing here is dense; `b0` densifies on request."""
+    """Assembled eigensystem: grid, media, layout and the sparse curls (checked at
+    assembly), from which every full-space matrix is built on first use: the sparse B0
+    with the unprojected matter coupling (`b0_sparse`), the sparse Krein matrix K
+    (`krein`) and the kappa embedding (`kappa_embed`). The reduction reads the stencils
+    (_reduce) and builds none of them, so a windowed solve builds none; `apply`, the
+    eigenvector expansion (the full solve builds B0 for it), the Krein products and the
+    checks do. Nothing here is dense; `b0` densifies on request."""
 
     geom: LayeredGeometry
     grid: Grid1D
     k_par: float
     polarization: str
     layout: FieldLayout
-    b0_sparse: sp.csr_matrix
-    krein: sp.csr_matrix
     ops: _Operators = field(repr=False)
     mats: _Materials = field(repr=False)
-    kappa_embed: sp.csr_matrix = field(repr=False)
+
+    @functools.cached_property
+    def b0_sparse(self) -> sp.csr_matrix:
+        """Sparse B0 with the unprojected matter coupling, built on first use."""
+        b0 = _sparse_b0(self.ops, *_matter_coefficients(self.layout, self.mats))
+        if b0.shape != (self.layout.dim, self.layout.dim):
+            raise SolverContractViolation("sparse assembly dimension mismatch")
+        return b0
+
+    @functools.cached_property
+    def krein(self) -> sp.csr_matrix:
+        """Sparse Krein matrix K, built on first use."""
+        g_sl = self.layout._span("gamma")
+        return _sparse_krein(self.ops, g_sl.stop - g_sl.start, HBAR * self.grid.h * self.geom.area)
+
+    @functools.cached_property
+    def kappa_embed(self) -> sp.csr_matrix:
+        """alpha-space x matter-space matrix with kappa at matching positions, built on first use."""
+        rows, kap, _, _ = _matter_coefficients(self.layout, self.mats)
+        return sp.csr_matrix((kap, (rows, np.arange(rows.size))), shape=(self.ops.curl_ba.shape[0], rows.size))
 
     @functools.cached_property
     def poisson(self) -> Optional[spla.SuperLU]:
@@ -377,18 +409,13 @@ def assemble_operator(
     polarization: str,
     strict_resolution: bool = True,
 ) -> DiscreteOperator:
-    """Sparse B0 (unprojected coupling) and sparse Krein matrix, in O(dim) memory."""
+    """The operator on its grid, with its curls checked (curl GRAD = 0 in TM); its sparse
+    B0 and Krein matrix are built on first use, in O(dim) memory."""
     _resolution_check(geom, grid, k_par, strict_resolution)
     mats = _sample_materials(geom, grid)
     layout = _build_layout(mats, polarization)
-    ops = _build_operators(grid, k_par, polarization)
-    rows, kap, rho, w_t = _matter_coefficients(layout, mats)
-    b0, krein = _sparse_b0_krein(ops, rows, kap, rho, w_t, HBAR * grid.h * geom.area)
-    if b0.shape != (layout.dim, layout.dim):
-        raise SolverContractViolation("sparse assembly dimension mismatch")
-    # alpha-space x matter-space matrix with kappa at matching positions
-    e_kappa = sp.csr_matrix((kap, (rows, np.arange(rows.size))), shape=(ops.curl_ba.shape[0], rows.size))
-    return DiscreteOperator(geom, grid, k_par, polarization, layout, b0, krein, ops, mats, e_kappa)
+    return DiscreteOperator(geom, grid, k_par, polarization, layout, _build_operators(grid, k_par, polarization),
+                            mats)
 
 
 def self_adjointness_defect(op: DiscreteOperator) -> float:
@@ -419,10 +446,9 @@ class _Reduction:
     side: np.ndarray  # indices of S, whose energy block A[S, S] is positive definite
     other: np.ndarray  # indices of O
     phase: np.ndarray  # gauge phases on S
-    b_os: sp.csr_matrix  # B0[O, S] with the unprojected coupling
-    a: sp.csr_matrix  # A[S, S] in the gauge
-    zb: sp.csr_matrix  # Z B0[O, S] in the gauge, as rows of real and imaginary parts
-    z_rows: np.ndarray  # the row of Z, an index into S, that each row of zb comes from
+    position: np.ndarray  # grid position of every S coordinate, in cells from the left wall
+    a: sp.coo_matrix  # A[S, S] in the gauge
+    zb: sp.coo_matrix  # Z B0[O, S] in the gauge, real; row i is the row of Z at S coordinate i
     null: Optional[np.ndarray]  # unit null vector of A[S, S] whose coordinate 0 was dropped
 
     def lift(self, x: np.ndarray) -> np.ndarray:
@@ -435,20 +461,79 @@ class _Reduction:
         return s
 
 
-def _coupling_block(m: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    """m[rows][:, cols], read off m's arrays, for ascending rows and cols where the rows
-    of m hold entries in cols only: B0 and K couple P to Q and Q to P, nothing else."""
-    counts = np.diff(m.indptr)
-    picked = np.zeros(m.shape[0], dtype=bool)
-    picked[rows] = True
-    col_of = np.full(m.shape[1], -1)
-    col_of[cols] = np.arange(cols.size)
-    keep = np.repeat(picked, counts)
-    idx = col_of[m.indices[keep]]
-    if np.any(idx < 0):
-        raise SolverContractViolation("B0 or K couples P to P or Q to Q")
-    return sp.csr_matrix((m.data[keep], idx, np.concatenate(([0], np.cumsum(counts[rows])))),
-                         shape=(rows.size, cols.size))
+def _te_stencils(op: DiscreteOperator, w: float):
+    """Positions, and the triplets of a and zb over S = (alpha, eta), in TE.
+
+    a = T = w diag(C G, 1 / rho): C G is the stencil (2 / h^2 + k^2, -1 / h^2) on the
+    interior nodes. zb is the imaginary part of Z B0[O, S] = i sqrt(w) [[c C G,
+    -kappa E / (c eps0 rho)], [0, omega_T / sqrt(rho)]], whose real part is zero.
+    """
+    n, h, k = op.grid.n, op.grid.h, op.k_par
+    p = op.layout.matter_index["eta"]
+    kap, rho, w_t = (arr[p] for arr in op.mats.at(False))
+    i = np.arange(n - 1)  # alpha at the interior nodes, then eta at the matter nodes p
+    e = n - 1 + np.arange(p.size)
+    lap_r, lap_c = np.concatenate((i, i[:-1], i[1:])), np.concatenate((i, i[1:], i[:-1]))
+
+    def lap(scale):
+        """scale C G, with the diagonal built from the rounded off-diagonal, as the product of
+        the curls builds it, so that the difference stencil cancels exactly"""
+        off = scale / h**2
+        return np.concatenate((np.full(n - 1, 2 * off + scale * k**2), np.full(2 * n - 4, -off)))
+
+    rw = math.sqrt(w)
+    a = (np.concatenate((lap_r, e)), np.concatenate((lap_c, e)), np.concatenate((lap(w), w / rho)))
+    zb = (np.concatenate((lap_r, p, e)), np.concatenate((lap_c, e, e)),
+          np.concatenate((lap(rw * C), -rw * kap / (C * EPS0 * rho), rw * w_t / np.sqrt(rho))))
+    return np.concatenate((i + 1.0, p + 1.0)), a, zb
+
+
+def _tm_stencils(op: DiscreteOperator, w: float):
+    """Positions, and the triplets of a and zb over S = (beta, gamma_par, gamma_z), in TM.
+
+    a = V = w [[c^2 G C, -G E kappa / eps0], [-c^2 kappa E^T C, rho omega_L^2]]: G C is
+    the stencil (m / h^2 + k^2, -1 / h^2) on the half points, with m the number of
+    interior nodes beside the half point, and beta_j couples to gamma_par at node j - 1
+    and j by +-kappa / (h eps0), and to gamma_z at its own half point by kappa k / eps0.
+    zb = Z B0[O, S] with Z = sqrt(w) diag(G, rho^-1/2): the beta rows are those of a over
+    sqrt(w); an eta_par row, sqrt(w / rho) (-c^2 kappa / h, c^2 kappa / h, rho omega_L^2)
+    at (beta_p, beta_p+1, gamma_par), is real; an eta_z row, sqrt(w / rho) i (c^2 kappa k,
+    rho omega_L^2) at (beta_q, gamma_z), is imaginary, and zb holds its imaginary part.
+    The k entries are left out at k_par = 0.
+    """
+    n, h, k = op.grid.n, op.grid.h, op.k_par
+    p, q = op.layout.matter_index["gamma_par"], op.layout.matter_index["gamma_z"]
+    kap_p, rho_p, wt_p = (arr[p] for arr in op.mats.at(False))
+    kap_q, rho_q, wt_q = (arr[q] for arr in op.mats.at(True))
+    j = np.arange(n)  # beta at the half points, then gamma_par at the nodes p, gamma_z at the halves q
+    gp = n + np.arange(p.size)
+    gz = n + p.size + np.arange(q.size)
+    kq = slice(None) if k != 0 else slice(0)
+    m = np.full(n, 2.0)
+    m[[0, -1]] = 1.0
+    # the beta rows of a / w: the curl curl stencil, then the coupling to the matter beside beta
+    b_r = np.concatenate((j, j[:-1], j[1:], p, p + 1, q[kq]))
+    b_c = np.concatenate((j, j[1:], j[:-1], gp, gp, gz[kq]))
+
+    def beta_rows(scale):
+        """scale times the beta rows of a / w, the diagonal of G C built from its rounded
+        off-diagonal, as the product of the curls builds it"""
+        off, cpl = scale * C**2 / h**2, scale * kap_p / (h * EPS0)
+        return np.concatenate((m * off + scale * C**2 * k**2, np.full(2 * n - 2, -off), -cpl, cpl,
+                               scale * kap_q[kq] * (k / EPS0)))
+
+    n_lap = 3 * n - 2  # entries of the curl curl stencil
+    rw = math.sqrt(w)
+    wl2_p, wl2_q = _Materials.omega_L2(kap_p, rho_p, wt_p), _Materials.omega_L2(kap_q, rho_q, wt_q)
+    b_a = beta_rows(w)
+    a = (np.concatenate((b_r, b_c[n_lap:], gp, gz)), np.concatenate((b_c, b_r[n_lap:], gp, gz)),
+         np.concatenate((b_a, b_a[n_lap:], w * rho_p * wl2_p, w * rho_q * wl2_q)))
+    sp_p, sp_q = np.sqrt(rho_p), np.sqrt(rho_q)
+    eta_par = rw * C**2 * kap_p / (h * sp_p)
+    zb = (np.concatenate((b_r, gp, gp, gp, gz[kq], gz)), np.concatenate((b_c, p, p + 1, gp, q[kq], gz)),
+          np.concatenate((beta_rows(rw), -eta_par, eta_par, rw * sp_p * wl2_p,
+                          rw * C**2 * kap_q[kq] * k / sp_q[kq], rw * sp_q * wl2_q)))
+    return np.concatenate((j + 0.5, p + 1.0, q + 0.5)), a, zb
 
 
 def _reduce(op: DiscreteOperator) -> _Reduction:
@@ -458,58 +543,38 @@ def _reduce(op: DiscreteOperator) -> _Reduction:
     S is the side whose energy block is positive definite (P with T for TE, Q with V
     for TM), O the other, and Z a sparse root of the other energy block,
     A[O, O] = Z^H Z. In the i^n gauge of _gauge, A[S, S] is real and each row of
-    Z B0[O, S] has one phase, so the nonempty rows of its real and imaginary parts
-    have its Gram matrix. Z has one row per coordinate of S, on its grid point: the
-    curl maps O's field onto S's (beta onto alpha in TE, alpha onto beta in TM), and
-    each matter row sits at the matter point of its gamma and eta. At k_par = 0 in TM
-    the constant beta vector spans ker A[S, S] = ker Z B0[O, S]; dropping the first
-    beta coordinate leaves a positive definite problem with the same nonzero spectrum.
+    Z B0[O, S] is real or imaginary, none empty, so zb, each row as its real or imaginary
+    part, has the Gram matrix of Z B0[O, S]. Z has one row per coordinate of S, on its
+    grid point: the curl maps O's field onto S's (beta onto alpha in TE, alpha onto beta
+    in TM), and each matter row sits at the matter point of its gamma and eta. Both
+    blocks are written from the stencil coefficients (_te_stencils, _tm_stencils), with
+    no full-space matrix and no sparse product. At k_par = 0 in TM the
+    constant beta vector spans ker A[S, S] = ker Z B0[O, S]; dropping the first beta
+    coordinate leaves a positive definite problem with the same nonzero spectrum.
     """
     layout = op.layout
     p_idx = np.r_[layout._span("alpha"), layout._span("eta")]
     q_idx = np.r_[layout._span("beta"), layout._span("gamma")]
-    rows, kap, rho, w_t = _matter_coefficients(layout, op.mats)
-    rw = math.sqrt(HBAR * op.grid.h * op.geom.area)
-    n_a, n_b = op.ops.curl_ba.shape
-    m = np.arange(rows.size)
+    w = HBAR * op.grid.h * op.geom.area
     if op.polarization == "TE":
-        # V = Z^H Z with Z = sqrt(w) [[c C, -E / (c eps0)], [0, sqrt(rho) omega_T]] (c^2 eps0 = 1)
-        c_r, c_c, c_d = _triplets(op.ops.curl_ba)
-        z = sp.csr_matrix((np.concatenate((c_d * C, -kap / (C * EPS0), np.sqrt(rho) * w_t)) * rw,
-                           (np.concatenate((c_r, rows, n_a + m)), np.concatenate((c_c, n_b + m, n_b + m)))),
-                          shape=(n_a + m.size, n_b + m.size))
         side, other = p_idx, q_idx
+        position, a, zb = _te_stencils(op, w)
     else:
-        # T = Z^H Z with Z = sqrt(w) diag(G, rho^-1/2)
-        g_r, g_c, g_d = _triplets(op.ops.curl_ab)
-        z = sp.csr_matrix((np.concatenate((g_d, 1.0 / np.sqrt(rho))) * rw,
-                           (np.concatenate((g_r, n_b + m)), np.concatenate((g_c, n_a + m)))),
-                          shape=(n_b + m.size, n_a + m.size))
         side, other = q_idx, p_idx
-    b_os = _coupling_block(op.b0_sparse, other, side)
-    phase = _gauge(layout)[side]
-    b_gauge = sp.csr_matrix((b_os.data * phase[b_os.indices], b_os.indices, b_os.indptr), shape=b_os.shape)
-    ka = _coupling_block(op.krein, side, other) @ b_gauge
-    a = ka.data * phase.conj()[_triplets(ka)[0]]
-    if np.any(a.imag):
-        raise SolverContractViolation("energy form is not real in the i^n gauge")
-    a = sp.csr_matrix((a.real, ka.indices, ka.indptr), shape=ka.shape)
-    # Z B0[O, S] in the gauge: the rows of its real parts over those of its imaginary parts,
-    # without zeros, and without the rows that are left empty
-    zb = z @ b_gauge
-    zb = sp.csr_matrix((np.concatenate((zb.data.real, zb.data.imag)), np.concatenate((zb.indices, zb.indices)),
-                        np.concatenate((zb.indptr, zb.indptr[1:] + zb.nnz))), shape=(2 * zb.shape[0], zb.shape[1]))
-    zb.eliminate_zeros()
-    z_rows = np.flatnonzero(np.diff(zb.indptr))
-    zb = sp.csr_matrix((zb.data, zb.indices, zb.indptr[np.concatenate(([0], z_rows + 1))]),
-                       shape=(z_rows.size, zb.shape[1]))
-    null = None
+        position, a, zb = _tm_stencils(op, w)
+    n_s, null = side.size, None
     if op.polarization == "TM" and op.k_par == 0:
         n_beta = layout._span("beta").stop - layout._span("beta").start
-        null = np.zeros(side.size)
+        null = np.zeros(n_s)
         null[:n_beta] = 1.0 / math.sqrt(n_beta)
-        a, zb = a[1:, 1:], zb[:, 1:]
-    return _Reduction(side, other, phase, b_os, a, zb, z_rows % side.size, null)
+        keep = (a[0] > 0) & (a[1] > 0)
+        a = (a[0][keep] - 1, a[1][keep] - 1, a[2][keep])
+        keep = zb[1] > 0
+        zb = (zb[0][keep], zb[1][keep] - 1, zb[2][keep])
+        n_s -= 1
+    return _Reduction(side, other, _gauge(layout)[side], position,
+                      sp.coo_matrix((a[2], (a[0], a[1])), shape=(n_s, n_s)),
+                      sp.coo_matrix((zb[2], (zb[0], zb[1])), shape=(side.size, n_s)), null)
 
 
 def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -517,13 +582,14 @@ def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.nda
     S-parts s (lifted columns with s^T A[S, S] s = 1) of the eigenvalues omega.
 
     psi = (B0[O, S] s / omega, s) sqrt(|omega| / 2) on (O, S), with the
-    transverse-projected coupling in B0[O, S]; its Krein norm is
-    sgn(omega) s^T A[S, S] s = sgn(omega) by construction. Each column is
-    expanded on its own, so a subset of columns gives the same bits.
+    transverse-projected coupling in B0[O, S], read off the rows O of the sparse B0
+    (which couples S to O only) when a column is expanded; its Krein norm is
+    sgn(omega) s^T A[S, S] s = sgn(omega) by construction. Each column is expanded on
+    its own, so a subset of columns gives the same bits.
     """
     layout = op.layout
     s = red.phase[:, None] * s
-    o = red.b_os @ s
+    o = op.b0_sparse[red.other][:, red.side] @ s
     # where there is a correction (TM), S = (beta, gamma) and alpha leads O = (alpha, eta)
     g_off = layout._span("gamma").start - layout._span("beta").start
     corr = _coupling_correction(op, s[g_off:], 1j / EPS0)
@@ -607,6 +673,10 @@ def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
     a caller that reads only the omegas and a few columns never holds all of them.
     """
     red = _reduce(op)
+    # the expansion reads the sparse B0: built here, before the dense arrays, it does not land
+    # among them (built after them, it raised the peak resident memory of `polmodes verify` by
+    # 3 MiB for some hash seeds)
+    op.b0_sparse
     try:
         l_fac = sla.cholesky(red.a.toarray(), lower=True, overwrite_a=True)
     except sla.LinAlgError as exc:
@@ -627,55 +697,44 @@ def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
     return DiscreteEigenSolution(op, np.concatenate([-sigma, sigma[::-1]]), pairs=pairs)
 
 
-def _grid_position(layout: FieldLayout) -> np.ndarray:
-    """Grid position of every state coordinate, in cells from the left wall: interior
-    node i at i + 1, half point i at i + 1/2; a matter block's coordinates at the points
-    of its `matter_index`."""
-    pos = np.empty(layout.dim)
-    for name in layout.blocks:
-        sl = layout.slices[name]
-        idx = layout.matter_index.get(name, np.arange(sl.stop - sl.start))
-        pos[sl] = idx + (0.5 if name in layout.halves else 1.0)
-    return pos
-
-
 @dataclass
 class _GridPencil:
     """The reduced pencil H x = omega M x of _reduce, H = [[0, zb], [zb^T, 0]] and
     M = diag(I, a), with its unknowns in grid order.
 
     The unknowns, the rows of zb and then the S coordinates, are sorted by grid position
-    (_grid_position): an S coordinate sits at its own, a row of zb at that of the Z row it
-    comes from (the rows of Z lie on the grid points of S, see _reduce); ties keep the
-    reduced order. In this order H - sigma M is a band matrix of half-bandwidth kl, and
-    a, among the S coordinates, one of half-bandwidth kd. Both widths are known before
-    any band storage is allocated.
+    (`_Reduction.position`): an S coordinate sits at its own, row i of zb at that of S
+    coordinate i, whose row of Z it is; ties keep the reduced order. In this order
+    H - sigma M is a band matrix of half-bandwidth kl, and a, among the S coordinates,
+    one of half-bandwidth kd. Both widths are known before any band storage is allocated.
     """
 
     slot: np.ndarray  # grid slot of each unknown
     s_slots: np.ndarray  # slots of the S coordinates, ascending
     zb: Tuple[np.ndarray, np.ndarray, np.ndarray]  # (row, column, value) of zb, between slots
     a: Tuple[np.ndarray, np.ndarray, np.ndarray]  # (row, column, value) of a, between S ranks
+    a_slots: Tuple[np.ndarray, np.ndarray]  # (row, column) of a, between slots
     kl: int
     kd: int
 
 
-def _grid_pencil(op: DiscreteOperator, red: _Reduction) -> _GridPencil:
+def _grid_pencil(red: _Reduction) -> _GridPencil:
     r, n_s = red.zb.shape
-    pos = _grid_position(op.layout)[red.side]
-    # the kept S coordinates: at k_par = 0 in TM the first one is dropped
-    order = np.argsort(np.concatenate((pos[red.z_rows], pos[pos.size - n_s:])), kind="stable")
+    pos = red.position
+    # the kept S coordinates: at k_par = 0 in TM the first one is dropped; each block of S is
+    # ascending in position, so the stable sort merges a few sorted runs
+    order = np.argsort(np.concatenate((pos, pos[r - n_s:])), kind="stable")
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
     s_slots = np.flatnonzero(order >= r)
     s_rank = np.empty_like(order, shape=n_s)
     s_rank[order[s_slots] - r] = np.arange(n_s)
-    z_r, z_c, z_d = _triplets(red.zb)
-    z_r, z_c = slot[z_r], slot[r + z_c]
-    a_r, a_c, a_d = _triplets(red.a)
-    a_r, a_c = s_rank[a_r], s_rank[a_c]
-    kl = max(np.max(np.abs(z_r - z_c)), np.max(np.abs(s_slots[a_r] - s_slots[a_c])))
-    return _GridPencil(slot, s_slots, (z_r, z_c, z_d), (a_r, a_c, a_d), int(kl), int(np.max(a_r - a_c)))
+    z_r, z_c = slot[red.zb.row], slot[r + red.zb.col]
+    a_r, a_c = s_rank[red.a.row], s_rank[red.a.col]
+    as_r, as_c = slot[r + red.a.row], slot[r + red.a.col]
+    kl = max(np.max(np.abs(z_r - z_c)), np.max(np.abs(as_r - as_c)))
+    return _GridPencil(slot, s_slots, (z_r, z_c, red.zb.data), (a_r, a_c, red.a.data), (as_r, as_c), int(kl),
+                       int(np.max(a_r - a_c)))
 
 
 def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
@@ -694,7 +753,7 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     box, 6 and 2 in TE and 8 and 3 in TM with matter, at every k_par. One LAPACK
     banded LU of H - sigma M (dgbtrf, with row pivoting) and one banded Cholesky of a
     (dpbtrf) cost O(n), and each shift-invert solve is one dgbtrs between two
-    triangular band products. The residual is taken from the sparse pencil itself.
+    triangular band products. The residual is taken from the reduced blocks themselves.
 
     The Lanczos basis holds 12 vectors. ARPACK tests convergence only once its basis
     is full, so an isolated eigenvalue near sigma (a surface-mode sweep) costs 13
@@ -705,9 +764,9 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     machine precision, which next to a cluster is met or missed by roundoff: a shift a
     quarter of a gap above omega_L (TM, k_par 0.8, n = 64) converges in 67 solves with
     it, and without it runs out of ARPACK's iterations after 15373 solves with one
-    BLAS thread while it converges with two. The residual gate below is the accuracy
-    guard. At sigma = omega_L + 1e-4 (TM, k_par 0.8, n = 128) the solve takes 61
-    solves. The cost falls on a shift at an accumulation point of the spectrum: at
+    BLAS thread. The residual gate below is the accuracy guard. At
+    sigma = omega_L + 1e-4 (TM, k_par 0.8, n = 128) the solve takes 55 solves. The
+    cost falls on a shift at an accumulation point of the spectrum: at
     sigma = omega_T (TM, k_par 0.8, n = 1000) it takes 6013. No surface-mode sweep
     asks for such a shift.
 
@@ -716,17 +775,20 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     exceeds 1e-10 max(|sigma|, 1) ||x||, or omega is zero to that scale.
     """
     red = _reduce(op)
-    grid = _grid_pencil(op, red)
+    grid = _grid_pencil(red)
     r, n = red.zb.shape[0], grid.slot.size
     kl, kd, s_sl = grid.kl, grid.kd, grid.s_slots
     z_r, z_c, z_d = grid.zb
     a_r, a_c, a_d = grid.a
-    # H - sigma M in LAPACK's band storage, entry (i, j) at [2 kl + i - j, j]: the kl rows on
-    # top hold the fill of row pivoting
-    band = np.zeros((3 * kl + 1, n), order="F")
+    # H - sigma M in LAPACK's band storage, entry (i, j) at [2 kl + i - j, j], that is at
+    # 2 kl + i + (ld - 1) j of the column-major array: the kl rows on top hold the fill of row
+    # pivoting
+    ld = 3 * kl + 1
+    band = np.zeros((ld, n), order="F")
+    flat = band.reshape(-1, order="F")
     for rows, cols, data in ((z_r, z_c, z_d), (z_c, z_r, z_d), (grid.slot[:r], grid.slot[:r], -sigma),
-                             (s_sl[a_r], s_sl[a_c], -sigma * a_d)):
-        band[2 * kl + rows - cols, cols] = data
+                             (*grid.a_slots, -sigma * a_d)):
+        flat[2 * kl + rows + (ld - 1) * cols] = data
     lu, piv, info = lapack.dgbtrf(band, kl, kl, overwrite_ab=True)
     if info > 0:
         raise SolverContractViolation(f"shift-invert at sigma = {sigma!r} failed: the factor is exactly singular")
@@ -752,9 +814,12 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
         x[s_sl] = blas.dtbsv(kd, l_band, u[s_sl], lower=1, trans=1)
         return x[grid.slot]
 
+    zb = red.zb
+
     def h_dot(x: np.ndarray) -> np.ndarray:
         """H x, in the reduced order"""
-        return np.concatenate((red.zb @ x[r:], red.zb.T @ x[:r]))
+        return np.concatenate((np.bincount(zb.row, zb.data * x[r + zb.col], minlength=r),
+                               np.bincount(zb.col, zb.data * x[zb.row], minlength=n - r)))
 
     def standard(u: np.ndarray) -> np.ndarray:
         """Hs u = diag(I, L^{-1}) H diag(I, L^{-T}) u; eigsh reads only its shape and dtype"""
@@ -772,7 +837,8 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
         raise SolverContractViolation(f"windowed solve did not converge: {exc}") from exc
     x = pencil(u[:, 0])
     tol = 1e-10 * max(abs(sigma), 1.0)
-    resid = np.linalg.norm(h_dot(x) - omegas[0] * np.concatenate((x[:r], red.a @ x[r:])))
+    a_x = np.bincount(red.a.row, red.a.data * x[r + red.a.col], minlength=n - r)
+    resid = np.linalg.norm(h_dot(x) - omegas[0] * np.concatenate((x[:r], a_x)))
     if resid > tol * np.linalg.norm(x):
         raise SolverContractViolation(f"windowed solve residuals {resid} at omega {omegas}")
     if np.any(np.abs(omegas) <= tol):  # in TM at k_par = 0 the pencil has one null vector
@@ -780,12 +846,6 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     # u^T u = x^T diag(I, a) x = 1 splits equally between the halves, so s^T a s = 1 for s = sqrt(2) x_S
     pairs = _Pairs(red, red.lift(math.sqrt(2.0) * x[r:, None]), omegas, np.zeros(1, dtype=int))
     return DiscreteEigenSolution(op, omegas, pairs=pairs)
-
-
-def krein_inner(sol: DiscreteEigenSolution, m: int, n: int) -> complex:
-    """Discrete indefinite inner product <<Psi_m | Psi_n>> of two eigenvectors."""
-    psi = sol.columns([m, n])
-    return complex(psi[:, 0].conj() @ (sol.krein @ psi[:, 1]))
 
 
 def _physical_projector(op: DiscreteOperator):

@@ -19,6 +19,8 @@ from polmodes import (
 from polmodes.errors import PoleAtResonance, ZeroEpsilon
 from polmodes.media import epsilon_derivative, nu_vacuum
 
+from helpers import epsilon_at
+
 
 class TestLongitudinalFrequency:
     def test_decoupled_matter(self):
@@ -135,8 +137,8 @@ class TestGeometry:
         assert geom.lz == 40.0
         assert geom.medium_at(-1.0) is medium
         assert geom.medium_at(5.0) is None
-        assert geom.epsilon_at(0.5, 3.0) == 1.0
-        assert geom.epsilon_at(0.5, -3.0) == pytest.approx(epsilon(medium, 0.5))
+        assert epsilon_at(geom, 0.5, 3.0) == 1.0
+        assert epsilon_at(geom, 0.5, -3.0) == pytest.approx(epsilon(medium, 0.5))
 
     def test_partition_validation(self, medium):
         with pytest.raises(ValueError):

@@ -34,6 +34,8 @@ from polmodes.modes import (
 )
 from polmodes.verify import _abs2_density, quadrature_norm
 
+from helpers import epsilon_at
+
 ALL_CLASS_INDICES = [
     ModeIndex(ModeClass.TEv, (0.4, 0.1), 0.5),
     ModeIndex(ModeClass.TMv, (0.3, 0.0), 1.0),
@@ -209,7 +211,7 @@ class TestWaveEquationAndContinuity:
             f = lambda z: theta.profile.evaluate(np.array([z]))[0]
             d2 = (f(z0 + h) - 2 * f(z0) + f(z0 - h)) / h**2
             k2 = theta.index.k_par_mag**2
-            eps_here = interface.epsilon_at(theta.omega, z0)
+            eps_here = epsilon_at(interface, theta.omega, z0)
             # TM: curl curl theta = (k_par^2 - d2/dz2 terms); use the scalar
             # Helmholtz residual on each Cartesian component of e_par, e_z
             lhs = -d2 + k2 * f(z0)

@@ -9,6 +9,8 @@ from scipy.linalg import lapack
 
 import polmodes.realspace as rs
 from polmodes import (
+    Layer,
+    LayeredGeometry,
     MediumParams,
     bulk_branches,
     default_medium,
@@ -23,12 +25,13 @@ from polmodes.realspace import (
     assemble_operator,
     assemble_sparse,
     completeness_check,
-    krein_inner,
     reconstruct_node_fields,
     solve_spectrum,
     solve_windowed,
     surface_mode_frequency,
 )
+
+from helpers import krein_inner
 
 
 def gram(sol):
@@ -531,7 +534,7 @@ class TestWindowedSolve:
                 "vacuum box": homogeneous_box(None, 40.0)}[geometry]
         op = assemble_operator(geom, Grid1D(n, 40.0), k_par, polarization, strict_resolution=False)
         red = rs._reduce(op)
-        grid = rs._grid_pencil(op, red)
+        grid = rs._grid_pencil(red)
         assert grid.kl <= 10 and grid.kd <= 3
         # the widths are those of the pencil and of a themselves
         r = red.zb.shape[0]
@@ -590,6 +593,132 @@ class TestWindowedSolve:
         # in TM at k_par = 0 the reduced pencil keeps one null vector, which is no mode
         with pytest.raises(SolverContractViolation, match="zero frequency"):
             solve_windowed(dense_spectra("TM", 0.0).operator, 0.01)
+
+
+def _slab(medium):
+    """A polar film between two vacuum layers: two lumped boundary nodes."""
+    return LayeredGeometry((Layer(-20.0, -5.0, None), Layer(-5.0, 5.0, medium), Layer(5.0, 20.0, None)), 1.0)
+
+
+def _generic_reduction(op):
+    """The reduction derived generically from the assembled B0 and K, the reference for the
+    stencils of _reduce: K[S, O] B0[O, S] and Z B0[O, S] in the i^n gauge, made real, with the
+    empty rows of Z B0[O, S] dropped. Returns side, other, phase, the grid positions of S,
+    B0[O, S], a, zb, z_rows (the row of Z behind each row of zb) and the null vector."""
+    layout = op.layout
+    p_idx = np.r_[layout._span("alpha"), layout._span("eta")]
+    q_idx = np.r_[layout._span("beta"), layout._span("gamma")]
+    rows, kap, rho, w_t = rs._matter_coefficients(layout, op.mats)
+    rw = np.sqrt(rs.HBAR * op.grid.h * op.geom.area)
+    n_a, n_b = op.ops.curl_ba.shape
+    m = np.arange(rows.size)
+    if op.polarization == "TE":
+        # V = Z^H Z with Z = sqrt(w) [[c C, -E / (c eps0)], [0, sqrt(rho) omega_T]]
+        c = op.ops.curl_ba.tocoo()
+        z = sp.csr_matrix((np.concatenate((c.data * rs.C, -kap / (rs.C * rs.EPS0), np.sqrt(rho) * w_t)) * rw,
+                           (np.concatenate((c.row, rows, n_a + m)), np.concatenate((c.col, n_b + m, n_b + m)))),
+                          shape=(n_a + m.size, n_b + m.size))
+        side, other = p_idx, q_idx
+    else:
+        # T = Z^H Z with Z = sqrt(w) diag(G, rho^-1/2)
+        g = op.ops.curl_ab.tocoo()
+        z = sp.csr_matrix((np.concatenate((g.data, 1.0 / np.sqrt(rho))) * rw,
+                           (np.concatenate((g.row, n_b + m)), np.concatenate((g.col, n_a + m)))),
+                          shape=(n_b + m.size, n_a + m.size))
+        side, other = q_idx, p_idx
+
+    def block(mat, rows, cols):
+        sub = mat.tocsr()[rows]
+        assert sub[:, np.setdiff1d(np.arange(mat.shape[1]), cols)].nnz == 0, "B0 or K couples P to P or Q to Q"
+        return sub[:, cols]
+
+    b_os = block(op.b0_sparse, other, side)
+    phase = rs._gauge(layout)[side]
+    b_gauge = b_os @ sp.diags(phase)
+    a = sp.diags(phase.conj()) @ (block(op.krein, side, other) @ b_gauge)
+    assert not np.any(a.data.imag), "energy form is not real in the i^n gauge"
+    zb = z @ b_gauge
+    zb = sp.vstack([zb.real, zb.imag], format="csr")
+    zb.eliminate_zeros()
+    z_rows = np.flatnonzero(np.diff(zb.indptr))
+    a, zb = a.real.tocsr(), zb[z_rows]
+    null = None
+    if op.polarization == "TM" and op.k_par == 0:
+        n_beta = layout._span("beta").stop - layout._span("beta").start
+        null = np.zeros(side.size)
+        null[:n_beta] = 1.0 / np.sqrt(n_beta)
+        a, zb = a[1:, 1:], zb[:, 1:]
+    position = np.empty(layout.dim)
+    for name in layout.blocks:
+        sl = layout.slices[name]
+        idx = layout.matter_index.get(name, np.arange(sl.stop - sl.start))
+        position[sl] = idx + (0.5 if name in layout.halves else 1.0)
+    return side, other, phase, position[side], b_os, a, zb, z_rows % side.size, null
+
+
+class TestStencilReduction:
+    @pytest.mark.parametrize("n", [64, 1000])
+    @pytest.mark.parametrize("geometry", ["interface", "matter box", "vacuum box", "slab"])
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    @pytest.mark.parametrize("k_par", [0.0, 0.37, 2.0])
+    def test_matches_generic_derivation(self, medium, rng, n, geometry, polarization, k_par):
+        geom = {"interface": vacuum_interface(medium, 40.0), "matter box": homogeneous_box(medium, 40.0),
+                "vacuum box": homogeneous_box(None, 40.0), "slab": _slab(medium)}[geometry]
+        op = assemble_operator(geom, Grid1D(n, 40.0), k_par, polarization, strict_resolution=False)
+        lumped = np.count_nonzero((op.mats.rho_node > 0) & (op.mats.rho_node < medium.rho))
+        assert lumped == {"interface": 1, "slab": 2}.get(geometry, 0)
+        red = rs._reduce(op)
+        side, other, phase, position, b_os, a, zb, z_rows, null = _generic_reduction(op)
+        assert np.array_equal(red.side, side) and np.array_equal(red.other, other)
+        assert np.array_equal(red.phase, phase) and np.array_equal(red.position, position)
+        # every row of Z B0[O, S] is real or imaginary, and none is empty: row i of zb is the
+        # row of Z at S coordinate i
+        assert np.array_equal(z_rows, np.arange(side.size))
+        for got, ref in ((red.a, a), (red.zb, zb)):
+            # one entry per position and none that the product leaves out (the k_par entries at
+            # k_par = 0), each equal to the product's
+            assert got.shape == ref.shape and got.nnz == got.tocsr().nnz == ref.nnz
+            assert abs(got.tocsr() - ref).max() <= 1e-15 * abs(ref).max()
+        assert (red.null is None) == (null is None) and (null is None or np.array_equal(red.null, null))
+        # the expansion reads B0[O, S] with the projected coupling, as B0[O, S] s less the correction
+        s = rng.standard_normal((side.size, 2))
+        omegas = np.array([-0.7, 1.3])
+        got = rs._expand(op, red, s, omegas)
+        s_gauge = phase[:, None] * s
+        o = b_os @ s_gauge
+        corr = rs._coupling_correction(op, s_gauge[op.layout._span("gamma").start - op.layout._span("beta").start:],
+                                       1j / rs.EPS0)
+        if corr is not None:
+            o[: corr.shape[0]] -= corr
+        scale = np.sqrt(0.5 * np.abs(omegas))
+        assert np.max(np.abs(got[other] - o * scale / omegas)) <= 1e-15 * np.max(np.abs(o * scale / omegas))
+        assert np.array_equal(got[side], s_gauge * scale)
+
+
+class TestLazyAssembly:
+    FULL_SPACE = {"b0_sparse", "krein", "kappa_embed"}
+
+    def test_surface_mode_frequency_builds_no_full_space_matrix(self, medium, interface, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(assemble_operator(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(rs, "assemble_operator", spy)
+        sigma = surface_dispersion_omega(medium, 2.0) * 1.001
+        surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
+        assert len(built) == 1 and not self.FULL_SPACE & set(built[0].__dict__)
+
+    @pytest.mark.parametrize("polarization,k_par", [("TE", 0.8), ("TM", 0.0), ("TM", 2.0)])
+    def test_windowed_solve_builds_none_until_expanded(self, interface, polarization, k_par):
+        op = assemble_operator(interface, Grid1D(256, 40.0), k_par, polarization, strict_resolution=False)
+        sigma = 1.1
+        sol = solve_windowed(op, sigma)
+        assert not self.FULL_SPACE & set(op.__dict__)
+        v = sol.columns([0])
+        resid = np.linalg.norm(op.apply(v) - sol.omegas[0] * v)
+        assert resid <= 1e-10 * max(abs(sigma), 1.0) * np.linalg.norm(v)
 
 
 class TestOnDemandVectors:
@@ -659,8 +788,6 @@ class TestGridAndErrors:
             assemble_operator(geom, Grid1D(32, 40.0), 2.0, "TM", strict_resolution=False)
 
     def test_misaligned_interface_rejected(self, medium):
-        from polmodes import Layer, LayeredGeometry
-
         geom = LayeredGeometry((Layer(-20.0, 0.1, medium), Layer(0.1, 20.0, None)), 1.0)
         with pytest.raises(ValueError, match="grid-aligned"):
             assemble_operator(geom, Grid1D(64, 40.0), 1.0, "TM", strict_resolution=False)

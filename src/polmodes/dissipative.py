@@ -275,12 +275,6 @@ def lossy_epsilon(m: MediumParams, bath: BathModel, omega: float) -> complex:
     return (wl2 - omega**2 - f) / den
 
 
-def y_to_source_current(m: MediumParams, bath: BathModel, omega: float, y: complex) -> complex:
-    """Source amplitude j(omega) for a given bath normalization function y(omega)."""
-    eps_t = lossy_epsilon(m, bath, omega)
-    return bath.upsilon_at(omega) / (m.kappa * m.rho * C**2) * (eps_t - 1.0) * y
-
-
 # ---------------------------------------------------------------------------
 # driven field
 

@@ -50,8 +50,8 @@ windows (surface-mode sweeps) with shift-invert Lanczos on the same matrix in
 standard form, [[0, N], [N^T, 0]]. With the unknowns in grid order the shifted
 pencil is a band matrix of half-bandwidth at most 8, and the Cholesky one of at
 most 3, whatever n: one LAPACK banded LU of the shifted pencil, one banded
-Cholesky, and a 12-vector Lanczos basis (one basis fill, 13 solves, for an
-isolated eigenvalue near the shift).
+Cholesky, and a thick-restarted Lanczos that tests its Ritz pair after every
+solve (7 or 8 solves for an isolated eigenvalue near the shift).
 Both solves keep the real reduced S-parts and expand full-space eigenvectors
 on demand, column by column: `polmodes solve` expands only the profiles it
 writes, and a surface-mode frequency expands none.
@@ -83,8 +83,11 @@ import scipy.sparse.linalg as spla
 from .errors import IncompleteSpectrum, InvalidGrid, ResolutionTooCoarse, SolverContractViolation
 from .media import C, EPS0, HBAR, LayeredGeometry, epsilon, locate
 
-_NCV = 12  # Lanczos basis of solve_windowed; its docstring says why 12
-_RITZ_TOL = 1e-14  # ARPACK's Ritz tolerance in solve_windowed; its docstring says why
+# the Lanczos of solve_windowed (_lanczos_nearest); the docstring of solve_windowed says why these values
+_BASIS = 24  # basis size
+_KEEP = 12  # Ritz vectors kept at a thick restart
+_RITZ_TOL = 1e-14  # Ritz tolerance
+_SOLVES_PER_UNKNOWN = 10  # bound on the shift-invert solves, per unknown, as ARPACK's maxiter
 
 
 @dataclass(frozen=True)
@@ -737,16 +740,61 @@ def _grid_pencil(red: _Reduction) -> _GridPencil:
                        int(np.max(a_r - a_c)))
 
 
+def _lanczos_nearest(opinv, v0: np.ndarray) -> Tuple[float, np.ndarray]:
+    """The Ritz pair (theta, u) of largest |theta| of the symmetric operator opinv, |u| = 1:
+    Lanczos from v0 with full reorthogonalization, thick-restarted (K. Wu & H. Simon,
+    SIAM J. Matrix Anal. Appl. 22, 602 (2000)).
+
+    Each step applies opinv once and tests the Ritz pair of largest |theta| of the
+    projected matrix T: it stops once |beta y_last| <= _RITZ_TOL |theta|, the residual
+    norm of the pair. When the basis holds _BASIS vectors, it keeps the _KEEP Ritz
+    vectors of largest |theta| and goes on from the residual vector, so that T is their
+    Ritz values bordered by its couplings to them. Raises SolverContractViolation after
+    _SOLVES_PER_UNKNOWN solves per unknown without convergence.
+    """
+    n = v0.size
+    basis = np.empty((_BASIS + 1, n))
+    basis[0] = v0 / np.linalg.norm(v0)
+    t = np.zeros((_BASIS, _BASIS))  # T, upper triangle
+    j = 0  # the basis holds j + 1 vectors
+    bound = int(_SOLVES_PER_UNKNOWN * n)
+    for _ in range(bound):
+        w = opinv(basis[j])
+        v = basis[: j + 1]
+        h = v @ w
+        w -= h @ v
+        c = v @ w  # twice is enough
+        w -= c @ v
+        t[: j + 1, j] = h + c
+        beta = np.linalg.norm(w)
+        theta, y = np.linalg.eigh(t[: j + 1, : j + 1], UPLO="U")
+        i = int(np.argmax(np.abs(theta)))
+        if abs(beta * y[j, i]) <= _RITZ_TOL * abs(theta[i]):
+            return float(theta[i]), y[:, i] @ v
+        basis[j + 1] = w / beta
+        if j + 1 < _BASIS:
+            j += 1
+            continue
+        keep = np.argsort(np.abs(theta))[-_KEEP:]
+        basis[:_KEEP] = y[:, keep].T @ v
+        basis[_KEEP] = basis[_BASIS]
+        t[:] = 0.0
+        t[np.arange(_KEEP), np.arange(_KEEP)] = theta[keep]
+        j = _KEEP
+    raise SolverContractViolation(f"windowed solve did not converge in {bound} shift-invert solves")
+
+
 def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     """The eigenpair nearest sigma. Its Krein-normalized full-space eigenvector is
     expanded only when read, so `surface_mode_frequency` builds none.
 
-    Shift-invert Lanczos (ARPACK, fixed start vector) for omega directly (the omega^2
-    form would square the condition number), in standard form: with a = L L^T, the
-    pencil H x = omega M x of _reduce becomes the symmetric matrix
+    Shift-invert Lanczos (_lanczos_nearest, fixed start vector) for omega directly (the
+    omega^2 form would square the condition number), in standard form: with a = L L^T,
+    the pencil H x = omega M x of _reduce becomes the symmetric matrix
     Hs = [[0, zb L^{-T}], [L^{-1} zb^T, 0]] on u = diag(I, L^T) x, whose positive
     eigenvalues are the singular values that solve_spectrum takes. Its shift-invert
-    operator is diag(I, L^T) (H - sigma M)^{-1} diag(I, L), so M is never formed.
+    operator is diag(I, L^T) (H - sigma M)^{-1} diag(I, L), so M is never formed, and
+    omega = sigma + 1 / theta for its Ritz value theta of largest |theta|.
 
     With the unknowns in grid order (_GridPencil), H - sigma M is a band matrix and a
     is one among the S coordinates, whatever n: half-bandwidths 3 and 1 in a vacuum
@@ -755,24 +803,27 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     (dpbtrf) cost O(n), and each shift-invert solve is one dgbtrs between two
     triangular band products. The residual is taken from the reduced blocks themselves.
 
-    The Lanczos basis holds 12 vectors. ARPACK tests convergence only once its basis
-    is full, so an isolated eigenvalue near sigma (a surface-mode sweep) costs 13
-    solves with it, against 21 with SciPy's default of 20. Next to the omega_L
-    cluster, 4 and 8 vectors do not converge within ARPACK's iteration limit while 6
-    and 10 do, so smaller is not monotonically worse; 12 is the smallest size with
-    margin there. ARPACK's Ritz tolerance is 1e-14 (_RITZ_TOL), not its default of
-    machine precision, which next to a cluster is met or missed by roundoff: a shift a
-    quarter of a gap above omega_L (TM, k_par 0.8, n = 64) converges in 67 solves with
-    it, and without it runs out of ARPACK's iterations after 15373 solves with one
-    BLAS thread. The residual gate below is the accuracy guard. At
-    sigma = omega_L + 1e-4 (TM, k_par 0.8, n = 128) the solve takes 55 solves. The
-    cost falls on a shift at an accumulation point of the spectrum: at
-    sigma = omega_T (TM, k_par 0.8, n = 1000) it takes 6013. No surface-mode sweep
-    asks for such a shift.
+    The Lanczos tests its Ritz pair after every solve, so an isolated eigenvalue near
+    sigma (a surface-mode sweep, n = 1000 to 4000) converges in 7 or 8 solves; ARPACK,
+    which tests only once its basis is full, took 13 with a 12-vector basis. A full
+    basis of 24 vectors restarts thick, keeping the 12 Ritz vectors nearest sigma. Each
+    of (24, 12), (20, 10), (16, 8) and (12, 6) takes 8 solves at a sweep shift. At the
+    hard shifts below, (24, 12) takes the fewest solves except at omega_L + 1e-4 for
+    n = 128 (55, against 42 with (20, 10)); at omega_T for n = 1000 it takes 1385, the
+    others 1889 to 5757. The Ritz tolerance is 1e-14 (_RITZ_TOL), not machine
+    precision, which next to a cluster is met or missed by roundoff: with machine
+    precision a sweep shift at n = 4000 takes 24 solves, and sigma = omega_L + 1e-4
+    (TM, k_par 0.8, n = 128) 377. The residual gate below is the accuracy guard. The
+    cost falls on shifts next to the omega_L cluster and at an accumulation point of
+    the spectrum (TM, k_par 0.8; ARPACK's counts in parentheses): a quarter of a gap
+    above omega_L at n = 64 takes 15 solves (67), sigma = omega_L + 1e-4 at n = 128
+    55 (55) and at n = 1000 79 (235), and sigma = omega_T at n = 1000 1385 (6013). No
+    surface-mode sweep asks for such a shift.
 
     Raises SolverContractViolation if a is not positive definite, H - sigma M is
-    exactly singular, ARPACK does not converge, the residual ||H x - omega M x||
-    exceeds 1e-10 max(|sigma|, 1) ||x||, or omega is zero to that scale.
+    exactly singular, the Lanczos does not converge within _SOLVES_PER_UNKNOWN solves
+    per unknown, the residual ||H x - omega M x|| exceeds 1e-10 max(|sigma|, 1) ||x||,
+    or omega is zero to that scale.
     """
     red = _reduce(op)
     grid = _grid_pencil(red)
@@ -808,37 +859,18 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
         y[s_sl] = blas.dtbmv(kd, l_band, y[s_sl], lower=1, trans=1)
         return y
 
-    def pencil(u: np.ndarray) -> np.ndarray:
-        """x = diag(I, L^{-T}) u, in the reduced order"""
-        x = u.copy()
-        x[s_sl] = blas.dtbsv(kd, l_band, u[s_sl], lower=1, trans=1)
-        return x[grid.slot]
-
-    zb = red.zb
-
-    def h_dot(x: np.ndarray) -> np.ndarray:
-        """H x, in the reduced order"""
-        return np.concatenate((np.bincount(zb.row, zb.data * x[r + zb.col], minlength=r),
-                               np.bincount(zb.col, zb.data * x[zb.row], minlength=n - r)))
-
-    def standard(u: np.ndarray) -> np.ndarray:
-        """Hs u = diag(I, L^{-1}) H diag(I, L^{-T}) u; eigsh reads only its shape and dtype"""
-        y = np.empty_like(u)
-        y[grid.slot] = h_dot(pencil(u))
-        y[s_sl] = blas.dtbsv(kd, l_band, y[s_sl], lower=1)
-        return y
-
-    v0 = np.cos(np.arange(n))  # fixed, with weight on every block
-    try:
-        omegas, u = spla.eigsh(spla.LinearOperator((n, n), matvec=standard, dtype=float), k=1, sigma=sigma,
-                               v0=v0, ncv=_NCV, tol=_RITZ_TOL,
-                               OPinv=spla.LinearOperator((n, n), matvec=opinv, dtype=float))
-    except spla.ArpackNoConvergence as exc:
-        raise SolverContractViolation(f"windowed solve did not converge: {exc}") from exc
-    x = pencil(u[:, 0])
+    theta, u = _lanczos_nearest(opinv, np.cos(np.arange(n)))  # fixed start, with weight on every block
+    omegas = np.array([sigma + 1.0 / theta])
+    # x = diag(I, L^{-T}) u, in the reduced order
+    x = u.copy()
+    x[s_sl] = blas.dtbsv(kd, l_band, u[s_sl], lower=1, trans=1)
+    x = x[grid.slot]
     tol = 1e-10 * max(abs(sigma), 1.0)
-    a_x = np.bincount(red.a.row, red.a.data * x[r + red.a.col], minlength=n - r)
-    resid = np.linalg.norm(h_dot(x) - omegas[0] * np.concatenate((x[:r], a_x)))
+    zb, a = red.zb, red.a
+    h_x = np.concatenate((np.bincount(zb.row, zb.data * x[r + zb.col], minlength=r),
+                          np.bincount(zb.col, zb.data * x[zb.row], minlength=n - r)))
+    a_x = np.bincount(a.row, a.data * x[r + a.col], minlength=n - r)
+    resid = np.linalg.norm(h_x - omegas[0] * np.concatenate((x[:r], a_x)))
     if resid > tol * np.linalg.norm(x):
         raise SolverContractViolation(f"windowed solve residuals {resid} at omega {omegas}")
     if np.any(np.abs(omegas) <= tol):  # in TM at k_par = 0 the pencil has one null vector

@@ -18,8 +18,14 @@ def epsilon_at(geom, omega: float, z: float) -> float:
     return 1.0 if med is None else epsilon(med, omega)
 
 
+def y_to_source_current(m, bath, omega: float, y: complex) -> complex:
+    """Source amplitude j(omega) for a given bath normalization function y(omega)."""
+    eps_t = lossy_epsilon(m, bath, omega)
+    return bath.upsilon_at(omega) / (m.kappa * m.rho * C**2) * (eps_t - 1.0) * y
+
+
 def source_current_to_y(m, bath, omega: float, j: complex) -> complex:
-    """Inverse of `dissipative.y_to_source_current` (requires nonzero coupling at omega)."""
+    """Inverse of `y_to_source_current` (requires nonzero coupling at omega)."""
     eps_t = lossy_epsilon(m, bath, omega)
     ups = bath.upsilon_at(omega)
     if ups == 0 or eps_t == 1.0:

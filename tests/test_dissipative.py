@@ -26,11 +26,10 @@ from polmodes.dissipative import (
     principal_value_integral,
     quadrature_bath,
     renormalized_omega_L,
-    y_to_source_current,
 )
 from polmodes.errors import BathMediumMismatch, DivergentBathIntegral, SingularEndpoint
 
-from helpers import source_current_to_y
+from helpers import source_current_to_y, y_to_source_current
 
 
 @pytest.fixture

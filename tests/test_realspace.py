@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -422,7 +421,7 @@ class TestSurfaceMode:
     @staticmethod
     def _count_traffic(monkeypatch):
         """Count the band factors and band solves of the windowed solve, and every SuperLU
-        factor, through scipy.sparse.linalg and ARPACK's own import of splu."""
+        factor."""
         calls = {"dgbtrf": 0, "dgbtrs": 0, "splu": 0}
 
         def counted(name, func):
@@ -433,9 +432,7 @@ class TestSurfaceMode:
 
         for name in ("dgbtrf", "dgbtrs"):
             monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
-        splu = counted("splu", spla.splu)
-        monkeypatch.setattr(spla, "splu", splu)
-        monkeypatch.setattr(importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack"), "splu", splu)
+        monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
         return calls
 
     def test_one_factorization_per_surface_solve(self, medium, interface, monkeypatch):
@@ -446,13 +443,36 @@ class TestSurfaceMode:
         surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
         assert calls["dgbtrf"] == 1 and calls["splu"] == 0
 
-    def test_surface_solve_fills_the_basis_once(self, medium, interface, monkeypatch):
-        # an isolated eigenvalue near the shift converges in one fill of the 12-vector basis:
-        # 13 shift-invert solves (SciPy's default basis of 20 takes 21)
+    def test_surface_solve_stops_at_convergence(self, medium, interface, monkeypatch):
+        # the Lanczos tests its Ritz pair after every solve, so an isolated eigenvalue near the
+        # shift converges in 8 shift-invert solves (ARPACK's 12-vector basis took 13)
         calls = self._count_traffic(monkeypatch)
         sigma = surface_dispersion_omega(medium, 2.0) * 1.001
         surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
-        assert calls["dgbtrf"] == 1 and calls["dgbtrs"] <= 13 and calls["splu"] == 0
+        assert calls["dgbtrf"] == 1 and calls["dgbtrs"] <= 9 and calls["splu"] == 0
+
+    @pytest.mark.parametrize("shift,bound", [("omega_L+1e-4", 110), ("omega_T", 222)])
+    def test_solve_count_at_hard_shifts(self, medium, interface, monkeypatch, shift, bound):
+        # next to the omega_L cluster and at the accumulation point omega_T (TM, k_par 0.8,
+        # n = 128) the thick restart takes 55 and 111 solves (ARPACK took 55 and 223); the
+        # bounds are twice those
+        sigma = {"omega_L+1e-4": medium.omega_L + 1e-4, "omega_T": medium.omega_T}[shift]
+        op = assemble_operator(interface, Grid1D(128, 40.0), 0.8, "TM", strict_resolution=False)
+        calls = self._count_traffic(monkeypatch)
+        solve_windowed(op, sigma)
+        assert calls["dgbtrs"] <= bound
+
+    def test_solve_bound_is_a_contract_violation(self, medium, interface, monkeypatch):
+        # like ARPACK's maxiter, the bound on the shift-invert solves is part of the contract:
+        # at omega_T, which takes 111 solves at n = 128, a bound of 0.02 solves per unknown
+        # stops it unconverged
+        op = assemble_operator(interface, Grid1D(128, 40.0), 0.8, "TM", strict_resolution=False)
+        calls = self._count_traffic(monkeypatch)
+        monkeypatch.setattr(rs, "_SOLVES_PER_UNKNOWN", 0.02)
+        with pytest.raises(SolverContractViolation, match="did not converge"):
+            solve_windowed(op, medium.omega_T)
+        n = rs._grid_pencil(rs._reduce(op)).slot.size
+        assert 0 < calls["dgbtrs"] == int(0.02 * n) < 111
 
     def test_sparse_matches_dense_generic(self, medium):
         geom = vacuum_interface(medium, 40.0)
@@ -515,7 +535,7 @@ class TestWindowedSolve:
     @pytest.mark.parametrize("k_par", [0.0, 0.8])
     def test_shift_sweep_finds_every_eigenvalue(self, interface, polarization, k_par):
         # a shift a quarter of the gap above each distinct positive eigenvalue, so the nearest
-        # one is always below it; the 12-vector basis converges at all of them
+        # one is always below it; the thick-restarted Lanczos converges at all of them
         op = assemble_operator(interface, Grid1D(64, 40.0), k_par, polarization, strict_resolution=False)
         w = solve_spectrum(op).omegas
         w = w[w > 0]
@@ -547,26 +567,45 @@ class TestWindowedSolve:
 
     @pytest.mark.parametrize("polarization,k_par", [("TE", 0.8), ("TM", 0.0), ("TM", 2.0)])
     def test_standard_form_operators(self, interface, monkeypatch, rng, polarization, k_par):
-        # ARPACK gets the symmetric standard-form matrix and its shift-invert operator: they are
-        # inverse to each other after the shift, and the eigenpair satisfies the standard form
+        # the Lanczos gets the shift-invert operator of the symmetric standard-form matrix
+        # Hs = diag(I, L^{-1}) H diag(I, L^{-T}) in grid order, with a = L L^T among the S ranks:
+        # built densely here from the reduction, Hs - sigma and the operator are inverse to each
+        # other, and the returned pair satisfies the standard form
         op = assemble_operator(interface, Grid1D(128, 40.0), k_par, polarization, strict_resolution=False)
-        seen, eigsh = {}, spla.eigsh
+        seen, lanczos = {}, rs._lanczos_nearest
 
-        def spy(a, **kwargs):
-            seen.update(a=a, opinv=kwargs["OPinv"])
-            seen["result"] = eigsh(a, **kwargs)
+        def spy(opinv, v0):
+            seen.update(opinv=opinv, result=lanczos(opinv, v0))
             return seen["result"]
 
-        monkeypatch.setattr(spla, "eigsh", spy)
+        monkeypatch.setattr(rs, "_lanczos_nearest", spy)
         sigma = 1.1
         solve_windowed(op, sigma)
-        hs, opinv = seen["a"], seen["opinv"]
-        v = rng.standard_normal((hs.shape[0], 2))
-        back = opinv.matvec(hs.matvec(v[:, 0]) - sigma * v[:, 0])
+        red = rs._reduce(op)
+        grid = rs._grid_pencil(red)
+        r, n = red.zb.shape[0], grid.slot.size
+        h = np.zeros((n, n))
+        zb = red.zb.tocoo()
+        h[grid.slot[zb.row], grid.slot[r + zb.col]] = zb.data
+        h[grid.slot[r + zb.col], grid.slot[zb.row]] = zb.data
+        a_r, a_c, a_d = grid.a
+        a = np.zeros((grid.s_slots.size,) * 2)
+        a[a_r, a_c] = a_d
+        d_inv = np.eye(n)
+        d_inv[np.ix_(grid.s_slots, grid.s_slots)] = np.linalg.inv(np.linalg.cholesky(a))
+        hs = d_inv @ h @ d_inv.T
+        # Hs is symmetric: H is by construction, and the energy block a, whose lower triangle
+        # the banded Cholesky reads and whose both triangles the shifted pencil holds, is too
+        np.testing.assert_array_equal(a, a.T)
+        opinv = seen["opinv"]
+        v = rng.standard_normal((n, 2))
+        back = opinv(hs @ v[:, 0] - sigma * v[:, 0])
         assert np.linalg.norm(back - v[:, 0]) <= 1e-10 * np.linalg.norm(v[:, 0])
-        assert v[:, 1] @ hs.matvec(v[:, 0]) == pytest.approx(v[:, 0] @ hs.matvec(v[:, 1]), rel=1e-12)
-        omegas, u = seen["result"]
-        assert np.linalg.norm(hs.matvec(u[:, 0]) - omegas[0] * u[:, 0]) <= 1e-10
+        # the Lanczos three-term recurrence needs a symmetric operator
+        assert v[:, 1] @ opinv(v[:, 0]) == pytest.approx(v[:, 0] @ opinv(v[:, 1]), rel=1e-10)
+        theta, u = seen["result"]
+        omega = sigma + 1.0 / theta
+        assert np.linalg.norm(hs @ u - omega * u) <= 1e-10
 
     def test_multiple_eigenvalue_returns_one_copy(self, medium):
         # the TM box at k_par = 0 holds 128 degenerate matter modes at omega_L; the windowed

@@ -47,11 +47,13 @@ orthonormality and the signed completeness relation to roundoff. The full
 spectrum solves it with one dense SVD of N = Z B0[O, S] L^{-T} (see _reduce: Z
 a sparse root of one energy block, L L^T the Cholesky factor of the other);
 windows (surface-mode sweeps) with shift-invert Lanczos on the same matrix in
-standard form, [[0, N], [N^T, 0]]. With the unknowns in grid order the shifted
-pencil is a band matrix of half-bandwidth at most 8, and the Cholesky one of at
-most 3, whatever n: one LAPACK banded LU of the shifted pencil, one banded
-Cholesky, and a thick-restarted Lanczos that tests its Ritz pair after every
-solve (7 or 8 solves for an isolated eigenvalue near the shift).
+standard form, [[0, N], [N^T, 0]]. The stencils write the reduced blocks in grid
+order, so with the rows of Z B0[O, S] interleaved with the S coordinates the
+shifted pencil is a band matrix of half-bandwidth at most 7, and the Cholesky one
+of at most 3, whatever n: one LAPACK banded LU of the shifted pencil, one banded
+Cholesky, a thick-restarted Lanczos that tests its Ritz pair after every solve,
+and one step of inverse iteration on its Ritz vector (8 or 9 solves for an
+isolated eigenvalue near the shift).
 Both solves keep the real reduced S-parts and expand full-space eigenvectors
 on demand, column by column: `polmodes solve` expands only the profiles it
 writes, and a surface-mode frequency expands none.
@@ -446,10 +448,9 @@ class _Reduction:
     eigenvalues of the pencil [[0, zb], [zb^T, 0]] x = omega diag(I, a) x, that is
     +/- the singular values of zb L^{-T} for a = L L^T."""
 
-    side: np.ndarray  # indices of S, whose energy block A[S, S] is positive definite
+    side: np.ndarray  # indices of S, whose energy block A[S, S] is positive definite, in grid order
     other: np.ndarray  # indices of O
     phase: np.ndarray  # gauge phases on S
-    position: np.ndarray  # grid position of every S coordinate, in cells from the left wall
     a: sp.coo_matrix  # A[S, S] in the gauge
     zb: sp.coo_matrix  # Z B0[O, S] in the gauge, real; row i is the row of Z at S coordinate i
     null: Optional[np.ndarray]  # unit null vector of A[S, S] whose coordinate 0 was dropped
@@ -464,8 +465,16 @@ class _Reduction:
         return s
 
 
+def _grid_rank(position: np.ndarray) -> np.ndarray:
+    """Rank of every S coordinate in grid order, from its position in cells from the left
+    wall: a stable sort, so that coordinates at one grid point keep their block order."""
+    rank = np.empty(position.size, dtype=int)
+    rank[np.argsort(position, kind="stable")] = np.arange(position.size)
+    return rank
+
+
 def _te_stencils(op: DiscreteOperator, w: float):
-    """Positions, and the triplets of a and zb over S = (alpha, eta), in TE.
+    """Grid ranks, and the triplets of a and zb over S = (alpha, eta) in grid order, in TE.
 
     a = T = w diag(C G, 1 / rho): C G is the stencil (2 / h^2 + k^2, -1 / h^2) on the
     interior nodes. zb is the imaginary part of Z B0[O, S] = i sqrt(w) [[c C G,
@@ -474,8 +483,9 @@ def _te_stencils(op: DiscreteOperator, w: float):
     n, h, k = op.grid.n, op.grid.h, op.k_par
     p = op.layout.matter_index["eta"]
     kap, rho, w_t = (arr[p] for arr in op.mats.at(False))
-    i = np.arange(n - 1)  # alpha at the interior nodes, then eta at the matter nodes p
-    e = n - 1 + np.arange(p.size)
+    # alpha at the interior nodes, then eta at the matter nodes p, each after the alpha of its node
+    rank = _grid_rank(np.concatenate((np.arange(1.0, n), p + 1.0)))
+    i, e = rank[: n - 1], rank[n - 1:]
     lap_r, lap_c = np.concatenate((i, i[:-1], i[1:])), np.concatenate((i, i[1:], i[:-1]))
 
     def lap(scale):
@@ -486,13 +496,14 @@ def _te_stencils(op: DiscreteOperator, w: float):
 
     rw = math.sqrt(w)
     a = (np.concatenate((lap_r, e)), np.concatenate((lap_c, e)), np.concatenate((lap(w), w / rho)))
-    zb = (np.concatenate((lap_r, p, e)), np.concatenate((lap_c, e, e)),
+    zb = (np.concatenate((lap_r, i[p], e)), np.concatenate((lap_c, e, e)),
           np.concatenate((lap(rw * C), -rw * kap / (C * EPS0 * rho), rw * w_t / np.sqrt(rho))))
-    return np.concatenate((i + 1.0, p + 1.0)), a, zb
+    return rank, a, zb
 
 
 def _tm_stencils(op: DiscreteOperator, w: float):
-    """Positions, and the triplets of a and zb over S = (beta, gamma_par, gamma_z), in TM.
+    """Grid ranks, and the triplets of a and zb over S = (beta, gamma_par, gamma_z) in grid
+    order, in TM.
 
     a = V = w [[c^2 G C, -G E kappa / eps0], [-c^2 kappa E^T C, rho omega_L^2]]: G C is
     the stencil (m / h^2 + k^2, -1 / h^2) on the half points, with m the number of
@@ -508,14 +519,15 @@ def _tm_stencils(op: DiscreteOperator, w: float):
     p, q = op.layout.matter_index["gamma_par"], op.layout.matter_index["gamma_z"]
     kap_p, rho_p, wt_p = (arr[p] for arr in op.mats.at(False))
     kap_q, rho_q, wt_q = (arr[q] for arr in op.mats.at(True))
-    j = np.arange(n)  # beta at the half points, then gamma_par at the nodes p, gamma_z at the halves q
-    gp = n + np.arange(p.size)
-    gz = n + p.size + np.arange(q.size)
+    # beta at the half points, then gamma_par at the nodes p and gamma_z at the halves q, after
+    # the beta of its half point
+    rank = _grid_rank(np.concatenate((np.arange(n) + 0.5, p + 1.0, q + 0.5)))
+    j, gp, gz = np.split(rank, (n, n + p.size))
     kq = slice(None) if k != 0 else slice(0)
     m = np.full(n, 2.0)
     m[[0, -1]] = 1.0
     # the beta rows of a / w: the curl curl stencil, then the coupling to the matter beside beta
-    b_r = np.concatenate((j, j[:-1], j[1:], p, p + 1, q[kq]))
+    b_r = np.concatenate((j, j[:-1], j[1:], j[p], j[p + 1], j[q[kq]]))
     b_c = np.concatenate((j, j[1:], j[:-1], gp, gp, gz[kq]))
 
     def beta_rows(scale):
@@ -533,10 +545,10 @@ def _tm_stencils(op: DiscreteOperator, w: float):
          np.concatenate((b_a, b_a[n_lap:], w * rho_p * wl2_p, w * rho_q * wl2_q)))
     sp_p, sp_q = np.sqrt(rho_p), np.sqrt(rho_q)
     eta_par = rw * C**2 * kap_p / (h * sp_p)
-    zb = (np.concatenate((b_r, gp, gp, gp, gz[kq], gz)), np.concatenate((b_c, p, p + 1, gp, q[kq], gz)),
+    zb = (np.concatenate((b_r, gp, gp, gp, gz[kq], gz)), np.concatenate((b_c, j[p], j[p + 1], gp, j[q[kq]], gz)),
           np.concatenate((beta_rows(rw), -eta_par, eta_par, rw * sp_p * wl2_p,
                           rw * C**2 * kap_q[kq] * k / sp_q[kq], rw * sp_q * wl2_q)))
-    return np.concatenate((j + 0.5, p + 1.0, q + 0.5)), a, zb
+    return rank, a, zb
 
 
 def _reduce(op: DiscreteOperator) -> _Reduction:
@@ -551,31 +563,34 @@ def _reduce(op: DiscreteOperator) -> _Reduction:
     grid point: the curl maps O's field onto S's (beta onto alpha in TE, alpha onto beta
     in TM), and each matter row sits at the matter point of its gamma and eta. Both
     blocks are written from the stencil coefficients (_te_stencils, _tm_stencils), with
-    no full-space matrix and no sparse product. At k_par = 0 in TM the
+    no full-space matrix and no sparse product, and S is in grid order: sorted by grid
+    position, the coordinates at one grid point in block order. At k_par = 0 in TM the
     constant beta vector spans ker A[S, S] = ker Z B0[O, S]; dropping the first beta
-    coordinate leaves a positive definite problem with the same nonzero spectrum.
+    coordinate, which is first in grid order too, leaves a positive definite problem
+    with the same nonzero spectrum.
     """
     layout = op.layout
     p_idx = np.r_[layout._span("alpha"), layout._span("eta")]
     q_idx = np.r_[layout._span("beta"), layout._span("gamma")]
     w = HBAR * op.grid.h * op.geom.area
     if op.polarization == "TE":
-        side, other = p_idx, q_idx
-        position, a, zb = _te_stencils(op, w)
+        block, other = p_idx, q_idx
+        rank, a, zb = _te_stencils(op, w)
     else:
-        side, other = q_idx, p_idx
-        position, a, zb = _tm_stencils(op, w)
+        block, other = q_idx, p_idx
+        rank, a, zb = _tm_stencils(op, w)
+    side = np.empty_like(block)
+    side[rank] = block
     n_s, null = side.size, None
     if op.polarization == "TM" and op.k_par == 0:
-        n_beta = layout._span("beta").stop - layout._span("beta").start
-        null = np.zeros(n_s)
-        null[:n_beta] = 1.0 / math.sqrt(n_beta)
+        beta = layout._span("beta")
+        null = (side < beta.stop) / math.sqrt(beta.stop - beta.start)  # S = (beta, gamma)
         keep = (a[0] > 0) & (a[1] > 0)
         a = (a[0][keep] - 1, a[1][keep] - 1, a[2][keep])
         keep = zb[1] > 0
         zb = (zb[0][keep], zb[1][keep] - 1, zb[2][keep])
         n_s -= 1
-    return _Reduction(side, other, _gauge(layout)[side], position,
+    return _Reduction(side, other, _gauge(layout)[side],
                       sp.coo_matrix((a[2], (a[0], a[1])), shape=(n_s, n_s)),
                       sp.coo_matrix((zb[2], (zb[0], zb[1])), shape=(side.size, n_s)), null)
 
@@ -586,22 +601,22 @@ def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.nda
 
     psi = (B0[O, S] s / omega, s) sqrt(|omega| / 2) on (O, S), with the
     transverse-projected coupling in B0[O, S], read off the rows O of the sparse B0
-    (which couples S to O only) when a column is expanded; its Krein norm is
+    on the state that holds s on S and zero on O (B0 couples S to O only) when a
+    column is expanded; its Krein norm is
     sgn(omega) s^T A[S, S] s = sgn(omega) by construction. Each column is expanded on
     its own, so a subset of columns gives the same bits.
     """
     layout = op.layout
     s = red.phase[:, None] * s
-    o = op.b0_sparse[red.other][:, red.side] @ s
-    # where there is a correction (TM), S = (beta, gamma) and alpha leads O = (alpha, eta)
-    g_off = layout._span("gamma").start - layout._span("beta").start
-    corr = _coupling_correction(op, s[g_off:], 1j / EPS0)
-    if corr is not None:
+    vectors = np.zeros((layout.dim, omegas.size), dtype=complex)
+    vectors[red.side] = s
+    o = op.b0_sparse[red.other] @ vectors
+    corr = _coupling_correction(op, vectors[layout._span("gamma")], 1j / EPS0)
+    if corr is not None:  # in TM, where alpha leads O = (alpha, eta)
         o[: corr.shape[0]] -= corr
     scale = np.sqrt(0.5 * np.abs(omegas))
     o *= scale / omegas
     s *= scale
-    vectors = np.empty((layout.dim, omegas.size), dtype=complex)
     vectors[red.other] = o
     vectors[red.side] = s
     return vectors
@@ -700,46 +715,6 @@ def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
     return DiscreteEigenSolution(op, np.concatenate([-sigma, sigma[::-1]]), pairs=pairs)
 
 
-@dataclass
-class _GridPencil:
-    """The reduced pencil H x = omega M x of _reduce, H = [[0, zb], [zb^T, 0]] and
-    M = diag(I, a), with its unknowns in grid order.
-
-    The unknowns, the rows of zb and then the S coordinates, are sorted by grid position
-    (`_Reduction.position`): an S coordinate sits at its own, row i of zb at that of S
-    coordinate i, whose row of Z it is; ties keep the reduced order. In this order
-    H - sigma M is a band matrix of half-bandwidth kl, and a, among the S coordinates,
-    one of half-bandwidth kd. Both widths are known before any band storage is allocated.
-    """
-
-    slot: np.ndarray  # grid slot of each unknown
-    s_slots: np.ndarray  # slots of the S coordinates, ascending
-    zb: Tuple[np.ndarray, np.ndarray, np.ndarray]  # (row, column, value) of zb, between slots
-    a: Tuple[np.ndarray, np.ndarray, np.ndarray]  # (row, column, value) of a, between S ranks
-    a_slots: Tuple[np.ndarray, np.ndarray]  # (row, column) of a, between slots
-    kl: int
-    kd: int
-
-
-def _grid_pencil(red: _Reduction) -> _GridPencil:
-    r, n_s = red.zb.shape
-    pos = red.position
-    # the kept S coordinates: at k_par = 0 in TM the first one is dropped; each block of S is
-    # ascending in position, so the stable sort merges a few sorted runs
-    order = np.argsort(np.concatenate((pos, pos[r - n_s:])), kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(order.size)
-    s_slots = np.flatnonzero(order >= r)
-    s_rank = np.empty_like(order, shape=n_s)
-    s_rank[order[s_slots] - r] = np.arange(n_s)
-    z_r, z_c = slot[red.zb.row], slot[r + red.zb.col]
-    a_r, a_c = s_rank[red.a.row], s_rank[red.a.col]
-    as_r, as_c = slot[r + red.a.row], slot[r + red.a.col]
-    kl = max(np.max(np.abs(z_r - z_c)), np.max(np.abs(as_r - as_c)))
-    return _GridPencil(slot, s_slots, (z_r, z_c, red.zb.data), (a_r, a_c, red.a.data), (as_r, as_c), int(kl),
-                       int(np.max(a_r - a_c)))
-
-
 def _lanczos_nearest(opinv, v0: np.ndarray) -> Tuple[float, np.ndarray]:
     """The Ritz pair (theta, u) of largest |theta| of the symmetric operator opinv, |u| = 1:
     Lanczos from v0 with full reorthogonalization, thick-restarted (K. Wu & H. Simon,
@@ -796,29 +771,40 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     operator is diag(I, L^T) (H - sigma M)^{-1} diag(I, L), so M is never formed, and
     omega = sigma + 1 / theta for its Ritz value theta of largest |theta|.
 
-    With the unknowns in grid order (_GridPencil), H - sigma M is a band matrix and a
-    is one among the S coordinates, whatever n: half-bandwidths 3 and 1 in a vacuum
-    box, 6 and 2 in TE and 8 and 3 in TM with matter, at every k_par. One LAPACK
-    banded LU of H - sigma M (dgbtrf, with row pivoting) and one banded Cholesky of a
-    (dpbtrf) cost O(n), and each shift-invert solve is one dgbtrs between two
-    triangular band products. The residual is taken from the reduced blocks themselves.
+    _reduce writes S, and with it the rows of zb, in grid order, so with the unknowns
+    interleaved, row i of zb before S coordinate i, H - sigma M is a band matrix and a
+    is one, whatever n: half-bandwidths 3 and 1 in a vacuum box, 5 and 2 in TE and 7
+    and 3 in TM with matter, at every k_par. The widths are read off the triplets and
+    each entry goes to its band slot by arithmetic on its indices. One LAPACK banded LU
+    of H - sigma M (dgbtrf, with row pivoting) and one banded Cholesky of a (dpbtrf)
+    cost O(n), and each shift-invert solve is one dgbtrs between two triangular band
+    products. The residual is taken from the reduced blocks themselves.
 
     The Lanczos tests its Ritz pair after every solve, so an isolated eigenvalue near
-    sigma (a surface-mode sweep, n = 1000 to 4000) converges in 7 or 8 solves; ARPACK,
-    which tests only once its basis is full, took 13 with a 12-vector basis. A full
-    basis of 24 vectors restarts thick, keeping the 12 Ritz vectors nearest sigma. Each
-    of (24, 12), (20, 10), (16, 8) and (12, 6) takes 8 solves at a sweep shift. At the
-    hard shifts below, (24, 12) takes the fewest solves except at omega_L + 1e-4 for
-    n = 128 (55, against 42 with (20, 10)); at omega_T for n = 1000 it takes 1385, the
-    others 1889 to 5757. The Ritz tolerance is 1e-14 (_RITZ_TOL), not machine
-    precision, which next to a cluster is met or missed by roundoff: with machine
-    precision a sweep shift at n = 4000 takes 24 solves, and sigma = omega_L + 1e-4
-    (TM, k_par 0.8, n = 128) 377. The residual gate below is the accuracy guard. The
-    cost falls on shifts next to the omega_L cluster and at an accumulation point of
-    the spectrum (TM, k_par 0.8; ARPACK's counts in parentheses): a quarter of a gap
+    sigma (a surface-mode sweep, n = 1000 to 4000) converges in 7 or 8 solves, up to 11
+    at the low end of the sweep band; ARPACK, which tests only once its basis is full,
+    took 13 with a 12-vector basis. A full basis of 24 vectors restarts thick, keeping
+    the 12 Ritz vectors nearest sigma. Counted with the refinement step below, each of
+    (24, 12), (20, 10), (16, 8) and (12, 6) takes 9 solves at a sweep shift (TM, k_par 2,
+    n = 4000); at sigma = omega_T for n = 1000 (24, 12) takes 1381 and the others 1927
+    to 5815, and next to the omega_L cluster it stays within a tenth of the fewest (47
+    against 43 with (20, 10) at omega_L + 1e-4 for n = 128, 158 against 146 at n = 1000).
+    The Ritz tolerance is 1e-14 (_RITZ_TOL), not machine precision, which next to a
+    cluster is met or missed by roundoff: with machine precision a sweep shift at
+    n = 4000 takes 10 solves, and sigma = omega_L + 1e-4 (TM, k_par 0.8, n = 128) 536.
+    The cost falls on shifts next to the omega_L cluster and at an accumulation point
+    of the spectrum (TM, k_par 0.8; ARPACK's counts in parentheses): a quarter of a gap
     above omega_L at n = 64 takes 15 solves (67), sigma = omega_L + 1e-4 at n = 128
-    55 (55) and at n = 1000 79 (235), and sigma = omega_T at n = 1000 1385 (6013). No
+    47 (55) and at n = 1000 158 (235), and sigma = omega_T at n = 1000 1381 (6013). No
     surface-mode sweep asks for such a shift.
+
+    One step of inverse iteration then refines the Ritz vector, at the cost of one more
+    solve (B. N. Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4); omega
+    stays sigma + 1 / theta. The Ritz test bounds the residual of u, which the
+    back-transform x = diag(I, L^{-T}) u can amplify: over 120 log-spaced k_par in
+    [1.12, 6] (TM, sigma = 1.001 omega_s) the Ritz vector alone left residuals up to
+    0.8 of the gate below at n = 4000, the refined one at most 1.0e-3 of it at n = 1000
+    to 4000. The residual gate is the accuracy guard.
 
     Raises SolverContractViolation if a is not positive definite, H - sigma M is
     exactly singular, the Lanczos does not converge within _SOLVES_PER_UNKNOWN solves
@@ -826,27 +812,32 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     or omega is zero to that scale.
     """
     red = _reduce(op)
-    grid = _grid_pencil(red)
-    r, n = red.zb.shape[0], grid.slot.size
-    kl, kd, s_sl = grid.kl, grid.kd, grid.s_slots
-    z_r, z_c, z_d = grid.zb
-    a_r, a_c, a_d = grid.a
+    zb, a = red.zb, red.a
+    r, n_s = zb.shape
+    d = r - n_s  # 1 where the TM k_par = 0 coordinate was dropped
+    n = r + n_s
+    # grid order interleaves the unknowns: row c of zb at slot 2c - d, then S coordinate c, whose
+    # row of Z it is, at 2c + 1 - d; where S coordinate 0 was dropped, row 0 takes slot 0
+    rows, s_sl = np.maximum(2 * np.arange(r) - d, 0), slice(1 + d, None, 2)
+    z_r, z_c = rows[zb.row], 2 * zb.col + 1 + d
+    kd = int(np.max(a.row - a.col))
+    kl = int(max(np.max(np.abs(z_r - z_c)), 2 * kd))
     # H - sigma M in LAPACK's band storage, entry (i, j) at [2 kl + i - j, j], that is at
     # 2 kl + i + (ld - 1) j of the column-major array: the kl rows on top hold the fill of row
     # pivoting
     ld = 3 * kl + 1
     band = np.zeros((ld, n), order="F")
     flat = band.reshape(-1, order="F")
-    for rows, cols, data in ((z_r, z_c, z_d), (z_c, z_r, z_d), (grid.slot[:r], grid.slot[:r], -sigma),
-                             (*grid.a_slots, -sigma * a_d)):
-        flat[2 * kl + rows + (ld - 1) * cols] = data
+    for i, j, data in ((z_r, z_c, zb.data), (z_c, z_r, zb.data), (rows, rows, -sigma),
+                       (2 * a.row + 1 + d, 2 * a.col + 1 + d, -sigma * a.data)):
+        flat[2 * kl + i + (ld - 1) * j] = data
     lu, piv, info = lapack.dgbtrf(band, kl, kl, overwrite_ab=True)
     if info > 0:
         raise SolverContractViolation(f"shift-invert at sigma = {sigma!r} failed: the factor is exactly singular")
     # a = L L^T, lower band storage: entry (i, j), i >= j, at [i - j, j]
-    lower = a_r >= a_c
-    a_band = np.zeros((kd + 1, s_sl.size), order="F")
-    a_band[a_r[lower] - a_c[lower], a_c[lower]] = a_d[lower]
+    lower = a.row >= a.col
+    a_band = np.zeros((kd + 1, n_s), order="F")
+    a_band[a.row[lower] - a.col[lower], a.col[lower]] = a.data[lower]
     l_band, info = lapack.dpbtrf(a_band, lower=1, overwrite_ab=True)
     if info > 0:
         raise SolverContractViolation("energy form not positive definite")
@@ -860,16 +851,15 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
         return y
 
     theta, u = _lanczos_nearest(opinv, np.cos(np.arange(n)))  # fixed start, with weight on every block
+    u = opinv(u)  # one step of inverse iteration refines the Ritz vector
+    u /= np.linalg.norm(u)
     omegas = np.array([sigma + 1.0 / theta])
-    # x = diag(I, L^{-T}) u, in the reduced order
-    x = u.copy()
-    x[s_sl] = blas.dtbsv(kd, l_band, u[s_sl], lower=1, trans=1)
-    x = x[grid.slot]
+    # x = diag(I, L^{-T}) u, in the order of _reduce: the rows of zb, then S
+    x = np.concatenate((u[rows], blas.dtbsv(kd, l_band, u[s_sl], lower=1, trans=1)))
     tol = 1e-10 * max(abs(sigma), 1.0)
-    zb, a = red.zb, red.a
     h_x = np.concatenate((np.bincount(zb.row, zb.data * x[r + zb.col], minlength=r),
-                          np.bincount(zb.col, zb.data * x[zb.row], minlength=n - r)))
-    a_x = np.bincount(a.row, a.data * x[r + a.col], minlength=n - r)
+                          np.bincount(zb.col, zb.data * x[zb.row], minlength=n_s)))
+    a_x = np.bincount(a.row, a.data * x[r + a.col], minlength=n_s)
     resid = np.linalg.norm(h_x - omegas[0] * np.concatenate((x[:r], a_x)))
     if resid > tol * np.linalg.norm(x):
         raise SolverContractViolation(f"windowed solve residuals {resid} at omega {omegas}")

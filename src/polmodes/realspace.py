@@ -47,20 +47,23 @@ orthonormality and the signed completeness relation to roundoff. The full
 spectrum solves it with one dense SVD of N = Z B0[O, S] L^{-T} (see _reduce: Z
 a sparse root of one energy block, L L^T the Cholesky factor of the other);
 windows (surface-mode sweeps) with shift-invert Lanczos on the same matrix in
-standard form, [[0, N], [N^T, 0]]. The stencils write the reduced blocks in grid
-order, so with the rows of Z B0[O, S] interleaved with the S coordinates the
-shifted pencil is a band matrix of half-bandwidth at most 7, and the Cholesky one
-of at most 3, whatever n: one LAPACK banded LU of the shifted pencil, one banded
-Cholesky, a thick-restarted Lanczos that tests its Ritz pair after every solve,
-and one step of inverse iteration on its Ritz vector (8 or 9 solves for an
-isolated eigenvalue near the shift).
+standard form, Hs = [[0, N], [N^T, 0]]. The stencils write the reduced blocks in grid
+order, and with them R, Z B0[O, S] = R A[S, S], diagonal in TM and upper bidiagonal
+in TE, so N = R L is a band matrix written diagonal by diagonal from R and the
+banded Cholesky factor L (half-bandwidth at most 3). With the rows of N interleaved
+with the S coordinates, Hs - sigma I is a band matrix of half-bandwidth 5 in TM and
+3 in TE whatever n: one banded Cholesky, one LAPACK banded LU of Hs - sigma I, whose
+solve is the whole shift-invert step, a thick-restarted Lanczos that tests its Ritz
+pair after every solve, and one step of inverse iteration on its Ritz vector (8 to 11
+solves for an isolated eigenvalue near the shift).
 Both solves keep the real reduced S-parts and expand full-space eigenvectors
 on demand, column by column: `polmodes solve` expands only the profiles it
 writes, and a surface-mode frequency expands none.
 
 Both solves write the reduced blocks from the stencil coefficients (_reduce), with
-no full-space matrix: a windowed solve builds none at all. B0, with the unprojected
-coupling, and K are built on first use, each from its triplets in one sparse
+no full-space matrix: a windowed solve builds none at all, nor the curls. The curls,
+checked when built, B0, with the unprojected coupling, and K are built on first use,
+each from its triplets in one sparse
 construction, and stay sparse; the eigenvector expansion, `apply`, the Krein
 products and the checks read them. The projected coupling
 enters only through one correction on alpha (_coupling_correction), which `apply`
@@ -335,8 +338,8 @@ def _sparse_krein(ops: _Operators, n_matter: int, w: float) -> sp.csr_matrix:
 
 @dataclass
 class DiscreteOperator:
-    """Assembled eigensystem: grid, media, layout and the sparse curls (checked at
-    assembly), from which every full-space matrix is built on first use: the sparse B0
+    """Assembled eigensystem: grid, media and layout, from which the sparse curls (`ops`,
+    checked when built) and every full-space matrix are built on first use: the sparse B0
     with the unprojected matter coupling (`b0_sparse`), the sparse Krein matrix K
     (`krein`) and the kappa embedding (`kappa_embed`). The reduction reads the stencils
     (_reduce) and builds none of them, so a windowed solve builds none; `apply`, the
@@ -348,8 +351,13 @@ class DiscreteOperator:
     k_par: float
     polarization: str
     layout: FieldLayout
-    ops: _Operators = field(repr=False)
     mats: _Materials = field(repr=False)
+
+    @functools.cached_property
+    def ops(self) -> _Operators:
+        """The sparse curls (and DIV, GRAD in TM), built on first use; curl GRAD = 0 is
+        checked here, before any product reads them."""
+        return _build_operators(self.grid, self.k_par, self.polarization)
 
     @functools.cached_property
     def b0_sparse(self) -> sp.csr_matrix:
@@ -414,13 +422,11 @@ def assemble_operator(
     polarization: str,
     strict_resolution: bool = True,
 ) -> DiscreteOperator:
-    """The operator on its grid, with its curls checked (curl GRAD = 0 in TM); its sparse
-    B0 and Krein matrix are built on first use, in O(dim) memory."""
+    """The operator on its grid; its curls (checked then: curl GRAD = 0 in TM), sparse B0
+    and Krein matrix are built on first use, in O(dim) memory."""
     _resolution_check(geom, grid, k_par, strict_resolution)
     mats = _sample_materials(geom, grid)
-    layout = _build_layout(mats, polarization)
-    return DiscreteOperator(geom, grid, k_par, polarization, layout, _build_operators(grid, k_par, polarization),
-                            mats)
+    return DiscreteOperator(geom, grid, k_par, polarization, _build_layout(mats, polarization), mats)
 
 
 def self_adjointness_defect(op: DiscreteOperator) -> float:
@@ -446,21 +452,27 @@ def _gauge(layout: FieldLayout) -> np.ndarray:
 class _Reduction:
     """The half-size problem in real form, shared by both solves: omega are the
     eigenvalues of the pencil [[0, zb], [zb^T, 0]] x = omega diag(I, a) x, that is
-    +/- the singular values of zb L^{-T} for a = L L^T."""
+    +/- the singular values of N = zb L^{-T} = R L for a = L L^T."""
 
     side: np.ndarray  # indices of S, whose energy block A[S, S] is positive definite, in grid order
     other: np.ndarray  # indices of O
     phase: np.ndarray  # gauge phases on S
     a: sp.coo_matrix  # A[S, S] in the gauge
     zb: sp.coo_matrix  # Z B0[O, S] in the gauge, real; row i is the row of Z at S coordinate i
-    null: Optional[np.ndarray]  # unit null vector of A[S, S] whose coordinate 0 was dropped
+    r: sp.coo_matrix  # R, with zb = R a
+    null: Optional[np.ndarray]  # unit null vector of A[S, S] whose last beta coordinate was dropped
+
+    @property
+    def dropped(self) -> Optional[int]:
+        """The S coordinate dropped with the null vector, the last beta in grid order, or None."""
+        return None if self.null is None else int(np.flatnonzero(self.null)[-1])
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """S-parts on the whole S side from reduced coordinates (columns): restores the
         dropped coordinate and removes the null direction, if there is one."""
         if self.null is None:
             return x
-        s = np.vstack([np.zeros((1, x.shape[1])), x])
+        s = np.insert(x, self.dropped, 0.0, axis=0)
         s -= np.outer(self.null, self.null @ s)
         return s
 
@@ -474,11 +486,13 @@ def _grid_rank(position: np.ndarray) -> np.ndarray:
 
 
 def _te_stencils(op: DiscreteOperator, w: float):
-    """Grid ranks, and the triplets of a and zb over S = (alpha, eta) in grid order, in TE.
+    """Grid ranks, and the triplets of a, zb and R over S = (alpha, eta) in grid order, in TE.
 
     a = T = w diag(C G, 1 / rho): C G is the stencil (2 / h^2 + k^2, -1 / h^2) on the
     interior nodes. zb is the imaginary part of Z B0[O, S] = i sqrt(w) [[c C G,
-    -kappa E / (c eps0 rho)], [0, omega_T / sqrt(rho)]], whose real part is zero.
+    -kappa E / (c eps0 rho)], [0, omega_T / sqrt(rho)]], whose real part is zero, so
+    zb = R a with R = w^-1/2 [[c I, -kappa E / (c eps0)], [0, omega_T sqrt(rho)]]: upper
+    bidiagonal in grid order, where eta follows the alpha of its node.
     """
     n, h, k = op.grid.n, op.grid.h, op.k_par
     p = op.layout.matter_index["eta"]
@@ -498,12 +512,14 @@ def _te_stencils(op: DiscreteOperator, w: float):
     a = (np.concatenate((lap_r, e)), np.concatenate((lap_c, e)), np.concatenate((lap(w), w / rho)))
     zb = (np.concatenate((lap_r, i[p], e)), np.concatenate((lap_c, e, e)),
           np.concatenate((lap(rw * C), -rw * kap / (C * EPS0 * rho), rw * w_t / np.sqrt(rho))))
-    return rank, a, zb
+    r = (np.concatenate((i, i[p], e)), np.concatenate((i, e, e)),
+         np.concatenate((np.full(n - 1, C / rw), -kap / (C * EPS0 * rw), w_t * np.sqrt(rho) / rw)))
+    return rank, a, zb, r
 
 
 def _tm_stencils(op: DiscreteOperator, w: float):
-    """Grid ranks, and the triplets of a and zb over S = (beta, gamma_par, gamma_z) in grid
-    order, in TM.
+    """Grid ranks, and the triplets of a, zb and R over S = (beta, gamma_par, gamma_z) in
+    grid order, in TM.
 
     a = V = w [[c^2 G C, -G E kappa / eps0], [-c^2 kappa E^T C, rho omega_L^2]]: G C is
     the stencil (m / h^2 + k^2, -1 / h^2) on the half points, with m the number of
@@ -513,7 +529,8 @@ def _tm_stencils(op: DiscreteOperator, w: float):
     sqrt(w); an eta_par row, sqrt(w / rho) (-c^2 kappa / h, c^2 kappa / h, rho omega_L^2)
     at (beta_p, beta_p+1, gamma_par), is real; an eta_z row, sqrt(w / rho) i (c^2 kappa k,
     rho omega_L^2) at (beta_q, gamma_z), is imaginary, and zb holds its imaginary part.
-    The k entries are left out at k_par = 0.
+    The eta rows are the gamma rows of a over sqrt(w rho) (c^2 eps0 = 1), so zb = R a with
+    R diagonal. The k entries are left out at k_par = 0.
     """
     n, h, k = op.grid.n, op.grid.h, op.k_par
     p, q = op.layout.matter_index["gamma_par"], op.layout.matter_index["gamma_z"]
@@ -548,7 +565,8 @@ def _tm_stencils(op: DiscreteOperator, w: float):
     zb = (np.concatenate((b_r, gp, gp, gp, gz[kq], gz)), np.concatenate((b_c, j[p], j[p + 1], gp, j[q[kq]], gz)),
           np.concatenate((beta_rows(rw), -eta_par, eta_par, rw * sp_p * wl2_p,
                           rw * C**2 * kap_q[kq] * k / sp_q[kq], rw * sp_q * wl2_q)))
-    return rank, a, zb
+    r = (rank, rank, np.concatenate((np.full(n, 1.0 / rw), 1.0 / (rw * sp_p), 1.0 / (rw * sp_q))))
+    return rank, a, zb, r
 
 
 def _reduce(op: DiscreteOperator) -> _Reduction:
@@ -564,10 +582,17 @@ def _reduce(op: DiscreteOperator) -> _Reduction:
     in TM), and each matter row sits at the matter point of its gamma and eta. Both
     blocks are written from the stencil coefficients (_te_stencils, _tm_stencils), with
     no full-space matrix and no sparse product, and S is in grid order: sorted by grid
-    position, the coordinates at one grid point in block order. At k_par = 0 in TM the
-    constant beta vector spans ker A[S, S] = ker Z B0[O, S]; dropping the first beta
-    coordinate, which is first in grid order too, leaves a positive definite problem
-    with the same nonzero spectrum.
+    position, the coordinates at one grid point in block order. The stencils write R with
+    zb = R a too: diagonal in TM, upper bidiagonal in TE.
+
+    At k_par = 0 in TM the constant beta vector spans ker A[S, S] = ker Z B0[O, S];
+    dropping the last beta coordinate in grid order, t, leaves a positive definite problem
+    with the same nonzero spectrum. Row t of zb is R_tt A[t, S], and A[t] is minus the sum
+    of the other beta rows (A null = 0), so row t of R is -R_tt on every kept beta. Its
+    product with L telescopes: the sums of L over the beta rows of a column vanish below
+    the last kept beta b, the first coordinate that A[S, t] touches, and above it no beta
+    is left, so row t of N = R L is the one entry -R_tt L[b, b], and N stays banded.
+    (Dropping the first beta would make row 0 of N dense, by forward substitution through L.)
     """
     layout = op.layout
     p_idx = np.r_[layout._span("alpha"), layout._span("eta")]
@@ -575,24 +600,33 @@ def _reduce(op: DiscreteOperator) -> _Reduction:
     w = HBAR * op.grid.h * op.geom.area
     if op.polarization == "TE":
         block, other = p_idx, q_idx
-        rank, a, zb = _te_stencils(op, w)
+        rank, a, zb, r = _te_stencils(op, w)
     else:
         block, other = q_idx, p_idx
-        rank, a, zb = _tm_stencils(op, w)
+        rank, a, zb, r = _tm_stencils(op, w)
     side = np.empty_like(block)
     side[rank] = block
     n_s, null = side.size, None
     if op.polarization == "TM" and op.k_par == 0:
-        beta = layout._span("beta")
-        null = (side < beta.stop) / math.sqrt(beta.stop - beta.start)  # S = (beta, gamma)
-        keep = (a[0] > 0) & (a[1] > 0)
-        a = (a[0][keep] - 1, a[1][keep] - 1, a[2][keep])
-        keep = zb[1] > 0
-        zb = (zb[0][keep], zb[1][keep] - 1, zb[2][keep])
+        beta = np.flatnonzero(side < layout._span("beta").stop)  # S = (beta, gamma)
+        null = np.zeros(side.size)
+        null[beta] = 1.0 / math.sqrt(beta.size)
+        t = beta[-1]
+
+        def cut(i):  # coordinate indices once t is dropped
+            return i - (i > t)
+
+        keep = (a[0] != t) & (a[1] != t)
+        a = (cut(a[0][keep]), cut(a[1][keep]), a[2][keep])
+        keep = zb[1] != t
+        zb = (zb[0][keep], cut(zb[1][keep]), zb[2][keep])
+        keep = r[1] != t  # R is diagonal: its entry at t gives way to row t
+        r = (np.r_[r[0][keep], np.full(beta.size - 1, t)], np.r_[cut(r[1][keep]), beta[:-1]],
+             np.r_[r[2][keep], np.full(beta.size - 1, -r[2][~keep][0])])
         n_s -= 1
-    return _Reduction(side, other, _gauge(layout)[side],
-                      sp.coo_matrix((a[2], (a[0], a[1])), shape=(n_s, n_s)),
-                      sp.coo_matrix((zb[2], (zb[0], zb[1])), shape=(side.size, n_s)), null)
+    return _Reduction(side, other, _gauge(layout)[side], sp.coo_matrix((a[2], (a[0], a[1])), shape=(n_s, n_s)),
+                      sp.coo_matrix((zb[2], (zb[0], zb[1])), shape=(side.size, n_s)),
+                      sp.coo_matrix((r[2], (r[0], r[1])), shape=(side.size, n_s)), null)
 
 
 def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -759,54 +793,105 @@ def _lanczos_nearest(opinv, v0: np.ndarray) -> Tuple[float, np.ndarray]:
     raise SolverContractViolation(f"windowed solve did not converge in {bound} shift-invert solves")
 
 
+def _band_cholesky(a: sp.coo_matrix) -> np.ndarray:
+    """L of a = L L^T in LAPACK's lower band storage, entry (i, j), i >= j, at [i - j, j] (dpbtrf)."""
+    kd = int(np.max(a.row - a.col))
+    lower = a.row >= a.col
+    a_band = np.zeros((kd + 1, a.shape[0]), order="F")
+    a_band[a.row[lower] - a.col[lower], a.col[lower]] = a.data[lower]
+    l_band, info = lapack.dpbtrf(a_band, lower=1, overwrite_ab=True)
+    if info > 0:
+        raise SolverContractViolation("energy form not positive definite")
+    return l_band
+
+
+def _shifted_band(red: _Reduction, l_band: np.ndarray, sigma: float) -> Tuple[np.ndarray, int]:
+    """Hs - sigma I in LAPACK's band storage for dgbtrf, and its half-bandwidth kl.
+
+    Hs = [[0, N], [N^T, 0]] with N = R L, in grid order: row i of N at slot 2i and S
+    coordinate c at slot 2c + 1. N is written diagonal by diagonal, nb[1 + k, c] =
+    N[c + k, c], from the diagonals of R and of L (l_band, lower band storage), and each
+    diagonal and its mirror go to the band by one strided slice each: entry (i, j) of Hs
+    at [2 kl + i - j, j], the kl rows on top left for the fill of row pivoting.
+    """
+    rr, t = red.r, red.dropped
+    r, n_s = red.zb.shape
+    kd = l_band.shape[0] - 1
+    # R's diagonals as columns, r_diag[1 + m, c] = R[c + m, c]: m = -1 holds the TE coupling of eta to
+    # the alpha of its node, m = 1 the rows after the dropped beta; the row of the dropped beta is
+    # written below
+    on = rr.row != (-1 if t is None else t)
+    r_diag = np.zeros((3, n_s))
+    r_diag[1 + rr.row[on] - rr.col[on], rr.col[on]] = rr.data[on]
+    nb = np.zeros((kd + 3, n_s))
+    for m in (-1, 0, 1):
+        if r_diag[1 + m].any():
+            for q in range(kd + 1):  # R[c + q + m, c + q] L[c + q, c]
+                nb[1 + q + m, : n_s - q] += r_diag[1 + m, q:] * l_band[q, : n_s - q]
+    if t is not None:  # -R_tt on every kept beta times L: one entry, at the last kept beta b (see _reduce)
+        row = rr.row == t
+        b = int(np.max(rr.col[row]))
+        nb[1 + t - b, b] = rr.data[row][0] * l_band[0, b]
+    diags = np.flatnonzero(nb.any(axis=1)) - 1  # the diagonals of N that hold entries
+    kl = int(np.max(np.abs(2 * diags - 1)))
+    ab = np.zeros((3 * kl + 1, r + n_s), order="F")
+    ab[2 * kl] = -sigma
+    for k in diags:
+        lo, hi = max(0, -k), min(n_s, r - k)
+        ab[2 * kl + 2 * k - 1, 2 * lo + 1: 2 * hi: 2] = nb[1 + k, lo:hi]  # N[c + k, c] at (2 (c + k), 2c + 1)
+        ab[2 * kl - 2 * k + 1, 2 * (lo + k): 2 * (hi + k) - 1: 2] = nb[1 + k, lo:hi]  # and its mirror
+    return ab, kl
+
+
 def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     """The eigenpair nearest sigma. Its Krein-normalized full-space eigenvector is
     expanded only when read, so `surface_mode_frequency` builds none.
 
     Shift-invert Lanczos (_lanczos_nearest, fixed start vector) for omega directly (the
     omega^2 form would square the condition number), in standard form: with a = L L^T,
-    the pencil H x = omega M x of _reduce becomes the symmetric matrix
-    Hs = [[0, zb L^{-T}], [L^{-1} zb^T, 0]] on u = diag(I, L^T) x, whose positive
-    eigenvalues are the singular values that solve_spectrum takes. Its shift-invert
-    operator is diag(I, L^T) (H - sigma M)^{-1} diag(I, L), so M is never formed, and
-    omega = sigma + 1 / theta for its Ritz value theta of largest |theta|.
+    the pencil H x = omega M x of _reduce becomes the symmetric Jordan-Wielandt matrix
+    Hs = [[0, N], [N^T, 0]] of N = zb L^{-T} on u = diag(I, L^T) x (G. H. Golub &
+    C. F. Van Loan, Matrix Computations, 4th ed., section 8.6), whose positive eigenvalues
+    are the singular values that solve_spectrum takes, and omega = sigma + 1 / theta for
+    the Ritz value theta of largest |theta| of (Hs - sigma I)^{-1}.
 
-    _reduce writes S, and with it the rows of zb, in grid order, so with the unknowns
-    interleaved, row i of zb before S coordinate i, H - sigma M is a band matrix and a
-    is one, whatever n: half-bandwidths 3 and 1 in a vacuum box, 5 and 2 in TE and 7
-    and 3 in TM with matter, at every k_par. The widths are read off the triplets and
-    each entry goes to its band slot by arithmetic on its indices. One LAPACK banded LU
-    of H - sigma M (dgbtrf, with row pivoting) and one banded Cholesky of a (dpbtrf)
-    cost O(n), and each shift-invert solve is one dgbtrs between two triangular band
-    products. The residual is taken from the reduced blocks themselves.
+    N is never solved for: zb = R a, so N = R L, with R diagonal in TM and upper
+    bidiagonal in TE, and L the banded Cholesky factor of a (dpbtrf). _reduce writes S, and
+    with it the rows of zb, in grid order, so with the rows of N at the even slots and the
+    S coordinates at the odd ones (_shifted_band) Hs - sigma I is a band matrix whatever
+    n: half-bandwidth 5 in TM and 3 in TE with matter (1 in a vacuum box), where a has 3
+    and 2. One LAPACK banded LU of it (dgbtrf, with row pivoting) costs O(n), and each
+    shift-invert solve is one dgbtrs. The residual is taken from zb and a themselves, so it
+    checks R too.
 
     The Lanczos tests its Ritz pair after every solve, so an isolated eigenvalue near
-    sigma (a surface-mode sweep, n = 1000 to 4000) converges in 7 or 8 solves, up to 11
+    sigma (a surface-mode sweep, n = 1000 to 4000) converges in 7 to 10 solves, the most
     at the low end of the sweep band; ARPACK, which tests only once its basis is full,
     took 13 with a 12-vector basis. A full basis of 24 vectors restarts thick, keeping
-    the 12 Ritz vectors nearest sigma. Counted with the refinement step below, each of
-    (24, 12), (20, 10), (16, 8) and (12, 6) takes 9 solves at a sweep shift (TM, k_par 2,
-    n = 4000); at sigma = omega_T for n = 1000 (24, 12) takes 1381 and the others 1927
-    to 5815, and next to the omega_L cluster it stays within a tenth of the fewest (47
-    against 43 with (20, 10) at omega_L + 1e-4 for n = 128, 158 against 146 at n = 1000).
+    the 12 Ritz vectors nearest sigma. Measured on the shifted pencil that Hs - sigma I
+    replaced, and counted with the refinement step below, each of (24, 12), (20, 10),
+    (16, 8) and (12, 6) took 9 solves at a sweep shift (TM, k_par 2, n = 4000); at
+    sigma = omega_T for n = 1000 (24, 12) took 1381 and the others 1927 to 5815, and next
+    to the omega_L cluster it stayed within a tenth of the fewest (47 against 43 with
+    (20, 10) at omega_L + 1e-4 for n = 128, 158 against 146 at n = 1000).
     The Ritz tolerance is 1e-14 (_RITZ_TOL), not machine precision, which next to a
     cluster is met or missed by roundoff: with machine precision a sweep shift at
-    n = 4000 takes 10 solves, and sigma = omega_L + 1e-4 (TM, k_par 0.8, n = 128) 536.
+    n = 4000 took 10 solves, and sigma = omega_L + 1e-4 (TM, k_par 0.8, n = 128) 536.
     The cost falls on shifts next to the omega_L cluster and at an accumulation point
     of the spectrum (TM, k_par 0.8; ARPACK's counts in parentheses): a quarter of a gap
     above omega_L at n = 64 takes 15 solves (67), sigma = omega_L + 1e-4 at n = 128
-    47 (55) and at n = 1000 158 (235), and sigma = omega_T at n = 1000 1381 (6013). No
+    46 (55) and at n = 1000 72 (235), and sigma = omega_T at n = 1000 1394 (6013). No
     surface-mode sweep asks for such a shift.
 
     One step of inverse iteration then refines the Ritz vector, at the cost of one more
     solve (B. N. Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4); omega
     stays sigma + 1 / theta. The Ritz test bounds the residual of u, which the
-    back-transform x = diag(I, L^{-T}) u can amplify: over 120 log-spaced k_par in
+    back-transform x = diag(I, L^{-T}) u (dtbsv) can amplify: over 120 log-spaced k_par in
     [1.12, 6] (TM, sigma = 1.001 omega_s) the Ritz vector alone left residuals up to
     0.8 of the gate below at n = 4000, the refined one at most 1.0e-3 of it at n = 1000
     to 4000. The residual gate is the accuracy guard.
 
-    Raises SolverContractViolation if a is not positive definite, H - sigma M is
+    Raises SolverContractViolation if a is not positive definite, Hs - sigma I is
     exactly singular, the Lanczos does not converge within _SOLVES_PER_UNKNOWN solves
     per unknown, the residual ||H x - omega M x|| exceeds 1e-10 max(|sigma|, 1) ||x||,
     or omega is zero to that scale.
@@ -814,48 +899,22 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     red = _reduce(op)
     zb, a = red.zb, red.a
     r, n_s = zb.shape
-    d = r - n_s  # 1 where the TM k_par = 0 coordinate was dropped
-    n = r + n_s
-    # grid order interleaves the unknowns: row c of zb at slot 2c - d, then S coordinate c, whose
-    # row of Z it is, at 2c + 1 - d; where S coordinate 0 was dropped, row 0 takes slot 0
-    rows, s_sl = np.maximum(2 * np.arange(r) - d, 0), slice(1 + d, None, 2)
-    z_r, z_c = rows[zb.row], 2 * zb.col + 1 + d
-    kd = int(np.max(a.row - a.col))
-    kl = int(max(np.max(np.abs(z_r - z_c)), 2 * kd))
-    # H - sigma M in LAPACK's band storage, entry (i, j) at [2 kl + i - j, j], that is at
-    # 2 kl + i + (ld - 1) j of the column-major array: the kl rows on top hold the fill of row
-    # pivoting
-    ld = 3 * kl + 1
-    band = np.zeros((ld, n), order="F")
-    flat = band.reshape(-1, order="F")
-    for i, j, data in ((z_r, z_c, zb.data), (z_c, z_r, zb.data), (rows, rows, -sigma),
-                       (2 * a.row + 1 + d, 2 * a.col + 1 + d, -sigma * a.data)):
-        flat[2 * kl + i + (ld - 1) * j] = data
+    l_band = _band_cholesky(a)
+    band, kl = _shifted_band(red, l_band, sigma)
     lu, piv, info = lapack.dgbtrf(band, kl, kl, overwrite_ab=True)
     if info > 0:
         raise SolverContractViolation(f"shift-invert at sigma = {sigma!r} failed: the factor is exactly singular")
-    # a = L L^T, lower band storage: entry (i, j), i >= j, at [i - j, j]
-    lower = a.row >= a.col
-    a_band = np.zeros((kd + 1, n_s), order="F")
-    a_band[a.row[lower] - a.col[lower], a.col[lower]] = a.data[lower]
-    l_band, info = lapack.dpbtrf(a_band, lower=1, overwrite_ab=True)
-    if info > 0:
-        raise SolverContractViolation("energy form not positive definite")
 
     def opinv(v: np.ndarray) -> np.ndarray:
-        """(Hs - sigma I)^{-1} v = diag(I, L^T) (H - sigma M)^{-1} diag(I, L) v"""
-        w = v.copy()
-        w[s_sl] = blas.dtbmv(kd, l_band, v[s_sl], lower=1)
-        y = lapack.dgbtrs(lu, kl, kl, w, piv, overwrite_b=True)[0]
-        y[s_sl] = blas.dtbmv(kd, l_band, y[s_sl], lower=1, trans=1)
-        return y
+        """(Hs - sigma I)^{-1} v"""
+        return lapack.dgbtrs(lu, kl, kl, v, piv)[0]
 
-    theta, u = _lanczos_nearest(opinv, np.cos(np.arange(n)))  # fixed start, with weight on every block
+    theta, u = _lanczos_nearest(opinv, np.cos(np.arange(r + n_s)))  # fixed start, with weight on every block
     u = opinv(u)  # one step of inverse iteration refines the Ritz vector
     u /= np.linalg.norm(u)
     omegas = np.array([sigma + 1.0 / theta])
     # x = diag(I, L^{-T}) u, in the order of _reduce: the rows of zb, then S
-    x = np.concatenate((u[rows], blas.dtbsv(kd, l_band, u[s_sl], lower=1, trans=1)))
+    x = np.concatenate((u[::2], blas.dtbsv(l_band.shape[0] - 1, l_band, u[1::2], lower=1, trans=1)))
     tol = 1e-10 * max(abs(sigma), 1.0)
     h_x = np.concatenate((np.bincount(zb.row, zb.data * x[r + zb.col], minlength=r),
                           np.bincount(zb.col, zb.data * x[zb.row], minlength=n_s)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 import polmodes.realspace as rs
 from polmodes import (
@@ -331,7 +331,8 @@ class TestSparseDefect:
         assert defect >= dense > 1e-8 * scale
 
     def test_flags_correction_that_is_no_gradient(self, interface, monkeypatch):
-        # the defect drops K[beta, alpha] X because curl GRAD = 0; assembly checks that once
+        # the defect drops K[beta, alpha] X because curl GRAD = 0; the curls check it when they
+        # are first built, before any product reads them, and assembly builds none
         build = rs._build_operators
 
         def par_part(grid, k_par, polarization):  # the gradient's alpha_par part alone is not curl-free
@@ -341,8 +342,12 @@ class TestSparseDefect:
             return rs._Operators(ops.curl_ba, ops.curl_ab, ops.div, grad.tocsc())
 
         monkeypatch.setattr(rs, "_build_operators", par_part)
+        op = assemble_operator(interface, Grid1D(96, 40.0), 2.0, "TM", strict_resolution=False)
+        assert "ops" not in op.__dict__
         with pytest.raises(SolverContractViolation, match="not exact"):
-            assemble_operator(interface, Grid1D(96, 40.0), 2.0, "TM", strict_resolution=False)
+            op.ops
+        with pytest.raises(SolverContractViolation, match="not exact"):
+            rs.self_adjointness_defect(op)
 
     @pytest.mark.parametrize("n,cases", [(128, (("TE", 2.0), ("TM", 2.0))),
                                          (96, (("TE", 0.8), ("TM", 0.8), ("TM", 0.0)))])
@@ -420,9 +425,9 @@ class TestSurfaceMode:
 
     @staticmethod
     def _count_traffic(monkeypatch):
-        """Count the band factors and band solves of the windowed solve, and every SuperLU
-        factor."""
-        calls = {"dgbtrf": 0, "dgbtrs": 0, "splu": 0}
+        """Count the band factors, band solves and triangular band products of the windowed
+        solve, and every SuperLU factor."""
+        calls = {"dgbtrf": 0, "dgbtrs": 0, "dtbmv": 0, "splu": 0}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -432,11 +437,12 @@ class TestSurfaceMode:
 
         for name in ("dgbtrf", "dgbtrs"):
             monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+        monkeypatch.setattr(blas, "dtbmv", counted("dtbmv", blas.dtbmv))
         monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
         return calls
 
     def test_one_factorization_per_surface_solve(self, medium, interface, monkeypatch):
-        # one band LU of the shifted pencil and no SuperLU factor: the eigenvector, and with it
+        # one band LU of Hs - sigma I and no SuperLU factor: the eigenvector, and with it
         # the Poisson LU, is never built
         calls = self._count_traffic(monkeypatch)
         sigma = surface_dispersion_omega(medium, 2.0) * 1.001
@@ -446,16 +452,17 @@ class TestSurfaceMode:
     def test_surface_solve_stops_at_convergence(self, medium, interface, monkeypatch):
         # the Lanczos tests its Ritz pair after every solve, so an isolated eigenvalue near the
         # shift converges in 8 shift-invert solves, and one more refines its Ritz vector
-        # (ARPACK's 12-vector basis took 13)
+        # (ARPACK's 12-vector basis took 13); each solve is one dgbtrs of Hs - sigma I, with no
+        # triangular band product around it
         calls = self._count_traffic(monkeypatch)
         sigma = surface_dispersion_omega(medium, 2.0) * 1.001
         surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
-        assert calls["dgbtrf"] == 1 and calls["dgbtrs"] <= 9 and calls["splu"] == 0
+        assert calls["dgbtrf"] == 1 and calls["dgbtrs"] <= 9 and calls["dtbmv"] == 0 and calls["splu"] == 0
 
     @pytest.mark.parametrize("shift,bound", [("omega_L+1e-4", 110), ("omega_T", 222)])
     def test_solve_count_at_hard_shifts(self, medium, interface, monkeypatch, shift, bound):
         # next to the omega_L cluster and at the accumulation point omega_T (TM, k_par 0.8,
-        # n = 128) the thick restart and the refinement take 47 and 116 solves (ARPACK took 55
+        # n = 128) the thick restart and the refinement take 46 and 116 solves (ARPACK took 55
         # and 223); the bounds are about twice those
         sigma = {"omega_L+1e-4": medium.omega_L + 1e-4, "omega_T": medium.omega_T}[shift]
         op = assemble_operator(interface, Grid1D(128, 40.0), 0.8, "TM", strict_resolution=False)
@@ -499,12 +506,21 @@ class TestSurfaceMode:
 
 
 def _interleaved_slots(red):
-    """Slots of the rows of zb and of the S coordinates in the windowed solve's grid order:
-    row c at 2c - d and S coordinate c at 2c + 1 - d, with d = 1 where S coordinate 0 was
-    dropped (row 0 then at 0), indexed by row and by kept coordinate."""
+    """Slots of the rows of zb (and of N) and of the S coordinates in the windowed solve's
+    grid order: row i at 2i and kept S coordinate c at 2c + 1, indexed by row and by kept
+    coordinate. Where a beta coordinate was dropped, the one row more takes the last slot."""
     r, n_s = red.zb.shape
-    d = r - n_s
-    return np.maximum(2 * np.arange(r) - d, 0), 2 * np.arange(n_s) + 1 + d
+    return 2 * np.arange(r), 2 * np.arange(n_s) + 1
+
+
+def _densify_band(band, kl):
+    """The n x n matrix whose LAPACK band storage, with kl rows on top for the fill, is band."""
+    n = band.shape[1]
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    inside = np.abs(i - j) <= kl
+    out = np.zeros((n, n))
+    out[inside] = band[2 * kl + (i - j)[inside], j[inside]]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -554,15 +570,17 @@ class TestWindowedSolve:
 
     @pytest.mark.parametrize("polarization", ["TE", "TM"])
     @pytest.mark.parametrize("k_par", [0.0, 0.8])
-    def test_shift_sweep_finds_every_eigenvalue(self, interface, polarization, k_par):
+    def test_shift_sweep_finds_every_eigenvalue(self, medium, interface, polarization, k_par):
         # a shift a quarter of the gap above each distinct positive eigenvalue, so the nearest
-        # one is always below it; the thick-restarted Lanczos converges at all of them
-        op = assemble_operator(interface, Grid1D(64, 40.0), k_par, polarization, strict_resolution=False)
-        w = solve_spectrum(op).omegas
-        w = w[w > 0]
-        w = w[np.r_[True, np.diff(w) > 1e-10 * w[1:]]]
-        found = [solve_windowed(op, lo + 0.25 * (hi - lo)).omegas[0] for lo, hi in zip(w[:-1], w[1:])]
-        np.testing.assert_allclose(found, w[:-1], rtol=1e-10)
+        # one is always below it; the thick-restarted Lanczos converges at all of them, on the
+        # interface and on the slab, whose two lumped boundary nodes meet the band of Hs too
+        for geom in (interface, _slab(medium)):
+            op = assemble_operator(geom, Grid1D(64, 40.0), k_par, polarization, strict_resolution=False)
+            w = solve_spectrum(op).omegas
+            w = w[w > 0]
+            w = w[np.r_[True, np.diff(w) > 1e-10 * w[1:]]]
+            found = [solve_windowed(op, lo + 0.25 * (hi - lo)).omegas[0] for lo, hi in zip(w[:-1], w[1:])]
+            np.testing.assert_allclose(found, w[:-1], rtol=1e-10)
 
     @pytest.mark.parametrize("geometry", ["interface", "matter box", "vacuum box"])
     @pytest.mark.parametrize("polarization", ["TE", "TM"])
@@ -570,23 +588,34 @@ class TestWindowedSolve:
     @pytest.mark.parametrize("n", [64, 4000])
     def test_grid_order_is_banded(self, medium, geometry, polarization, k_par, n):
         # the band LU costs O(n kl^2) in O(n kl) storage only while the grid order keeps the
-        # widths fixed; a broken order makes them grow with n, towards dense work
+        # widths fixed; a broken order, or a dense row of N, makes them grow with n, towards
+        # dense work. The widths are read off the slots that N = R L fills in Hs - sigma I.
         geom = {"interface": vacuum_interface(medium, 40.0), "matter box": homogeneous_box(medium, 40.0),
                 "vacuum box": homogeneous_box(None, 40.0)}[geometry]
         op = assemble_operator(geom, Grid1D(n, 40.0), k_par, polarization, strict_resolution=False)
         red = rs._reduce(op)
-        rows, s_slots = _interleaved_slots(red)
-        zb, a = red.zb, red.a
-        kl = max(np.abs(rows[zb.row] - s_slots[zb.col]).max(), np.abs(s_slots[a.row] - s_slots[a.col]).max())
-        kd = np.abs(a.row - a.col).max()
-        assert kl <= 7 and kd <= 3
+        l_band = rs._band_cholesky(red.a)
+        band, kl = rs._shifted_band(red, l_band, 1.1)
+        width = np.abs(np.flatnonzero(band.any(axis=1)) - 2 * kl).max()  # storage row 2 kl + i - j
+        kd = np.abs(red.a.row - red.a.col).max()
+        assert width == kl <= {"TE": 3, "TM": 5}[polarization] and kd == l_band.shape[0] - 1 <= 3
+        if n == 64:
+            # and the band holds all of Hs - sigma I, N = zb L^{-T} taken densely, the rows after
+            # a dropped beta and its telescoped row included
+            rows, s_slots = _interleaved_slots(red)
+            hs = np.zeros((rows.size + s_slots.size,) * 2)
+            hs[np.ix_(rows, s_slots)] = np.linalg.solve(np.linalg.cholesky(red.a.toarray()), red.zb.toarray().T).T
+            hs += hs.T
+            scale = np.abs(hs).max()
+            assert np.abs(_densify_band(band, kl) - (hs - 1.1 * np.eye(hs.shape[0]))).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("polarization,k_par", [("TE", 0.8), ("TM", 0.0), ("TM", 2.0)])
     def test_standard_form_operators(self, interface, monkeypatch, rng, polarization, k_par):
         # the Lanczos gets the shift-invert operator of the symmetric standard-form matrix
-        # Hs = diag(I, L^{-1}) H diag(I, L^{-T}) in grid order, with a = L L^T among the S coordinates:
-        # built densely here from the reduction, Hs - sigma and the operator are inverse to each
-        # other, and the returned pair satisfies the standard form
+        # Hs = diag(I, L^{-1}) H diag(I, L^{-T}) in grid order, with a = L L^T among the S coordinates.
+        # Built densely here from N = R L, Hs equals that congruence of H, the band that the solve
+        # factors holds Hs - sigma, that and the operator are inverse to each other, and the
+        # returned pair satisfies the standard form
         op = assemble_operator(interface, Grid1D(128, 40.0), k_par, polarization, strict_resolution=False)
         seen, lanczos = {}, rs._lanczos_nearest
 
@@ -600,17 +629,23 @@ class TestWindowedSolve:
         red = rs._reduce(op)
         rows, s_slots = _interleaved_slots(red)
         n = rows.size + s_slots.size
+        a = red.a.toarray()
+        # a is symmetric, so Hs is: the banded Cholesky reads its lower triangle alone
+        np.testing.assert_array_equal(a, a.T)
+        l_fac = np.linalg.cholesky(a)
+        hs = np.zeros((n, n))
+        hs[np.ix_(rows, s_slots)] = red.r.toarray() @ l_fac
+        hs += hs.T
         h = np.zeros((n, n))
         zb = red.zb
         h[rows[zb.row], s_slots[zb.col]] = zb.data
         h[s_slots[zb.col], rows[zb.row]] = zb.data
-        a = red.a.toarray()
         d_inv = np.eye(n)
-        d_inv[np.ix_(s_slots, s_slots)] = np.linalg.inv(np.linalg.cholesky(a))
-        hs = d_inv @ h @ d_inv.T
-        # Hs is symmetric: H is by construction, and the energy block a, whose lower triangle
-        # the banded Cholesky reads and whose both triangles the shifted pencil holds, is too
-        np.testing.assert_array_equal(a, a.T)
+        d_inv[np.ix_(s_slots, s_slots)] = np.linalg.inv(l_fac)
+        scale = np.abs(hs).max()
+        assert np.abs(hs - d_inv @ h @ d_inv.T).max() <= 1e-12 * scale
+        band, kl = rs._shifted_band(red, rs._band_cholesky(red.a), sigma)
+        assert np.abs(_densify_band(band, kl) - (hs - sigma * np.eye(n))).max() <= 1e-13 * scale
         opinv = seen["opinv"]
         v = rng.standard_normal((n, 2))
         back = opinv(hs @ v[:, 0] - sigma * v[:, 0])
@@ -633,7 +668,7 @@ class TestWindowedSolve:
 
     @pytest.mark.parametrize("geometry", ["interface", "matter box"])
     def test_singular_shift_is_a_contract_violation(self, medium, geometry):
-        # at k_par = 0 in TM the reduced pencil has a null vector, so H - 0 M is exactly singular
+        # at k_par = 0 in TM the reduced pencil has a null vector, so Hs - 0 I is exactly singular
         geom = vacuum_interface(medium, 40.0) if geometry == "interface" else homogeneous_box(medium, 40.0)
         grid = Grid1D(64, 40.0)
         op = assemble_operator(geom, grid, 0.0, "TM", strict_resolution=False)
@@ -697,10 +732,12 @@ def _generic_reduction(op):
     a, zb = a.real.tocsr(), zb[z_rows]
     null = None
     if op.polarization == "TM" and op.k_par == 0:
+        # the last beta, whose row of N = R L stays one entry, is dropped with the null vector
         n_beta = layout._span("beta").stop - layout._span("beta").start
         null = np.zeros(side.size)
         null[:n_beta] = 1.0 / np.sqrt(n_beta)
-        a, zb = a[1:, 1:], zb[:, 1:]
+        keep = np.delete(np.arange(side.size), n_beta - 1)
+        a, zb = a[keep][:, keep], zb[:, keep]
     position = np.empty(layout.dim)
     for name in layout.blocks:
         sl = layout.slices[name]
@@ -731,9 +768,12 @@ class TestStencilReduction:
         assert np.all(np.diff(at[red.side]) >= 0)
         kept = order
         if null is not None:
-            # the dropped coordinate, beta_0, is first in grid order too
-            assert order[0] == 0
-            kept = order[1:] - 1
+            # the dropped coordinate, the last beta in block order, is the last beta in grid order too
+            dropped = np.flatnonzero(null)[-1]
+            t = np.flatnonzero(order == dropped)[0]
+            assert np.all(order[t + 1:] > dropped) and red.dropped == t
+            kept = order[order != dropped]
+            kept -= kept > dropped
             null = null[order]
         # every row of Z B0[O, S] is real or imaginary, and none is empty: row i of zb is the
         # row of Z at S coordinate i
@@ -744,6 +784,19 @@ class TestStencilReduction:
             assert got.shape == ref.shape and got.nnz == got.tocsr().nnz == ref.nnz
             assert abs(got.tocsr() - ref).max() <= 1e-15 * abs(ref).max()
         assert (red.null is None) == (null is None) and (null is None or np.array_equal(red.null, null))
+        # zb = R a exactly, with R diagonal in TM and upper bidiagonal in TE, but for the row of the
+        # dropped beta, which is minus its R on every kept beta
+        r = red.r.tocsr()
+        assert r.shape == red.zb.shape and r.nnz == red.r.nnz
+        assert abs(red.zb.tocsr() - r @ red.a.tocsr()).max() <= 1e-15 * abs(red.zb).max()
+        t = side.size if null is None else red.dropped
+        if null is not None:
+            beta = np.flatnonzero(red.null)[:-1]
+            assert np.array_equal(r[t].indices, beta) and np.all(r[t].data == -r[beta[0], beta[0]])
+        # the band of R, past the dropped row one column to the left
+        on = red.r.row != t
+        offsets = set(red.r.col[on] - red.r.row[on] + (red.r.row[on] > t))
+        assert offsets == ({0, 1} if polarization == "TE" and geometry != "vacuum box" else {0})
         # the expansion reads B0[O, S] with the projected coupling, as B0[O, S] s less the correction
         s = rng.standard_normal((side.size, 2))
         omegas = np.array([-0.7, 1.3])
@@ -762,7 +815,7 @@ class TestStencilReduction:
 
 
 class TestLazyAssembly:
-    FULL_SPACE = {"b0_sparse", "krein", "kappa_embed"}
+    FULL_SPACE = {"ops", "b0_sparse", "krein", "kappa_embed"}
 
     def test_surface_mode_frequency_builds_no_full_space_matrix(self, medium, interface, monkeypatch):
         built = []

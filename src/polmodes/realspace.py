@@ -46,29 +46,19 @@ reduction) gives real eigenvalues in exact +/- pairs, with Krein
 orthonormality and the signed completeness relation to roundoff. The full
 spectrum solves it with one dense SVD of N = Z B0[O, S] L^{-T} (see _reduce: Z
 a sparse root of one energy block, L L^T the Cholesky factor of the other);
-windows (surface-mode sweeps) with shift-invert Lanczos on the same matrix in
-standard form, Hs = [[0, N], [N^T, 0]]. The stencils write the reduced blocks in grid
-order, and with them R, Z B0[O, S] = R A[S, S], diagonal in TM and upper bidiagonal
-in TE, so N = R L is a band matrix written diagonal by diagonal from R and the
-banded Cholesky factor L (half-bandwidth at most 3). With the rows of N interleaved
-with the S coordinates, Hs - sigma I is a band matrix of half-bandwidth 5 in TM and
-3 in TE whatever n: one banded Cholesky, one LAPACK banded LU of Hs - sigma I, whose
-solve is the whole shift-invert step, a thick-restarted Lanczos that tests its Ritz
-pair after every solve, and one step of inverse iteration on its Ritz vector (8 to 11
-solves for an isolated eigenvalue near the shift).
-Both solves keep the real reduced S-parts and expand full-space eigenvectors
-on demand, column by column: `polmodes solve` expands only the profiles it
-writes, and a surface-mode frequency expands none.
+windows (surface-mode sweeps) with shift-invert Lanczos on the same matrix in standard
+form, Hs = [[0, N], [N^T, 0]], a band matrix in grid order (solve_windowed). Both solves
+keep the real reduced S-parts and expand full-space eigenvectors on demand, column by
+column: `polmodes solve` expands only the profiles it writes, a surface-mode frequency none.
 
-Both solves write the reduced blocks from the stencil coefficients (_reduce), with
-no full-space matrix: a windowed solve builds none at all, nor the curls. The curls,
-checked when built, B0, with the unprojected coupling, and K are built on first use,
-each from its triplets in one sparse
-construction, and stay sparse; the eigenvector expansion, `apply`, the Krein
-products and the checks read them. The projected coupling
-enters only through one correction on alpha (_coupling_correction), which `apply`
-and the field reconstruction share, from one LU of LAP = DIV GRAD; K B0 does not
-see it. The dense B0 is built only on request, for residual checks.
+Both solves write the reduced blocks from the stencil coefficients (_reduce) as plain
+(row, col, data) arrays: a windowed solve builds no full-space matrix, no curl and no
+sparse matrix. The curls (checked when built), B0 with the unprojected coupling, and K
+are built on first use, each from its triplets in one sparse construction, for the
+eigenvector expansion, `apply`, the Krein products and the checks. The projected coupling
+enters only through one correction on alpha (_coupling_correction), which `apply` and the
+field reconstruction share, from one LU of LAP = DIV GRAD; K B0 does not see it. The
+dense B0 is built only on request, for residual checks.
 """
 
 from __future__ import annotations
@@ -77,7 +67,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -91,7 +81,7 @@ from .media import C, EPS0, HBAR, LayeredGeometry, epsilon, locate
 # the Lanczos of solve_windowed (_lanczos_nearest); the docstring of solve_windowed says why these values
 _BASIS = 24  # basis size
 _KEEP = 12  # Ritz vectors kept at a thick restart
-_RITZ_TOL = 1e-14  # Ritz tolerance
+_RITZ_TOL = 1e-12  # Ritz tolerance
 _SOLVES_PER_UNKNOWN = 10  # bound on the shift-invert solves, per unknown, as ARPACK's maxiter
 
 
@@ -155,7 +145,7 @@ def _sample_materials(geom: LayeredGeometry, grid: Grid1D) -> _Materials:
     cells = locate(grid.halves, [lay.z_min for lay in geom.layers], [lay.z_max for lay in geom.layers])
     params = np.array([(0.0, 0.0, 0.0) if lay.medium is None else
                        (lay.medium.kappa, lay.medium.rho, lay.medium.omega_T) for lay in geom.layers])
-    kap, rho, w_t = params[cells].T
+    kap, rho, w_t = np.take(params.T, cells, axis=1)
     # omega_T at a node: mean over its adjacent matter cells (vacuum cells carry zeros)
     count = (rho[:-1] > 0).astype(float) + (rho[1:] > 0)
     w_t_n = (w_t[:-1] + w_t[1:]) / np.maximum(count, 1.0)
@@ -340,11 +330,10 @@ def _sparse_krein(ops: _Operators, n_matter: int, w: float) -> sp.csr_matrix:
 class DiscreteOperator:
     """Assembled eigensystem: grid, media and layout, from which the sparse curls (`ops`,
     checked when built) and every full-space matrix are built on first use: the sparse B0
-    with the unprojected matter coupling (`b0_sparse`), the sparse Krein matrix K
-    (`krein`) and the kappa embedding (`kappa_embed`). The reduction reads the stencils
-    (_reduce) and builds none of them, so a windowed solve builds none; `apply`, the
-    eigenvector expansion (the full solve builds B0 for it), the Krein products and the
-    checks do. Nothing here is dense; `b0` densifies on request."""
+    with the unprojected matter coupling (`b0_sparse`), the sparse Krein matrix K (`krein`)
+    and the kappa embedding (`kappa_embed`). The reduction (_reduce) and so a windowed solve
+    build none of them; `apply`, the eigenvector expansion (the full solve builds B0 for it),
+    the Krein products and the checks do. Nothing here is dense; `b0` densifies on request."""
 
     geom: LayeredGeometry
     grid: Grid1D
@@ -448,6 +437,10 @@ def _gauge(layout: FieldLayout) -> np.ndarray:
     return phase
 
 
+# a sparse matrix as plain arrays, one entry per position
+_Triplets = NamedTuple("_Triplets", [("row", np.ndarray), ("col", np.ndarray), ("data", np.ndarray)])
+
+
 @dataclass
 class _Reduction:
     """The half-size problem in real form, shared by both solves: omega are the
@@ -457,10 +450,14 @@ class _Reduction:
     side: np.ndarray  # indices of S, whose energy block A[S, S] is positive definite, in grid order
     other: np.ndarray  # indices of O
     phase: np.ndarray  # gauge phases on S
-    a: sp.coo_matrix  # A[S, S] in the gauge
-    zb: sp.coo_matrix  # Z B0[O, S] in the gauge, real; row i is the row of Z at S coordinate i
-    r: sp.coo_matrix  # R, with zb = R a
+    a: _Triplets  # A[S, S] in the gauge
+    zb: _Triplets  # Z B0[O, S] in the gauge, real; row i is the row of Z at S coordinate i
+    r: _Triplets  # R, with zb = R a
     null: Optional[np.ndarray]  # unit null vector of A[S, S] whose last beta coordinate was dropped
+
+    @property
+    def shape(self) -> Tuple[int, int]:  # of zb and R: a row per S coordinate, a column per kept one
+        return self.side.size, self.side.size - (self.null is not None)
 
     @property
     def dropped(self) -> Optional[int]:
@@ -539,7 +536,7 @@ def _tm_stencils(op: DiscreteOperator, w: float):
     # beta at the half points, then gamma_par at the nodes p and gamma_z at the halves q, after
     # the beta of its half point
     rank = _grid_rank(np.concatenate((np.arange(n) + 0.5, p + 1.0, q + 0.5)))
-    j, gp, gz = np.split(rank, (n, n + p.size))
+    j, gp, gz = rank[:n], rank[n: n + p.size], rank[n + p.size:]
     kq = slice(None) if k != 0 else slice(0)
     m = np.full(n, 2.0)
     m[[0, -1]] = 1.0
@@ -573,17 +570,16 @@ def _reduce(op: DiscreteOperator) -> _Reduction:
     """Split the state into P = (alpha, eta) and Q = (beta, gamma), where B0 and K are
     block off-diagonal and A = K B0 = diag(T, V) is block diagonal, and make it real.
 
-    S is the side whose energy block is positive definite (P with T for TE, Q with V
-    for TM), O the other, and Z a sparse root of the other energy block,
-    A[O, O] = Z^H Z. In the i^n gauge of _gauge, A[S, S] is real and each row of
-    Z B0[O, S] is real or imaginary, none empty, so zb, each row as its real or imaginary
-    part, has the Gram matrix of Z B0[O, S]. Z has one row per coordinate of S, on its
-    grid point: the curl maps O's field onto S's (beta onto alpha in TE, alpha onto beta
-    in TM), and each matter row sits at the matter point of its gamma and eta. Both
-    blocks are written from the stencil coefficients (_te_stencils, _tm_stencils), with
-    no full-space matrix and no sparse product, and S is in grid order: sorted by grid
-    position, the coordinates at one grid point in block order. The stencils write R with
-    zb = R a too: diagonal in TM, upper bidiagonal in TE.
+    S is the side whose energy block is positive definite (P with T for TE, Q with V for
+    TM), O the other, and Z a sparse root of the other energy block, A[O, O] = Z^H Z. In
+    the i^n gauge of _gauge, A[S, S] is real and each row of Z B0[O, S] is real or
+    imaginary, none empty, so zb, each row as its real or imaginary part, has the Gram
+    matrix of Z B0[O, S]. Z has one row per coordinate of S, on its grid point: the curl
+    maps O's field onto S's (beta onto alpha in TE, alpha onto beta in TM), and each matter
+    row sits at the matter point of its gamma and eta. The stencils (_te_stencils,
+    _tm_stencils) write both blocks, and R with zb = R a (diagonal in TM, upper bidiagonal
+    in TE), as (row, col, data) triplets, with S in grid order: sorted by grid position,
+    the coordinates at one grid point in block order.
 
     At k_par = 0 in TM the constant beta vector spans ker A[S, S] = ker Z B0[O, S];
     dropping the last beta coordinate in grid order, t, leaves a positive definite problem
@@ -606,7 +602,7 @@ def _reduce(op: DiscreteOperator) -> _Reduction:
         rank, a, zb, r = _tm_stencils(op, w)
     side = np.empty_like(block)
     side[rank] = block
-    n_s, null = side.size, None
+    null = None
     if op.polarization == "TM" and op.k_par == 0:
         beta = np.flatnonzero(side < layout._span("beta").stop)  # S = (beta, gamma)
         null = np.zeros(side.size)
@@ -623,10 +619,7 @@ def _reduce(op: DiscreteOperator) -> _Reduction:
         keep = r[1] != t  # R is diagonal: its entry at t gives way to row t
         r = (np.r_[r[0][keep], np.full(beta.size - 1, t)], np.r_[cut(r[1][keep]), beta[:-1]],
              np.r_[r[2][keep], np.full(beta.size - 1, -r[2][~keep][0])])
-        n_s -= 1
-    return _Reduction(side, other, _gauge(layout)[side], sp.coo_matrix((a[2], (a[0], a[1])), shape=(n_s, n_s)),
-                      sp.coo_matrix((zb[2], (zb[0], zb[1])), shape=(side.size, n_s)),
-                      sp.coo_matrix((r[2], (r[0], r[1])), shape=(side.size, n_s)), null)
+    return _Reduction(side, other, _gauge(layout)[side], _Triplets(*a), _Triplets(*zb), _Triplets(*r), null)
 
 
 def _expand(op: DiscreteOperator, red: _Reduction, s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -668,22 +661,29 @@ class _Pairs:
     index: np.ndarray
 
 
+# how a windowed solve went: its shift-invert solves, thick restarts and residual over its gate
+WindowedStats = NamedTuple("WindowedStats", [("solves", int), ("restarts", int), ("residual_over_gate", float)])
+
+
 class DiscreteEigenSolution:
     """Full spectrum, or the eigenpair nearest a shift, with Krein-normalized full-space
     eigenvectors, <<v|v>> = sgn(omega).
 
     The solves keep the eigenvectors in reduced form and expand them on demand:
     `columns(idx)` builds only the requested ones, `vectors` every one, once, on first
-    read. A solution may also be built from explicit `vectors`.
+    read. A solution may also be built from explicit `vectors`. A windowed solve records
+    its `stats`; otherwise they are None.
     """
 
     def __init__(self, operator: DiscreteOperator, omegas: np.ndarray,
-                 vectors: Optional[np.ndarray] = None, pairs: Optional[_Pairs] = None):
+                 vectors: Optional[np.ndarray] = None, pairs: Optional[_Pairs] = None,
+                 stats: Optional[WindowedStats] = None):
         if (vectors is None) == (pairs is None):
             raise ValueError("give either the eigenvectors or their reduced pairs")
         self.operator = operator
         self.omegas = omegas
         self._pairs = pairs
+        self.stats = stats
         if vectors is not None:
             self.vectors = vectors
 
@@ -715,6 +715,13 @@ class DiscreteEigenSolution:
         return self.operator.krein
 
 
+def _dense(m: _Triplets, shape: Tuple[int, int]) -> np.ndarray:
+    """The dense array of a matrix given by its triplets."""
+    out = np.zeros(shape)
+    out[m.row, m.col] = m.data
+    return out
+
+
 def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
     """All eigenpairs of the restricted operator, omegas ascending.
 
@@ -725,19 +732,20 @@ def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
     a caller that reads only the omegas and a few columns never holds all of them.
     """
     red = _reduce(op)
+    r, n_s = red.shape
     # the expansion reads the sparse B0: built here, before the dense arrays, it does not land
     # among them (built after them, it raised the peak resident memory of `polmodes verify` by
     # 3 MiB for some hash seeds)
     op.b0_sparse
     try:
-        l_fac = sla.cholesky(red.a.toarray(), lower=True, overwrite_a=True)
+        l_fac = sla.cholesky(_dense(red.a, (n_s, n_s)), lower=True, overwrite_a=True)
     except sla.LinAlgError as exc:
         raise SolverContractViolation(
             "energy form not positive definite (omega_T > 0 violated or null mode present)"
         ) from exc
     # M^T = L^{-1} (Z B0[O, S])^T: its left singular vectors are the right ones of M. The
     # Cholesky, the solve and the SVD act on fresh arrays, so LAPACK overwrites them in place.
-    m_t = sla.solve_triangular(l_fac, red.zb.toarray().T, lower=True, overwrite_b=True)
+    m_t = sla.solve_triangular(l_fac, _dense(red.zb, (r, n_s)).T, lower=True, overwrite_b=True)
     w_vecs, sigma, _ = sla.svd(m_t, full_matrices=False, overwrite_a=True)
     if sigma[-1] <= np.finfo(float).eps * sigma.size * sigma[0]:
         raise SolverContractViolation("zero frequency: energy form singular on the other half")
@@ -749,64 +757,84 @@ def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
     return DiscreteEigenSolution(op, np.concatenate([-sigma, sigma[::-1]]), pairs=pairs)
 
 
-def _lanczos_nearest(opinv, v0: np.ndarray) -> Tuple[float, np.ndarray]:
-    """The Ritz pair (theta, u) of largest |theta| of the symmetric operator opinv, |u| = 1:
-    Lanczos from v0 with full reorthogonalization, thick-restarted (K. Wu & H. Simon,
-    SIAM J. Matrix Anal. Appl. 22, 602 (2000)).
+# what _lanczos_nearest returns
+_Ritz = NamedTuple("_Ritz", [("theta", float), ("u", np.ndarray), ("refined", np.ndarray), ("solves", int),
+                             ("restarts", int)])
 
-    Each step applies opinv once and tests the Ritz pair of largest |theta| of the
-    projected matrix T: it stops once |beta y_last| <= _RITZ_TOL |theta|, the residual
-    norm of the pair. When the basis holds _BASIS vectors, it keeps the _KEEP Ritz
-    vectors of largest |theta| and goes on from the residual vector, so that T is their
-    Ritz values bordered by its couplings to them. Raises SolverContractViolation after
-    _SOLVES_PER_UNKNOWN solves per unknown without convergence.
+
+def _lanczos_nearest(opinv, v0: np.ndarray) -> _Ritz:
+    """The Ritz pair (theta, u) of largest |theta| of the symmetric operator opinv (which may
+    overwrite its argument), |u| = 1, the refined opinv(u) / |opinv(u)|, and the solves and
+    thick restarts taken: Lanczos from v0 with full reorthogonalization (CGS2), thick-restarted
+    (K. Wu & H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)). Each step applies opinv
+    once, in place on the next basis column, and stops once |beta y_last| <= _RITZ_TOL |theta|,
+    the residual norm of the pair. A basis of _BASIS vectors restarts from the residual vector
+    with the _KEEP Ritz vectors of largest |theta|, T their Ritz values bordered by its
+    couplings. Through restarts too V satisfies opinv(V) = V T + w e_last^T, w the residual
+    vector before it is normalized, so opinv(u) = theta u + y_last w costs no solve (B. N.
+    Parlett, The Symmetric Eigenvalue Problem, SIAM 1998). Raises SolverContractViolation
+    after _SOLVES_PER_UNKNOWN solves per unknown without convergence.
     """
     n = v0.size
-    basis = np.empty((_BASIS + 1, n))
-    basis[0] = v0 / np.linalg.norm(v0)
+    basis = np.empty((n, _BASIS + 1), order="F")  # the Lanczos vectors, as columns
+    np.multiply(v0, 1.0 / math.sqrt(v0 @ v0), out=basis[:, 0])
     t = np.zeros((_BASIS, _BASIS))  # T, upper triangle
-    j = 0  # the basis holds j + 1 vectors
+    j = restarts = 0  # the basis holds j + 1 vectors
     bound = int(_SOLVES_PER_UNKNOWN * n)
-    for _ in range(bound):
-        w = opinv(basis[j])
-        v = basis[: j + 1]
-        h = v @ w
-        w -= h @ v
-        c = v @ w  # twice is enough
-        w -= c @ v
+    for solves in range(1, bound + 1):
+        basis[:, j + 1] = basis[:, j]
+        w = opinv(basis[:, j + 1])  # the next vector, built in place
+        v = basis[:, : j + 1]
+        h = blas.dgemv(1.0, v, w, trans=1)
+        blas.dgemv(-1.0, v, h, beta=1.0, y=w, overwrite_y=1)
+        c = blas.dgemv(1.0, v, w, trans=1)  # twice is enough
+        blas.dgemv(-1.0, v, c, beta=1.0, y=w, overwrite_y=1)
         t[: j + 1, j] = h + c
-        beta = np.linalg.norm(w)
-        theta, y = np.linalg.eigh(t[: j + 1, : j + 1], UPLO="U")
-        i = int(np.argmax(np.abs(theta)))
+        beta = math.sqrt(w @ w)
+        theta, y, _ = lapack.dsyevd(t[: j + 1, : j + 1], lower=0)
+        i = j if theta[j] > -theta[0] else 0  # theta ascends
         if abs(beta * y[j, i]) <= _RITZ_TOL * abs(theta[i]):
-            return float(theta[i]), y[:, i] @ v
-        basis[j + 1] = w / beta
+            u = blas.dgemv(1.0, v, y[:, i])
+            refined = blas.daxpy(u, w * y[j, i], a=theta[i])  # in place on y_last w
+            np.multiply(refined, 1.0 / math.sqrt(refined @ refined), out=refined)
+            return _Ritz(float(theta[i]), u, refined, solves, restarts)
+        np.multiply(w, 1.0 / beta, out=basis[:, j + 1])
         if j + 1 < _BASIS:
             j += 1
             continue
         keep = np.argsort(np.abs(theta))[-_KEEP:]
-        basis[:_KEEP] = y[:, keep].T @ v
-        basis[_KEEP] = basis[_BASIS]
+        basis[:, :_KEEP] = v @ y[:, keep]
+        basis[:, _KEEP] = basis[:, _BASIS]
         t[:] = 0.0
         t[np.arange(_KEEP), np.arange(_KEEP)] = theta[keep]
         j = _KEEP
+        restarts += 1
     raise SolverContractViolation(f"windowed solve did not converge in {bound} shift-invert solves")
 
 
-def _band_cholesky(a: sp.coo_matrix) -> np.ndarray:
-    """L of a = L L^T in LAPACK's lower band storage, entry (i, j), i >= j, at [i - j, j] (dpbtrf)."""
-    kd = int(np.max(a.row - a.col))
-    lower = a.row >= a.col
-    a_band = np.zeros((kd + 1, a.shape[0]), order="F")
-    a_band[a.row[lower] - a.col[lower], a.col[lower]] = a.data[lower]
-    l_band, info = lapack.dpbtrf(a_band, lower=1, overwrite_ab=True)
+def _band(m: _Triplets, n: int) -> Tuple[np.ndarray, int, int]:
+    """m over n columns in LAPACK's general band storage, entry (i, j) at [ku + i - j, j]
+    (dgbmv), and its half-bandwidths kl below and ku above the diagonal."""
+    off = m.row - m.col
+    kl, ku = int(off.max()), int(-off.min())
+    band = np.zeros((kl + ku + 1, n), order="F")
+    band[ku + off, m.col] = m.data
+    return band, kl, ku
+
+
+def _band_cholesky(red: _Reduction) -> Tuple[np.ndarray, int, np.ndarray]:
+    """a in band storage (_band), its half-bandwidth kd, and L, a = L L^T, in LAPACK's lower band
+    storage (dpbtrf), (i, j) at [i - j, j]: the lower half of a's band, factored."""
+    a_band, kd, _ = _band(red.a, red.shape[1])
+    l_band, info = lapack.dpbtrf(np.asfortranarray(a_band[kd:]), lower=1, overwrite_ab=1)
     if info > 0:
         raise SolverContractViolation("energy form not positive definite")
-    return l_band
+    return a_band, kd, l_band
 
 
 def _shifted_band(red: _Reduction, l_band: np.ndarray, sigma: float) -> Tuple[np.ndarray, int]:
-    """Hs - sigma I in LAPACK's band storage for dgbtrf, and its half-bandwidth kl.
+    """Hs - sigma I in LAPACK's band storage for dgbtrf, and its half-bandwidth kl: 5 in TM,
+    3 in TE with matter, 1 in a vacuum box.
 
     Hs = [[0, N], [N^T, 0]] with N = R L, in grid order: row i of N at slot 2i and S
     coordinate c at slot 2c + 1. N is written diagonal by diagonal, nb[1 + k, c] =
@@ -815,19 +843,16 @@ def _shifted_band(red: _Reduction, l_band: np.ndarray, sigma: float) -> Tuple[np
     at [2 kl + i - j, j], the kl rows on top left for the fill of row pivoting.
     """
     rr, t = red.r, red.dropped
-    r, n_s = red.zb.shape
+    r, n_s = red.shape
     kd = l_band.shape[0] - 1
-    # R's diagonals as columns, r_diag[1 + m, c] = R[c + m, c]: m = -1 holds the TE coupling of eta to
-    # the alpha of its node, m = 1 the rows after the dropped beta; the row of the dropped beta is
-    # written below
-    on = rr.row != (-1 if t is None else t)
-    r_diag = np.zeros((3, n_s))
-    r_diag[1 + rr.row[on] - rr.col[on], rr.col[on]] = rr.data[on]
+    # the band of R but the row of the dropped beta, written below: R[c + m, c] at [mu + m, c], m = -1
+    # the TE coupling of eta to the alpha of its node, m = 1 the rows after the dropped beta
+    on = slice(None) if t is None else rr.row != t
+    r_band, ml, mu = _band(_Triplets(rr.row[on], rr.col[on], rr.data[on]), n_s)
     nb = np.zeros((kd + 3, n_s))
-    for m in (-1, 0, 1):
-        if r_diag[1 + m].any():
-            for q in range(kd + 1):  # R[c + q + m, c + q] L[c + q, c]
-                nb[1 + q + m, : n_s - q] += r_diag[1 + m, q:] * l_band[q, : n_s - q]
+    for m in range(-mu, ml + 1):
+        for q in range(kd + 1):  # R[c + q + m, c + q] L[c + q, c]
+            nb[1 + q + m, : n_s - q] += r_band[mu + m, q:] * l_band[q, : n_s - q]
     if t is not None:  # -R_tt on every kept beta times L: one entry, at the last kept beta b (see _reduce)
         row = rr.row == t
         b = int(np.max(rr.col[row]))
@@ -850,46 +875,29 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     Shift-invert Lanczos (_lanczos_nearest, fixed start vector) for omega directly (the
     omega^2 form would square the condition number), in standard form: with a = L L^T,
     the pencil H x = omega M x of _reduce becomes the symmetric Jordan-Wielandt matrix
-    Hs = [[0, N], [N^T, 0]] of N = zb L^{-T} on u = diag(I, L^T) x (G. H. Golub &
+    Hs = [[0, N], [N^T, 0]] of N = zb L^{-T} = R L on u = diag(I, L^T) x (G. H. Golub &
     C. F. Van Loan, Matrix Computations, 4th ed., section 8.6), whose positive eigenvalues
-    are the singular values that solve_spectrum takes, and omega = sigma + 1 / theta for
-    the Ritz value theta of largest |theta| of (Hs - sigma I)^{-1}.
+    are the singular values that solve_spectrum takes. In grid order Hs - sigma I is a
+    band matrix (_shifted_band): one LAPACK banded LU of it (dgbtrf) costs O(n), and each
+    shift-invert solve is one dgbtrs. The residual is taken from zb and a themselves, by
+    band products (dgbmv), so it checks R too.
 
-    N is never solved for: zb = R a, so N = R L, with R diagonal in TM and upper
-    bidiagonal in TE, and L the banded Cholesky factor of a (dpbtrf). _reduce writes S, and
-    with it the rows of zb, in grid order, so with the rows of N at the even slots and the
-    S coordinates at the odd ones (_shifted_band) Hs - sigma I is a band matrix whatever
-    n: half-bandwidth 5 in TM and 3 in TE with matter (1 in a vacuum box), where a has 3
-    and 2. One LAPACK banded LU of it (dgbtrf, with row pivoting) costs O(n), and each
-    shift-invert solve is one dgbtrs. The residual is taken from zb and a themselves, so it
-    checks R too.
-
-    The Lanczos tests its Ritz pair after every solve, so an isolated eigenvalue near
-    sigma (a surface-mode sweep, n = 1000 to 4000) converges in 7 to 10 solves, the most
-    at the low end of the sweep band; ARPACK, which tests only once its basis is full,
-    took 13 with a 12-vector basis. A full basis of 24 vectors restarts thick, keeping
-    the 12 Ritz vectors nearest sigma. Measured on the shifted pencil that Hs - sigma I
-    replaced, and counted with the refinement step below, each of (24, 12), (20, 10),
-    (16, 8) and (12, 6) took 9 solves at a sweep shift (TM, k_par 2, n = 4000); at
-    sigma = omega_T for n = 1000 (24, 12) took 1381 and the others 1927 to 5815, and next
-    to the omega_L cluster it stayed within a tenth of the fewest (47 against 43 with
-    (20, 10) at omega_L + 1e-4 for n = 128, 158 against 146 at n = 1000).
-    The Ritz tolerance is 1e-14 (_RITZ_TOL), not machine precision, which next to a
-    cluster is met or missed by roundoff: with machine precision a sweep shift at
-    n = 4000 took 10 solves, and sigma = omega_L + 1e-4 (TM, k_par 0.8, n = 128) 536.
-    The cost falls on shifts next to the omega_L cluster and at an accumulation point
-    of the spectrum (TM, k_par 0.8; ARPACK's counts in parentheses): a quarter of a gap
-    above omega_L at n = 64 takes 15 solves (67), sigma = omega_L + 1e-4 at n = 128
-    46 (55) and at n = 1000 72 (235), and sigma = omega_T at n = 1000 1394 (6013). No
-    surface-mode sweep asks for such a shift.
-
-    One step of inverse iteration then refines the Ritz vector, at the cost of one more
-    solve (B. N. Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4); omega
-    stays sigma + 1 / theta. The Ritz test bounds the residual of u, which the
-    back-transform x = diag(I, L^{-T}) u (dtbsv) can amplify: over 120 log-spaced k_par in
-    [1.12, 6] (TM, sigma = 1.001 omega_s) the Ritz vector alone left residuals up to
-    0.8 of the gate below at n = 4000, the refined one at most 1.0e-3 of it at n = 1000
-    to 4000. The residual gate is the accuracy guard.
+    The Lanczos tests its Ritz pair after every solve: an isolated eigenvalue near sigma
+    (a surface-mode sweep, n = 1000 to 4000) takes 7 to 9 solves, omega_L + 1e-4 (TM,
+    k_par 0.8) 5 at n = 128 and 1000, the accumulation point omega_T 1257 at n = 1000.
+    Its 24-vector basis restarts thick, keeping 12 Ritz vectors (smaller pairs down to
+    (12, 6) took up to 4.2 times as many solves at omega_T). The Ritz vector u is refined
+    by one step of inverse iteration read off the Lanczos relation, at no further solve,
+    since the back-transform x = diag(I, L^{-T}) u (dtbsv) can amplify its residual; omega
+    is the Rayleigh quotient 2 x_O^T zb x_S / (x_O^T x_O + x_S^T a x_S) of the refined x
+    (within 1.8e-14 of it in long double over 36 sweep ops, sigma + 1 / theta 2.9e-13).
+    The refined residual does not depend on the Ritz tolerance: over 120 log-spaced k_par
+    in [1.12, 6] at n = 1000, 2000, 4000 (TM, sigma = 1.001 omega_s) its worst is 2.2e-3
+    of the gate below at 1e-14 and 1e-12, 1.9e-3 at 1e-10, for 7.9, 7.1 and 6.2 solves per
+    op. At 1e-12 (_RITZ_TOL) the Ritz vector alone passes the gate too (0.71 of it at
+    most, 35 times over at 1e-10); next to a cluster a tolerance near machine precision is
+    met or missed by roundoff (omega_L + 1e-4 at n = 128 took 354 solves). The solution
+    records the solves, the thick restarts and the residual over the gate (`stats`).
 
     Raises SolverContractViolation if a is not positive definite, Hs - sigma I is
     exactly singular, the Lanczos does not converge within _SOLVES_PER_UNKNOWN solves
@@ -897,36 +905,39 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     or omega is zero to that scale.
     """
     red = _reduce(op)
-    zb, a = red.zb, red.a
-    r, n_s = zb.shape
-    l_band = _band_cholesky(a)
+    r, n_s = red.shape
+    a_band, kd, l_band = _band_cholesky(red)
     band, kl = _shifted_band(red, l_band, sigma)
     lu, piv, info = lapack.dgbtrf(band, kl, kl, overwrite_ab=True)
     if info > 0:
         raise SolverContractViolation(f"shift-invert at sigma = {sigma!r} failed: the factor is exactly singular")
 
-    def opinv(v: np.ndarray) -> np.ndarray:
-        """(Hs - sigma I)^{-1} v"""
-        return lapack.dgbtrs(lu, kl, kl, v, piv)[0]
+    def opinv(v: np.ndarray) -> np.ndarray:  # (Hs - sigma I)^{-1} v, over v where v is contiguous
+        return lapack.dgbtrs(lu, kl, kl, v, piv, overwrite_b=1)[0]
 
-    theta, u = _lanczos_nearest(opinv, np.cos(np.arange(r + n_s)))  # fixed start, with weight on every block
-    u = opinv(u)  # one step of inverse iteration refines the Ritz vector
-    u /= np.linalg.norm(u)
-    omegas = np.array([sigma + 1.0 / theta])
+    v0 = np.arange(r + n_s, dtype=float)
+    ritz = _lanczos_nearest(opinv, np.cos(v0, out=v0))  # fixed start, with weight on every block
+    u = ritz.refined
     # x = diag(I, L^{-T}) u, in the order of _reduce: the rows of zb, then S
-    x = np.concatenate((u[::2], blas.dtbsv(l_band.shape[0] - 1, l_band, u[1::2], lower=1, trans=1)))
+    x_o, x_s = u[::2], blas.dtbsv(kd, l_band, u[1::2], lower=1, trans=1)
+    # H x = (zb x_S, zb^T x_O) and M x = (x_O, a x_S) from the bands; x^T H x = 2 x_O^T zb x_S
+    zb_band, zl, zu = _band(red.zb, n_s)
+    h_o = blas.dgbmv(r, n_s, zl, zu, 1.0, zb_band, x_s)
+    h_s = blas.dgbmv(r, n_s, zl, zu, 1.0, zb_band, u, incx=2, trans=1)
+    a_x = blas.dgbmv(n_s, n_s, kd, kd, 1.0, a_band, x_s)
+    omega = 2.0 * (x_o @ h_o) / (x_o @ x_o + x_s @ a_x)
     tol = 1e-10 * max(abs(sigma), 1.0)
-    h_x = np.concatenate((np.bincount(zb.row, zb.data * x[r + zb.col], minlength=r),
-                          np.bincount(zb.col, zb.data * x[zb.row], minlength=n_s)))
-    a_x = np.bincount(a.row, a.data * x[r + a.col], minlength=n_s)
-    resid = np.linalg.norm(h_x - omegas[0] * np.concatenate((x[:r], a_x)))
-    if resid > tol * np.linalg.norm(x):
-        raise SolverContractViolation(f"windowed solve residuals {resid} at omega {omegas}")
-    if np.any(np.abs(omegas) <= tol):  # in TM at k_par = 0 the pencil has one null vector
+    resid = math.hypot(np.linalg.norm(h_o - omega * x_o), np.linalg.norm(h_s - omega * a_x)) / (
+        tol * math.hypot(np.linalg.norm(x_o), np.linalg.norm(x_s)))
+    if resid > 1.0:
+        raise SolverContractViolation(f"windowed solve residual {resid:.3g} times its gate at omega {omega}")
+    if abs(omega) <= tol:  # in TM at k_par = 0 the pencil has one null vector
         raise SolverContractViolation("zero frequency nearest sigma: no mode")
+    omegas = np.array([omega])
     # u^T u = x^T diag(I, a) x = 1 splits equally between the halves, so s^T a s = 1 for s = sqrt(2) x_S
-    pairs = _Pairs(red, red.lift(math.sqrt(2.0) * x[r:, None]), omegas, np.zeros(1, dtype=int))
-    return DiscreteEigenSolution(op, omegas, pairs=pairs)
+    pairs = _Pairs(red, red.lift(math.sqrt(2.0) * x_s[:, None]), omegas, np.zeros(1, dtype=int))
+    return DiscreteEigenSolution(op, omegas, pairs=pairs,
+                                 stats=WindowedStats(ritz.solves, ritz.restarts, resid))
 
 
 def _physical_projector(op: DiscreteOperator):
@@ -989,29 +1000,18 @@ def completeness_check(sol: DiscreteEigenSolution, test_vectors: np.ndarray) -> 
     return CompletenessReport(float(devs.max()), devs)
 
 
-def assemble_sparse(
-    geom: LayeredGeometry,
-    grid: Grid1D,
-    k_par: float,
-    polarization: str,
-    strict_resolution: bool = True,
-):
+def assemble_sparse(geom: LayeredGeometry, grid: Grid1D, k_par: float, polarization: str,
+                    strict_resolution: bool = True):
     """`assemble_operator`'s sparse B0 and layout. It remains for the benchmark's traced
     run, which times the sparse assembly on its own."""
     op = assemble_operator(geom, grid, k_par, polarization, strict_resolution)
     return op.b0_sparse, op.layout
 
 
-def surface_mode_frequency(
-    geom: LayeredGeometry,
-    grid: Grid1D,
-    k_par: float,
-    sigma: float,
-    strict_resolution: bool = True,
-) -> float:
-    """Discrete surface-mode eigenfrequency: nearest TM eigenvalue to sigma."""
-    op = assemble_operator(geom, grid, k_par, "TM", strict_resolution)
-    return float(solve_windowed(op, sigma).omegas[0])
+def surface_mode_frequency(geom: LayeredGeometry, grid: Grid1D, k_par: float, sigma: float,
+                           strict_resolution: bool = True) -> float:
+    """Discrete surface-mode eigenfrequency: nearest TM eigenvalue to sigma (solve_windowed)."""
+    return float(solve_windowed(assemble_operator(geom, grid, k_par, "TM", strict_resolution), sigma).omegas[0])
 
 
 def _half_to_node(vals: np.ndarray) -> np.ndarray:

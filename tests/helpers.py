@@ -1,6 +1,8 @@
 """Test helpers built from the public pieces of the package: what no program path reads
 lives here, next to the tests that use it, rather than in the library."""
 
+import scipy.sparse as sp
+
 from polmodes import C, epsilon
 from polmodes.dissipative import lossy_epsilon
 
@@ -10,6 +12,15 @@ def krein_inner(sol, m: int, n: int) -> complex:
     `DiscreteEigenSolution`; only the two columns are expanded."""
     psi = sol.columns([m, n])
     return complex(psi[:, 0].conj() @ (sol.krein @ psi[:, 1]))
+
+
+def reduced_blocks(red):
+    """The blocks a, zb and R of a `realspace` reduction, which holds them as (row, col, data)
+    triplets, as SciPy COO matrices: a on the kept S coordinates, zb and R with one row per S
+    coordinate. Duplicate positions stay separate entries, as the triplets hold them."""
+    r, n_s = red.shape
+    return tuple(sp.coo_matrix((m.data, (m.row, m.col)), shape=shape)
+                 for m, shape in ((red.a, (n_s, n_s)), (red.zb, (r, n_s)), (red.r, (r, n_s))))
 
 
 def epsilon_at(geom, omega: float, z: float) -> float:

@@ -30,7 +30,7 @@ from polmodes.realspace import (
     surface_mode_frequency,
 )
 
-from helpers import krein_inner
+from helpers import krein_inner, reduced_blocks
 
 
 def gram(sol):
@@ -451,41 +451,109 @@ class TestSurfaceMode:
 
     def test_surface_solve_stops_at_convergence(self, medium, interface, monkeypatch):
         # the Lanczos tests its Ritz pair after every solve, so an isolated eigenvalue near the
-        # shift converges in 8 shift-invert solves, and one more refines its Ritz vector
-        # (ARPACK's 12-vector basis took 13); each solve is one dgbtrs of Hs - sigma I, with no
-        # triangular band product around it
+        # shift converges in 7 shift-invert solves, and the Lanczos relation refines its Ritz
+        # vector at no solve (ARPACK's 12-vector basis took 13); each solve is one dgbtrs of
+        # Hs - sigma I, with no triangular band product around it, and the solution records them
+        op = assemble_operator(interface, Grid1D(1000, 40.0), 2.0, "TM", strict_resolution=False)
         calls = self._count_traffic(monkeypatch)
-        sigma = surface_dispersion_omega(medium, 2.0) * 1.001
-        surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
-        assert calls["dgbtrf"] == 1 and calls["dgbtrs"] <= 9 and calls["dtbmv"] == 0 and calls["splu"] == 0
+        sol = solve_windowed(op, surface_dispersion_omega(medium, 2.0) * 1.001)
+        assert calls["dgbtrf"] == 1 and calls["dgbtrs"] <= 7 and calls["dtbmv"] == 0 and calls["splu"] == 0
+        assert sol.stats.solves == calls["dgbtrs"] and sol.stats.restarts == 0
+        assert 0 < sol.stats.residual_over_gate <= 1.0
 
-    @pytest.mark.parametrize("shift,bound", [("omega_L+1e-4", 110), ("omega_T", 222)])
+    @pytest.mark.parametrize("shift,bound", [("omega_L+1e-4", 12), ("omega_T", 210)])
     def test_solve_count_at_hard_shifts(self, medium, interface, monkeypatch, shift, bound):
         # next to the omega_L cluster and at the accumulation point omega_T (TM, k_par 0.8,
-        # n = 128) the thick restart and the refinement take 46 and 116 solves (ARPACK took 55
-        # and 223); the bounds are about twice those
+        # n = 128) the thick-restarted Lanczos takes 5 and 105 solves (ARPACK took 55 and 223);
+        # the bounds are about twice those
         sigma = {"omega_L+1e-4": medium.omega_L + 1e-4, "omega_T": medium.omega_T}[shift]
         op = assemble_operator(interface, Grid1D(128, 40.0), 0.8, "TM", strict_resolution=False)
         calls = self._count_traffic(monkeypatch)
-        solve_windowed(op, sigma)
-        assert calls["dgbtrs"] <= bound
+        sol = solve_windowed(op, sigma)
+        assert calls["dgbtrs"] <= bound and sol.stats.solves == calls["dgbtrs"]
+        assert (sol.stats.restarts > 0) == (shift == "omega_T")
 
     def test_solve_bound_is_a_contract_violation(self, medium, interface, monkeypatch):
         # like ARPACK's maxiter, the bound on the shift-invert solves is part of the contract:
-        # at omega_T, which takes 116 solves at n = 128, a bound of 0.02 solves per unknown
+        # at omega_T, which takes 105 solves at n = 128, a bound of 0.02 solves per unknown
         # stops it unconverged
         op = assemble_operator(interface, Grid1D(128, 40.0), 0.8, "TM", strict_resolution=False)
         calls = self._count_traffic(monkeypatch)
         monkeypatch.setattr(rs, "_SOLVES_PER_UNKNOWN", 0.02)
         with pytest.raises(SolverContractViolation, match="did not converge"):
             solve_windowed(op, medium.omega_T)
-        n = sum(rs._reduce(op).zb.shape)
+        n = sum(rs._reduce(op).shape)
         assert 0 < calls["dgbtrs"] == int(0.02 * n) < 111
+
+    @staticmethod
+    def _spy_lanczos(monkeypatch):
+        """Record the shift-invert operator that the windowed solve hands its Lanczos, and the result."""
+        seen, lanczos = {}, rs._lanczos_nearest
+
+        def spy(opinv, v0):
+            seen.update(opinv=opinv, ritz=lanczos(opinv, v0))
+            return seen["ritz"]
+
+        monkeypatch.setattr(rs, "_lanczos_nearest", spy)
+        return seen
+
+    @pytest.mark.parametrize("case", ["sweep shift", "omega_T"])
+    def test_refinement_is_one_inverse_iteration(self, medium, interface, monkeypatch, case):
+        # the refined vector read off the Lanczos relation, opinv(u) = theta u + y_last w, is one
+        # explicit shift-invert solve of the Ritz vector u, normalized: at a sweep shift and after
+        # thick restarts (sigma = omega_T, TM, k_par 0.8, n = 128: 7 restarts)
+        n, k_par, sigma = {"sweep shift": (1000, 2.0, surface_dispersion_omega(medium, 2.0) * 1.001),
+                           "omega_T": (128, 0.8, medium.omega_T)}[case]
+        op = assemble_operator(interface, Grid1D(n, 40.0), k_par, "TM", strict_resolution=False)
+        seen = self._spy_lanczos(monkeypatch)
+        sol = solve_windowed(op, sigma)
+        ritz = seen["ritz"]
+        assert (ritz.restarts > 0) == (case == "omega_T") and sol.stats.restarts == ritz.restarts
+        explicit = seen["opinv"](ritz.u.copy())
+        assert np.linalg.norm(explicit / np.linalg.norm(explicit) - ritz.refined) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_omega_is_the_rayleigh_quotient(self, medium, interface, monkeypatch, n):
+        # omega is the Rayleigh quotient 2 x_O^T zb x_S / (x_O^T x_O + x_S^T a x_S) of the refined
+        # vector x = diag(I, L^-T) u, which sigma + 1 / theta misses by up to 2.9e-13 over a sweep;
+        # held against the quotient summed in long double
+        sigma = surface_dispersion_omega(medium, 1.12) * 1.001
+        op = assemble_operator(interface, Grid1D(n, 40.0), 1.12, "TM", strict_resolution=False)
+        seen = self._spy_lanczos(monkeypatch)
+        omega = solve_windowed(op, sigma).omegas[0]
+        red = rs._reduce(op)
+        a, zb, _ = reduced_blocks(red)
+        u = seen["ritz"].refined
+        _, kd, l_band = rs._band_cholesky(red)
+        x_o = u[::2].astype(np.longdouble)
+        x_s = blas.dtbsv(kd, l_band, u[1::2], lower=1, trans=1).astype(np.longdouble)
+        num = 2 * np.sum(x_o[zb.row] * zb.data.astype(np.longdouble) * x_s[zb.col])
+        rq = num / (np.sum(x_o * x_o) + np.sum(x_s[a.row] * a.data.astype(np.longdouble) * x_s[a.col]))
+        assert abs(omega - rq) <= 5e-14 * rq
+
+    def test_surface_solve_builds_no_sparse_matrix(self, medium, interface, monkeypatch):
+        # the windowed path runs on plain arrays from the stencils to the residual: no SciPy sparse
+        # construction, in any format
+        base = next(cls for cls in sp.coo_matrix.__mro__ if cls.__name__ == "_spbase")
+        built, init = [], base.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(base, "__init__", spy)
+        sp.coo_matrix((2, 2))
+        assert built == ["coo_matrix"]  # the spy sees every construction
+        built.clear()
+        sigma = surface_dispersion_omega(medium, 2.0) * 1.001
+        surface_mode_frequency(interface, Grid1D(1000, 40.0), 2.0, sigma, strict_resolution=False)
+        assert built == []
 
     @pytest.mark.parametrize("k_par", [1.12, 1.152])
     def test_surface_solve_residual_at_large_n(self, medium, interface, k_par):
         # at the low end of the sweep band the Lanczos Ritz vector alone left full-space
-        # residuals of 3e-11 at n = 4000; one step of inverse iteration on it leaves under 1e-12
+        # residuals of 3e-11 at n = 4000; refined by one step of inverse iteration, read off
+        # the Lanczos relation, it leaves under 1e-12
         sigma = surface_dispersion_omega(medium, k_par) * 1.001
         op = assemble_operator(interface, Grid1D(4000, 40.0), k_par, "TM", strict_resolution=False)
         sol = solve_windowed(op, sigma)
@@ -509,7 +577,7 @@ def _interleaved_slots(red):
     """Slots of the rows of zb (and of N) and of the S coordinates in the windowed solve's
     grid order: row i at 2i and kept S coordinate c at 2c + 1, indexed by row and by kept
     coordinate. Where a beta coordinate was dropped, the one row more takes the last slot."""
-    r, n_s = red.zb.shape
+    r, n_s = red.shape
     return 2 * np.arange(r), 2 * np.arange(n_s) + 1
 
 
@@ -594,17 +662,18 @@ class TestWindowedSolve:
                 "vacuum box": homogeneous_box(None, 40.0)}[geometry]
         op = assemble_operator(geom, Grid1D(n, 40.0), k_par, polarization, strict_resolution=False)
         red = rs._reduce(op)
-        l_band = rs._band_cholesky(red.a)
+        a, zb, _ = reduced_blocks(red)
+        l_band = rs._band_cholesky(red)[-1]
         band, kl = rs._shifted_band(red, l_band, 1.1)
         width = np.abs(np.flatnonzero(band.any(axis=1)) - 2 * kl).max()  # storage row 2 kl + i - j
-        kd = np.abs(red.a.row - red.a.col).max()
+        kd = np.abs(a.row - a.col).max()
         assert width == kl <= {"TE": 3, "TM": 5}[polarization] and kd == l_band.shape[0] - 1 <= 3
         if n == 64:
             # and the band holds all of Hs - sigma I, N = zb L^{-T} taken densely, the rows after
             # a dropped beta and its telescoped row included
             rows, s_slots = _interleaved_slots(red)
             hs = np.zeros((rows.size + s_slots.size,) * 2)
-            hs[np.ix_(rows, s_slots)] = np.linalg.solve(np.linalg.cholesky(red.a.toarray()), red.zb.toarray().T).T
+            hs[np.ix_(rows, s_slots)] = np.linalg.solve(np.linalg.cholesky(a.toarray()), zb.toarray().T).T
             hs += hs.T
             scale = np.abs(hs).max()
             assert np.abs(_densify_band(band, kl) - (hs - 1.1 * np.eye(hs.shape[0]))).max() <= 1e-13 * scale
@@ -615,7 +684,7 @@ class TestWindowedSolve:
         # Hs = diag(I, L^{-1}) H diag(I, L^{-T}) in grid order, with a = L L^T among the S coordinates.
         # Built densely here from N = R L, Hs equals that congruence of H, the band that the solve
         # factors holds Hs - sigma, that and the operator are inverse to each other, and the
-        # returned pair satisfies the standard form
+        # returned pair, with the Ritz vector and with its refinement, satisfies the standard form
         op = assemble_operator(interface, Grid1D(128, 40.0), k_par, polarization, strict_resolution=False)
         seen, lanczos = {}, rs._lanczos_nearest
 
@@ -629,32 +698,33 @@ class TestWindowedSolve:
         red = rs._reduce(op)
         rows, s_slots = _interleaved_slots(red)
         n = rows.size + s_slots.size
-        a = red.a.toarray()
+        a, zb, r = reduced_blocks(red)
+        a = a.toarray()
         # a is symmetric, so Hs is: the banded Cholesky reads its lower triangle alone
         np.testing.assert_array_equal(a, a.T)
         l_fac = np.linalg.cholesky(a)
         hs = np.zeros((n, n))
-        hs[np.ix_(rows, s_slots)] = red.r.toarray() @ l_fac
+        hs[np.ix_(rows, s_slots)] = r.toarray() @ l_fac
         hs += hs.T
         h = np.zeros((n, n))
-        zb = red.zb
         h[rows[zb.row], s_slots[zb.col]] = zb.data
         h[s_slots[zb.col], rows[zb.row]] = zb.data
         d_inv = np.eye(n)
         d_inv[np.ix_(s_slots, s_slots)] = np.linalg.inv(l_fac)
         scale = np.abs(hs).max()
         assert np.abs(hs - d_inv @ h @ d_inv.T).max() <= 1e-12 * scale
-        band, kl = rs._shifted_band(red, rs._band_cholesky(red.a), sigma)
+        band, kl = rs._shifted_band(red, rs._band_cholesky(red)[-1], sigma)
         assert np.abs(_densify_band(band, kl) - (hs - sigma * np.eye(n))).max() <= 1e-13 * scale
         opinv = seen["opinv"]
         v = rng.standard_normal((n, 2))
         back = opinv(hs @ v[:, 0] - sigma * v[:, 0])
         assert np.linalg.norm(back - v[:, 0]) <= 1e-10 * np.linalg.norm(v[:, 0])
-        # the Lanczos three-term recurrence needs a symmetric operator
-        assert v[:, 1] @ opinv(v[:, 0]) == pytest.approx(v[:, 0] @ opinv(v[:, 1]), rel=1e-10)
-        theta, u = seen["result"]
-        omega = sigma + 1.0 / theta
-        assert np.linalg.norm(hs @ u - omega * u) <= 1e-10
+        # the Lanczos three-term recurrence needs a symmetric operator (which solves in place)
+        assert v[:, 1] @ opinv(v[:, 0].copy()) == pytest.approx(v[:, 0] @ opinv(v[:, 1].copy()), rel=1e-10)
+        ritz = seen["result"]
+        omega = sigma + 1.0 / ritz.theta
+        for u in (ritz.u, ritz.refined):
+            assert np.linalg.norm(hs @ u - omega * u) <= 1e-10
 
     def test_multiple_eigenvalue_returns_one_copy(self, medium):
         # the TM box at k_par = 0 holds 128 degenerate matter modes at omega_L; the windowed
@@ -778,7 +848,8 @@ class TestStencilReduction:
         # every row of Z B0[O, S] is real or imaginary, and none is empty: row i of zb is the
         # row of Z at S coordinate i
         assert np.array_equal(z_rows, np.arange(side.size))
-        for got, ref in ((red.a, a[kept][:, kept]), (red.zb, zb[order][:, kept])):
+        red_a, red_zb, red_r = reduced_blocks(red)
+        for got, ref in ((red_a, a[kept][:, kept]), (red_zb, zb[order][:, kept])):
             # one entry per position and none that the product leaves out (the k_par entries at
             # k_par = 0), each equal to the product's
             assert got.shape == ref.shape and got.nnz == got.tocsr().nnz == ref.nnz
@@ -786,16 +857,16 @@ class TestStencilReduction:
         assert (red.null is None) == (null is None) and (null is None or np.array_equal(red.null, null))
         # zb = R a exactly, with R diagonal in TM and upper bidiagonal in TE, but for the row of the
         # dropped beta, which is minus its R on every kept beta
-        r = red.r.tocsr()
-        assert r.shape == red.zb.shape and r.nnz == red.r.nnz
-        assert abs(red.zb.tocsr() - r @ red.a.tocsr()).max() <= 1e-15 * abs(red.zb).max()
+        r = red_r.tocsr()
+        assert r.shape == red_zb.shape and r.nnz == red_r.nnz
+        assert abs(red_zb.tocsr() - r @ red_a.tocsr()).max() <= 1e-15 * abs(red_zb).max()
         t = side.size if null is None else red.dropped
         if null is not None:
             beta = np.flatnonzero(red.null)[:-1]
             assert np.array_equal(r[t].indices, beta) and np.all(r[t].data == -r[beta[0], beta[0]])
         # the band of R, past the dropped row one column to the left
-        on = red.r.row != t
-        offsets = set(red.r.col[on] - red.r.row[on] + (red.r.row[on] > t))
+        on = red_r.row != t
+        offsets = set(red_r.col[on] - red_r.row[on] + (red_r.row[on] > t))
         assert offsets == ({0, 1} if polarization == "TE" and geometry != "vacuum box" else {0})
         # the expansion reads B0[O, S] with the projected coupling, as B0[O, S] s less the correction
         s = rng.standard_normal((side.size, 2))

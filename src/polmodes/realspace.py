@@ -47,9 +47,11 @@ orthonormality and the signed completeness relation to roundoff. The full
 spectrum solves it with one dense SVD of N = Z B0[O, S] L^{-T} (see _reduce: Z
 a sparse root of one energy block, L L^T the Cholesky factor of the other);
 windows (surface-mode sweeps) with shift-invert Lanczos on the same matrix in standard
-form, Hs = [[0, N], [N^T, 0]], a band matrix in grid order (solve_windowed). Both solves
-keep the real reduced S-parts and expand full-space eigenvectors on demand, column by
-column: `polmodes solve` expands only the profiles it writes, a surface-mode frequency none.
+form, Hs = [[0, N], [N^T, 0]], each solve through the Schur complement N^T N - sigma^2 I, a
+band matrix in grid order, and the returned vector refined once against Hs itself
+(solve_windowed). Both solves keep the real reduced S-parts and expand full-space
+eigenvectors on demand, column by column: `polmodes solve` expands only the profiles it
+writes, a surface-mode frequency none.
 
 Both solves write the reduced blocks from the stencil coefficients (_reduce) as plain
 (row, col, data) arrays: a windowed solve builds no full-space matrix, no curl and no
@@ -81,7 +83,7 @@ from .media import C, EPS0, HBAR, LayeredGeometry, epsilon, locate
 # the Lanczos of solve_windowed (_lanczos_nearest); the docstring of solve_windowed says why these values
 _BASIS = 24  # basis size
 _KEEP = 12  # Ritz vectors kept at a thick restart
-_RITZ_TOL = 1e-12  # Ritz tolerance
+_RITZ_TOL = 1e-10  # Ritz tolerance
 _SOLVES_PER_UNKNOWN = 10  # bound on the shift-invert solves, per unknown, as ARPACK's maxiter
 
 
@@ -762,17 +764,19 @@ _Ritz = NamedTuple("_Ritz", [("theta", float), ("u", np.ndarray), ("refined", np
                              ("restarts", int)])
 
 
-def _lanczos_nearest(opinv, v0: np.ndarray) -> _Ritz:
+def _lanczos_nearest(opinv, shifted, v0: np.ndarray) -> _Ritz:
     """The Ritz pair (theta, u) of largest |theta| of the symmetric operator opinv (which may
-    overwrite its argument), |u| = 1, the refined opinv(u) / |opinv(u)|, and the solves and
-    thick restarts taken: Lanczos from v0 with full reorthogonalization (CGS2), thick-restarted
-    (K. Wu & H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)). Each step applies opinv
-    once, in place on the next basis column, and stops once |beta y_last| <= _RITZ_TOL |theta|,
-    the residual norm of the pair. A basis of _BASIS vectors restarts from the residual vector
+    overwrite its argument), |u| = 1, the refined vector, and the solves and thick restarts
+    taken: Lanczos from v0 with full reorthogonalization (CGS2), thick-restarted (K. Wu &
+    H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)). Each step applies opinv once, in
+    place on the next basis column, and stops once |beta y_last| <= _RITZ_TOL |theta|, the
+    residual norm of the pair. A basis of _BASIS vectors restarts from the residual vector
     with the _KEEP Ritz vectors of largest |theta|, T their Ritz values bordered by its
     couplings. Through restarts too V satisfies opinv(V) = V T + w e_last^T, w the residual
-    vector before it is normalized, so opinv(u) = theta u + y_last w costs no solve (B. N.
-    Parlett, The Symmetric Eigenvalue Problem, SIAM 1998). Raises SolverContractViolation
+    vector before it is normalized, so z = theta u + y_last w is opinv(u) at no solve (B. N.
+    Parlett, The Symmetric Eigenvalue Problem, SIAM 1998). The refined vector is z after one
+    step of iterative refinement against `shifted`, the exact operator that opinv inverts:
+    z + opinv(u - shifted(z)), normalized, one solve more. Raises SolverContractViolation
     after _SOLVES_PER_UNKNOWN solves per unknown without convergence.
     """
     n = v0.size
@@ -795,9 +799,10 @@ def _lanczos_nearest(opinv, v0: np.ndarray) -> _Ritz:
         i = j if theta[j] > -theta[0] else 0  # theta ascends
         if abs(beta * y[j, i]) <= _RITZ_TOL * abs(theta[i]):
             u = blas.dgemv(1.0, v, y[:, i])
-            refined = blas.daxpy(u, w * y[j, i], a=theta[i])  # in place on y_last w
-            np.multiply(refined, 1.0 / math.sqrt(refined @ refined), out=refined)
-            return _Ritz(float(theta[i]), u, refined, solves, restarts)
+            z = blas.daxpy(u, w * y[j, i], a=theta[i])  # in place on y_last w
+            z += opinv(u - shifted(z))
+            np.multiply(z, 1.0 / math.sqrt(z @ z), out=z)
+            return _Ritz(float(theta[i]), u, z, solves + 1, restarts)
         np.multiply(w, 1.0 / beta, out=basis[:, j + 1])
         if j + 1 < _BASIS:
             j += 1
@@ -832,24 +837,19 @@ def _band_cholesky(red: _Reduction) -> Tuple[np.ndarray, int, np.ndarray]:
     return a_band, kd, l_band
 
 
-def _shifted_band(red: _Reduction, l_band: np.ndarray, sigma: float) -> Tuple[np.ndarray, int]:
-    """Hs - sigma I in LAPACK's band storage for dgbtrf, and its half-bandwidth kl: 5 in TM,
-    3 in TE with matter, 1 in a vacuum box.
-
-    Hs = [[0, N], [N^T, 0]] with N = R L, in grid order: row i of N at slot 2i and S
-    coordinate c at slot 2c + 1. N is written diagonal by diagonal, nb[1 + k, c] =
-    N[c + k, c], from the diagonals of R and of L (l_band, lower band storage), and each
-    diagonal and its mirror go to the band by one strided slice each: entry (i, j) of Hs
-    at [2 kl + i - j, j], the kl rows on top left for the fill of row pivoting.
-    """
+def _n_band(red: _Reduction, l_band: np.ndarray) -> Tuple[np.ndarray, int, int]:
+    """N = R L in general band storage (_band), over the diagonals that hold entries, and its
+    half-bandwidths nl below and nu above the diagonal: (3, 0) in TM, (2, 1) in TE with
+    matter, (1, 0) in a vacuum box. N[c + k, c] is written diagonal by diagonal from the
+    diagonals of R and of L (l_band, lower band storage)."""
     rr, t = red.r, red.dropped
-    r, n_s = red.shape
+    n_s = red.shape[1]
     kd = l_band.shape[0] - 1
     # the band of R but the row of the dropped beta, written below: R[c + m, c] at [mu + m, c], m = -1
     # the TE coupling of eta to the alpha of its node, m = 1 the rows after the dropped beta
     on = slice(None) if t is None else rr.row != t
     r_band, ml, mu = _band(_Triplets(rr.row[on], rr.col[on], rr.data[on]), n_s)
-    nb = np.zeros((kd + 3, n_s))
+    nb = np.zeros((kd + 3, n_s))  # N[c + k, c] at [1 + k, c]
     for m in range(-mu, ml + 1):
         for q in range(kd + 1):  # R[c + q + m, c + q] L[c + q, c]
             nb[1 + q + m, : n_s - q] += r_band[mu + m, q:] * l_band[q, : n_s - q]
@@ -857,14 +857,25 @@ def _shifted_band(red: _Reduction, l_band: np.ndarray, sigma: float) -> Tuple[np
         row = rr.row == t
         b = int(np.max(rr.col[row]))
         nb[1 + t - b, b] = rr.data[row][0] * l_band[0, b]
-    diags = np.flatnonzero(nb.any(axis=1)) - 1  # the diagonals of N that hold entries
-    kl = int(np.max(np.abs(2 * diags - 1)))
-    ab = np.zeros((3 * kl + 1, r + n_s), order="F")
-    ab[2 * kl] = -sigma
-    for k in diags:
-        lo, hi = max(0, -k), min(n_s, r - k)
-        ab[2 * kl + 2 * k - 1, 2 * lo + 1: 2 * hi: 2] = nb[1 + k, lo:hi]  # N[c + k, c] at (2 (c + k), 2c + 1)
-        ab[2 * kl - 2 * k + 1, 2 * (lo + k): 2 * (hi + k) - 1: 2] = nb[1 + k, lo:hi]  # and its mirror
+    held = np.flatnonzero(nb.any(axis=1))
+    lo, hi = min(int(held[0]), 1), int(held[-1])  # the main diagonal stays, so that nu >= 0
+    return np.asfortranarray(nb[lo: hi + 1]), hi - 1, 1 - lo
+
+
+def _schur_band(nb: np.ndarray, sigma: float) -> Tuple[np.ndarray, int]:
+    """S = N^T N - sigma^2 I in LAPACK's band storage for dgbtrf, entry (i, j) at
+    [2 kl + i - j, j] with the kl rows on top left for the fill of row pivoting, and its
+    half-bandwidth kl = nl + nu: 3 with matter, 1 in a vacuum box. Diagonal d of S,
+    S[c, c + d] = sum_i N[i, c] N[i, c + d], sums the products of the diagonals of N that
+    lie d apart in its band storage nb (_n_band)."""
+    m, n_s = nb.shape
+    kl = m - 1
+    ab = np.zeros((3 * kl + 1, n_s), order="F")
+    for d in range(kl + 1):
+        s_d = np.einsum("ij,ij->j", nb[d:, : n_s - d], nb[: m - d, d:])
+        ab[2 * kl - d, d:] = s_d
+        ab[2 * kl + d, : n_s - d] = s_d
+    ab[2 * kl] -= sigma * sigma
     return ab, kl
 
 
@@ -872,58 +883,87 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     """The eigenpair nearest sigma. Its Krein-normalized full-space eigenvector is
     expanded only when read, so `surface_mode_frequency` builds none.
 
-    Shift-invert Lanczos (_lanczos_nearest, fixed start vector) for omega directly (the
-    omega^2 form would square the condition number), in standard form: with a = L L^T,
-    the pencil H x = omega M x of _reduce becomes the symmetric Jordan-Wielandt matrix
-    Hs = [[0, N], [N^T, 0]] of N = zb L^{-T} = R L on u = diag(I, L^T) x (G. H. Golub &
-    C. F. Van Loan, Matrix Computations, 4th ed., section 8.6), whose positive eigenvalues
-    are the singular values that solve_spectrum takes. In grid order Hs - sigma I is a
-    band matrix (_shifted_band): one LAPACK banded LU of it (dgbtrf) costs O(n), and each
-    shift-invert solve is one dgbtrs. The residual is taken from zb and a themselves, by
-    band products (dgbmv), so it checks R too.
+    Shift-invert Lanczos (_lanczos_nearest, fixed start vector) for omega directly, in
+    standard form: with a = L L^T, the pencil H x = omega M x of _reduce becomes the
+    symmetric Jordan-Wielandt matrix Hs = [[0, N], [N^T, 0]] of N = zb L^{-T} = R L on
+    u = diag(I, L^T) x (G. H. Golub & C. F. Van Loan, Matrix Computations, 4th ed.,
+    section 8.6), whose positive eigenvalues are the singular values that solve_spectrum
+    takes. The Lanczos vectors hold u_O, then u_S. Each shift-invert solve eliminates the
+    -sigma I block of Hs - sigma I: (Hs - sigma I) (x, y) = (f, g) is S y = sigma g + N^T f
+    with the Schur complement S = N^T N - sigma^2 I, then x = (N y - f) / sigma. In grid
+    order S is a band matrix of half-bandwidth 3 over the n_s columns of N (_schur_band):
+    one LAPACK banded LU of it (dgbtrf) costs O(n), and each solve is one dgbtrs between two
+    band products of N (dgbmv). The residual is taken from zb and a themselves, by band
+    products, so it checks R too.
+
+    Why the squared block is safe here. The eigenvalues of S are omega^2 - sigma^2, so its
+    condition number is about omega_max / (2 sigma) times that of Hs - sigma I, a factor
+    that grows like 1 / h, and so does the roundoff of each solve. That roundoff lies mostly
+    along the eigenvectors far from sigma, which the shift-invert damps, so the Lanczos still
+    converges to the pair nearest sigma; its vector keeps the roundoff, which one step of
+    iterative refinement against the exact Hs removes (_lanczos_nearest; N. J. Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 12): the
+    residual of the solve is taken from two band products of N, not through S, and one more
+    solve corrects it. Without that step the residual grows like omega_max^2: at k_par 1.12
+    (TM, sigma = 1.001 omega_s) the full-space residual is 2.7 times the 5e-12 bound of the
+    tests at n = 4000, and at n = 8000 it fails the gate below. The gate checks every
+    returned pair. sigma = 0 is refused before any factor: the elimination divides by sigma,
+    Hs is singular in TM at k_par = 0, and elsewhere +/- omega_min are equally near 0.
 
     The Lanczos tests its Ritz pair after every solve: an isolated eigenvalue near sigma
-    (a surface-mode sweep, n = 1000 to 4000) takes 7 to 9 solves, omega_L + 1e-4 (TM,
-    k_par 0.8) 5 at n = 128 and 1000, the accumulation point omega_T 1257 at n = 1000.
-    Its 24-vector basis restarts thick, keeping 12 Ritz vectors (smaller pairs down to
-    (12, 6) took up to 4.2 times as many solves at omega_T). The Ritz vector u is refined
-    by one step of inverse iteration read off the Lanczos relation, at no further solve,
-    since the back-transform x = diag(I, L^{-T}) u (dtbsv) can amplify its residual; omega
-    is the Rayleigh quotient 2 x_O^T zb x_S / (x_O^T x_O + x_S^T a x_S) of the refined x
-    (within 1.8e-14 of it in long double over 36 sweep ops, sigma + 1 / theta 2.9e-13).
-    The refined residual does not depend on the Ritz tolerance: over 120 log-spaced k_par
-    in [1.12, 6] at n = 1000, 2000, 4000 (TM, sigma = 1.001 omega_s) its worst is 2.2e-3
-    of the gate below at 1e-14 and 1e-12, 1.9e-3 at 1e-10, for 7.9, 7.1 and 6.2 solves per
-    op. At 1e-12 (_RITZ_TOL) the Ritz vector alone passes the gate too (0.71 of it at
-    most, 35 times over at 1e-10); next to a cluster a tolerance near machine precision is
-    met or missed by roundoff (omega_L + 1e-4 at n = 128 took 354 solves). The solution
-    records the solves, the thick restarts and the residual over the gate (`stats`).
+    (a surface-mode sweep, n = 1000 to 4000) takes 6 or 7 solves and the refinement one
+    more, omega_L + 1e-4 (TM, k_par 0.8) 5 and one more at n = 128 and 1000, the
+    accumulation point omega_T 1110 in all at n = 1000. Its 24-vector basis restarts thick,
+    keeping 12 Ritz vectors (smaller pairs down to (12, 6) took up to 4.2 times as many
+    solves at omega_T). omega is the Rayleigh quotient 2 x_O^T zb x_S / (x_O^T x_O + x_S^T a
+    x_S) of the refined x = diag(I, L^{-T}) u. Over 40 log-spaced k_par in [1.12, 6] (TM,
+    sigma = 1.001 omega_s) the worst residual is 1.8e-4, 4.1e-4, 1.4e-3 and 3.5e-3 of the
+    gate below at n = 1000, 2000, 4000 and 8000, at a Ritz tolerance of 1e-10 (_RITZ_TOL).
+    Next to a cluster a tighter tolerance is met or missed by the roundoff of S: at 1e-12,
+    omega_L + 1e-4 at n = 1000 took 13 solves, and a sweep op one more. The solution
+    records the solves, the refinement's included, the thick restarts and the residual over
+    the gate (`stats`).
 
-    Raises SolverContractViolation if a is not positive definite, Hs - sigma I is
-    exactly singular, the Lanczos does not converge within _SOLVES_PER_UNKNOWN solves
-    per unknown, the residual ||H x - omega M x|| exceeds 1e-10 max(|sigma|, 1) ||x||,
-    or omega is zero to that scale.
+    Raises SolverContractViolation if sigma is 0, a is not positive definite, S is exactly
+    singular, the Lanczos does not converge within _SOLVES_PER_UNKNOWN solves per unknown,
+    the residual ||H x - omega M x|| exceeds 1e-10 max(|sigma|, 1) ||x||, or omega is zero
+    to that scale.
     """
+    if sigma == 0:
+        raise SolverContractViolation(f"no shift-invert at sigma = {sigma!r}: the eigenpair nearest it is not "
+                                      "unique (+/- pairs, or the TM k_par = 0 null vector)")
     red = _reduce(op)
     r, n_s = red.shape
     a_band, kd, l_band = _band_cholesky(red)
-    band, kl = _shifted_band(red, l_band, sigma)
-    lu, piv, info = lapack.dgbtrf(band, kl, kl, overwrite_ab=True)
+    nb, nl, nu = _n_band(red, l_band)
+    s_band, kl = _schur_band(nb, sigma)
+    lu, piv, info = lapack.dgbtrf(s_band, kl, kl, overwrite_ab=True)
     if info > 0:
         raise SolverContractViolation(f"shift-invert at sigma = {sigma!r} failed: the factor is exactly singular")
 
-    def opinv(v: np.ndarray) -> np.ndarray:  # (Hs - sigma I)^{-1} v, over v where v is contiguous
-        return lapack.dgbtrs(lu, kl, kl, v, piv, overwrite_b=1)[0]
+    def opinv(v: np.ndarray) -> np.ndarray:  # (Hs - sigma I)^{-1} v, in place where v is contiguous
+        v = np.ascontiguousarray(v)
+        f, g = v[:r], v[r:]
+        blas.dgbmv(r, n_s, nl, nu, 1.0, nb, f, beta=sigma, y=g, trans=1, overwrite_y=1)
+        lapack.dgbtrs(lu, kl, kl, g, piv, overwrite_b=1)
+        blas.dgbmv(r, n_s, nl, nu, 1.0 / sigma, nb, g, beta=-1.0 / sigma, y=f, overwrite_y=1)
+        return v
+
+    def shifted(z: np.ndarray) -> np.ndarray:  # (Hs - sigma I) z
+        out = z * -sigma
+        blas.dgbmv(r, n_s, nl, nu, 1.0, nb, z[r:], beta=1.0, y=out[:r], overwrite_y=1)
+        blas.dgbmv(r, n_s, nl, nu, 1.0, nb, z[:r], beta=1.0, y=out[r:], trans=1, overwrite_y=1)
+        return out
 
     v0 = np.arange(r + n_s, dtype=float)
-    ritz = _lanczos_nearest(opinv, np.cos(v0, out=v0))  # fixed start, with weight on every block
+    ritz = _lanczos_nearest(opinv, shifted, np.cos(v0, out=v0))  # fixed start, with weight on every block
     u = ritz.refined
     # x = diag(I, L^{-T}) u, in the order of _reduce: the rows of zb, then S
-    x_o, x_s = u[::2], blas.dtbsv(kd, l_band, u[1::2], lower=1, trans=1)
+    x_o, x_s = u[:r], blas.dtbsv(kd, l_band, u[r:], lower=1, trans=1)
     # H x = (zb x_S, zb^T x_O) and M x = (x_O, a x_S) from the bands; x^T H x = 2 x_O^T zb x_S
     zb_band, zl, zu = _band(red.zb, n_s)
     h_o = blas.dgbmv(r, n_s, zl, zu, 1.0, zb_band, x_s)
-    h_s = blas.dgbmv(r, n_s, zl, zu, 1.0, zb_band, u, incx=2, trans=1)
+    h_s = blas.dgbmv(r, n_s, zl, zu, 1.0, zb_band, x_o, trans=1)
     a_x = blas.dgbmv(n_s, n_s, kd, kd, 1.0, a_band, x_s)
     omega = 2.0 * (x_o @ h_o) / (x_o @ x_o + x_s @ a_x)
     tol = 1e-10 * max(abs(sigma), 1.0)

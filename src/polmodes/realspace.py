@@ -43,13 +43,15 @@ is positive definite in TE and V in TM (except the constant beta vector at
 k_par = 0): this is the omega_T > 0 stability condition. omega^2 is the
 spectrum of B0[P, Q] B0[Q, P], so one real half-size problem (Colpa's bosonic
 reduction) gives real eigenvalues in exact +/- pairs, with Krein
-orthonormality and the signed completeness relation to roundoff. The full
-spectrum solves it with one dense SVD of N = Z B0[O, S] L^{-T} (see _reduce: Z
-a sparse root of one energy block, L L^T the Cholesky factor of the other);
-windows (surface-mode sweeps) with shift-invert Lanczos on the same matrix in standard
-form, Hs = [[0, N], [N^T, 0]], each solve through the Schur complement N^T N - sigma^2 I, a
-band matrix in grid order, and the returned vector refined once against Hs itself
-(solve_windowed). Both solves keep the real reduced S-parts and expand full-space
+orthonormality and the signed completeness relation to roundoff. Both solves
+read one matrix, N = Z B0[O, S] L^{-T} = R L (see _reduce: Z a sparse root of one
+energy block, L L^T the banded Cholesky factor of the other, R sparse), a band matrix
+in grid order written from the stencils (_n_band). The full spectrum is one dense SVD
+of N, scattered from its band, and one banded triangular solve back through L
+(solve_spectrum); windows (surface-mode sweeps) take shift-invert Lanczos on its
+standard form, Hs = [[0, N], [N^T, 0]], each solve through the Schur complement
+N^T N - sigma^2 I, a band matrix too, and the returned vector refined once against Hs
+itself (solve_windowed). Both solves keep the real reduced S-parts and expand full-space
 eigenvectors on demand, column by column: `polmodes solve` expands only the profiles it
 writes, a surface-mode frequency none.
 
@@ -447,7 +449,8 @@ _Triplets = NamedTuple("_Triplets", [("row", np.ndarray), ("col", np.ndarray), (
 class _Reduction:
     """The half-size problem in real form, shared by both solves: omega are the
     eigenvalues of the pencil [[0, zb], [zb^T, 0]] x = omega diag(I, a) x, that is
-    +/- the singular values of N = zb L^{-T} = R L for a = L L^T."""
+    +/- the singular values of N = zb L^{-T} = R L for a = L L^T. Both solves take N
+    from a and R (_band_cholesky, _n_band); zb serves the windowed solve's residual."""
 
     side: np.ndarray  # indices of S, whose energy block A[S, S] is positive definite, in grid order
     other: np.ndarray  # indices of O
@@ -673,21 +676,15 @@ class DiscreteEigenSolution:
 
     The solves keep the eigenvectors in reduced form and expand them on demand:
     `columns(idx)` builds only the requested ones, `vectors` every one, once, on first
-    read. A solution may also be built from explicit `vectors`. A windowed solve records
-    its `stats`; otherwise they are None.
+    read. A windowed solve records its `stats`; otherwise they are None.
     """
 
-    def __init__(self, operator: DiscreteOperator, omegas: np.ndarray,
-                 vectors: Optional[np.ndarray] = None, pairs: Optional[_Pairs] = None,
+    def __init__(self, operator: DiscreteOperator, omegas: np.ndarray, pairs: _Pairs,
                  stats: Optional[WindowedStats] = None):
-        if (vectors is None) == (pairs is None):
-            raise ValueError("give either the eigenvectors or their reduced pairs")
         self.operator = operator
         self.omegas = omegas
         self._pairs = pairs
         self.stats = stats
-        if vectors is not None:
-            self.vectors = vectors
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
@@ -717,21 +714,16 @@ class DiscreteEigenSolution:
         return self.operator.krein
 
 
-def _dense(m: _Triplets, shape: Tuple[int, int]) -> np.ndarray:
-    """The dense array of a matrix given by its triplets."""
-    out = np.zeros(shape)
-    out[m.row, m.col] = m.data
-    return out
-
-
 def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
     """All eigenpairs of the restricted operator, omegas ascending.
 
-    With the Cholesky factor L of A[S, S], omega are the singular values of
-    Z B0[O, S] L^{-T} (see _reduce) and s = L^{-T} w on S for its right singular
-    vectors w. The solution keeps s, one real column per +/- pair, and expands
-    Krein-normalized full-space eigenvectors, <<v|v>> = sgn(omega), on demand:
-    a caller that reads only the omegas and a few columns never holds all of them.
+    omega are the singular values of N = zb L^{-T} = R L (see _reduce), with a = L L^T the
+    banded Cholesky factor of the energy block A[S, S] (_band_cholesky): the band matrix that
+    solve_windowed reads too (_n_band), scattered densely for one SVD, the only dense work.
+    s = L^{-T} w on S for its right singular vectors w, by one banded triangular solve with
+    every w as right-hand side. The solution keeps s, one real column per +/- pair, and expands
+    Krein-normalized full-space eigenvectors, <<v|v>> = sgn(omega), on demand: a caller
+    that reads only the omegas and a few columns never holds all of them.
     """
     red = _reduce(op)
     r, n_s = red.shape
@@ -739,19 +731,20 @@ def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
     # among them (built after them, it raised the peak resident memory of `polmodes verify` by
     # 3 MiB for some hash seeds)
     op.b0_sparse
-    try:
-        l_fac = sla.cholesky(_dense(red.a, (n_s, n_s)), lower=True, overwrite_a=True)
-    except sla.LinAlgError as exc:
-        raise SolverContractViolation(
-            "energy form not positive definite (omega_T > 0 violated or null mode present)"
-        ) from exc
-    # M^T = L^{-1} (Z B0[O, S])^T: its left singular vectors are the right ones of M. The
-    # Cholesky, the solve and the SVD act on fresh arrays, so LAPACK overwrites them in place.
-    m_t = sla.solve_triangular(l_fac, _dense(red.zb, (r, n_s)).T, lower=True, overwrite_b=True)
-    w_vecs, sigma, _ = sla.svd(m_t, full_matrices=False, overwrite_a=True)
+    _, _, l_band = _band_cholesky(red)
+    nb, nl, nu = _n_band(red, l_band)
+    # N^T, whose left singular vectors are the right ones of N, column-major so that the SVD
+    # overwrites it in place
+    n_t = np.zeros((n_s, r), order="F")
+    for k in range(-nu, nl + 1):  # N[c + k, c] at nb[nu + k, c]
+        c = np.arange(max(-k, 0), min(n_s, r - k))
+        n_t[c, c + k] = nb[nu + k, c]
+    w_vecs, sigma, _ = sla.svd(n_t, full_matrices=False, overwrite_a=True)
     if sigma[-1] <= np.finfo(float).eps * sigma.size * sigma[0]:
         raise SolverContractViolation("zero frequency: energy form singular on the other half")
-    s_vecs = sla.solve_triangular(l_fac, w_vecs, lower=True, trans="T")
+    s_vecs, info = lapack.dtbtrs(l_band, w_vecs, uplo="L", trans="T", overwrite_b=1)
+    if info != 0:
+        raise SolverContractViolation(f"back-substitution through L failed (dtbtrs info {info})")
     # psi_+- = (o, +-s) on (O, S); omegas ascending, so column i < m mirrors pair i
     # (sigma descending) and column m + i is pair m - 1 - i
     pair = np.arange(sigma.size)
@@ -833,7 +826,8 @@ def _band_cholesky(red: _Reduction) -> Tuple[np.ndarray, int, np.ndarray]:
     a_band, kd, _ = _band(red.a, red.shape[1])
     l_band, info = lapack.dpbtrf(np.asfortranarray(a_band[kd:]), lower=1, overwrite_ab=1)
     if info > 0:
-        raise SolverContractViolation("energy form not positive definite")
+        raise SolverContractViolation(
+            "energy form not positive definite (omega_T > 0 violated or null mode present)")
     return a_band, kd, l_band
 
 

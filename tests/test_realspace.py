@@ -143,12 +143,9 @@ class TestKreinStructure:
     def test_completeness_requires_full_spectrum(self, medium, rng):
         geom = vacuum_interface(medium, 40.0)
         op = assemble_operator(geom, Grid1D(64, 40.0), 0.8, "TE", strict_resolution=False)
-        full = solve_spectrum(op)
         tv = rng.standard_normal((op.layout.dim, 2))
-        partial = rs.DiscreteEigenSolution(op, full.omegas[1:], full.vectors[:, 1:])
-        for sol in (partial, solve_windowed(op, 1.1)):
-            with pytest.raises(IncompleteSpectrum):
-                completeness_check(sol, tv)
+        with pytest.raises(IncompleteSpectrum):
+            completeness_check(solve_windowed(op, 1.1), tv)
 
     def test_eigenvector_on_projector(self, medium, rng):
         # applying the signed resolution of identity to an eigenvector returns it
@@ -666,7 +663,7 @@ class TestWindowedSolve:
     @pytest.mark.parametrize("polarization", ["TE", "TM"])
     @pytest.mark.parametrize("k_par", [0.0, 0.8])
     @pytest.mark.parametrize("n", [64, 4000])
-    def test_grid_order_is_banded(self, medium, geometry, polarization, k_par, n):
+    def test_grid_order_is_banded(self, monkeypatch, medium, geometry, polarization, k_par, n):
         # the band LU costs O(n kl^2) in O(n kl) storage only while the grid order keeps the
         # widths fixed; a broken order, or a dense row of N, makes them grow with n, towards
         # dense work. The width is read off the diagonals of S = N^T N - sigma^2 I that hold
@@ -691,6 +688,17 @@ class TestWindowedSolve:
             assert np.abs(_densify_band(nb, nu, r) - n_dense).max() <= 1e-14 * np.abs(n_dense).max()
             s = n_dense.T @ n_dense - 1.1**2 * np.eye(n_s)
             assert np.abs(_densify_band(band, 2 * kl, n_s) - s).max() <= 1e-13 * np.abs(s).max()
+            # the full solve takes the singular values of the same band N, with no dense
+            # Cholesky and no dense triangular solve
+
+            def no_dense(*args, **kwargs):
+                raise AssertionError("solve_spectrum ran a dense Cholesky or triangular solve")
+
+            monkeypatch.setattr(rs.sla, "cholesky", no_dense)
+            monkeypatch.setattr(rs.sla, "solve_triangular", no_dense)
+            omegas = solve_spectrum(op).omegas
+            sv = np.linalg.svd(n_dense, compute_uv=False)
+            assert np.abs(omegas[omegas > 0] - sv[::-1]).max() <= 1e-13 * sv[0]
 
     @pytest.mark.parametrize("polarization,k_par", [("TE", 0.8), ("TM", 0.0), ("TM", 2.0)])
     def test_standard_form_operators(self, interface, monkeypatch, rng, polarization, k_par):
@@ -960,16 +968,6 @@ class TestOnDemandVectors:
         assert "vectors" not in sol.__dict__
         assert value == complex(sol.vectors[:, 3].conj() @ (sol.krein @ sol.vectors[:, m + 3]))
 
-    def test_built_from_vectors(self, interface):
-        op = assemble_operator(interface, Grid1D(64, 40.0), 0.8, "TE", strict_resolution=False)
-        pairs = solve_spectrum(op)._pairs
-        full = solve_spectrum(op)
-        sol = rs.DiscreteEigenSolution(op, full.omegas, full.vectors)
-        assert sol.vectors is full.vectors and np.array_equal(sol.columns([2, 1]), full.vectors[:, [2, 1]])
-        for args in ((), (full.vectors, pairs)):
-            with pytest.raises(ValueError):
-                rs.DiscreteEigenSolution(op, full.omegas, *args)
-
     def test_solve_path_holds_less_than_all_vectors(self, interface):
         # the solve path of `polmodes solve` on the default interface at twice its n
         op = assemble_operator(interface, Grid1D(512, 40.0), 2.0, "TM", strict_resolution=False)
@@ -1005,6 +1003,26 @@ class TestGridAndErrors:
         geom = LayeredGeometry((Layer(-20.0, 0.1, medium), Layer(0.1, 20.0, None)), 1.0)
         with pytest.raises(ValueError, match="grid-aligned"):
             assemble_operator(geom, Grid1D(64, 40.0), 1.0, "TM", strict_resolution=False)
+
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    def test_indefinite_energy_form_rejected(self, monkeypatch, interface, polarization):
+        # omega_T > 0 makes the energy block a positive definite; with one diagonal entry of a
+        # negative, both solves refuse it where they factor it, with the same message
+        name = "_te_stencils" if polarization == "TE" else "_tm_stencils"
+        stencils = getattr(rs, name)
+
+        def indefinite(op, w):
+            rank, a, zb, r = stencils(op, w)
+            data = a[2].copy()
+            data[np.flatnonzero(a[0] == a[1])[0]] *= -1.0
+            return rank, (a[0], a[1], data), zb, r
+
+        monkeypatch.setattr(rs, name, indefinite)
+        op = assemble_operator(interface, Grid1D(64, 40.0), 0.8, polarization, strict_resolution=False)
+        for solve in (solve_spectrum, lambda op: solve_windowed(op, 1.1)):
+            with pytest.raises(SolverContractViolation,
+                               match=r"not positive definite \(omega_T > 0 violated or null mode present\)"):
+                solve(op)
 
     def test_sparse_assembly_shape(self, medium):
         geom = vacuum_interface(medium, 40.0)

@@ -48,12 +48,12 @@ read one matrix, N = Z B0[O, S] L^{-T} = R L (see _reduce: Z a sparse root of on
 energy block, L L^T the banded Cholesky factor of the other, R sparse), a band matrix
 in grid order written from the stencils (_n_band). The full spectrum is one dense SVD
 of N, scattered from its band, and one banded triangular solve back through L
-(solve_spectrum); windows (surface-mode sweeps) take shift-invert Lanczos on its
-standard form, Hs = [[0, N], [N^T, 0]], each solve through the Schur complement
-N^T N - sigma^2 I, a band matrix too, and the returned vector refined once against Hs
-itself (solve_windowed). Both solves keep the real reduced S-parts and expand full-space
-eigenvectors on demand, column by column: `polmodes solve` expands only the profiles it
-writes, a surface-mode frequency none.
+(solve_spectrum); windows (surface-mode sweeps) take a shift-invert Lanczos over the
+columns of N on the inverse of S = N^T N - sigma^2 I, a band matrix too, whose eigenvalues
+1 / (omega^2 - sigma^2) give the eigenvalue of the standard form Hs = [[0, N], [N^T, 0]]
+nearest sigma, and refine its vector once against Hs itself (solve_windowed). Both solves
+keep the real reduced S-parts and expand full-space eigenvectors on demand, column by
+column: `polmodes solve` expands only the profiles it writes, a surface-mode frequency none.
 
 Both solves write the reduced blocks from the stencil coefficients (_reduce) as plain
 (row, col, data) arrays: a windowed solve builds no full-space matrix, no curl and no
@@ -753,34 +753,48 @@ def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
 
 
 # what _lanczos_nearest returns
-_Ritz = NamedTuple("_Ritz", [("theta", float), ("u", np.ndarray), ("refined", np.ndarray), ("solves", int),
+_Ritz = NamedTuple("_Ritz", [("omega", float), ("u", np.ndarray), ("refined", np.ndarray), ("solves", int),
                              ("restarts", int)])
 
 
-def _lanczos_nearest(opinv, shifted, v0: np.ndarray) -> _Ritz:
-    """The Ritz pair (theta, u) of largest |theta| of the symmetric operator opinv (which may
-    overwrite its argument), |u| = 1, the refined vector, and the solves and thick restarts
-    taken: Lanczos from v0 with full reorthogonalization (CGS2), thick-restarted (K. Wu &
-    H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)). Each step applies opinv once, in
-    place on the next basis column, and stops once |beta y_last| <= _RITZ_TOL |theta|, the
-    residual norm of the pair. A basis of _BASIS vectors restarts from the residual vector
-    with the _KEEP Ritz vectors of largest |theta|, T their Ritz values bordered by its
-    couplings. Through restarts too V satisfies opinv(V) = V T + w e_last^T, w the residual
-    vector before it is normalized, so z = theta u + y_last w is opinv(u) at no solve (B. N.
-    Parlett, The Symmetric Eigenvalue Problem, SIAM 1998). The refined vector is z after one
-    step of iterative refinement against `shifted`, the exact operator that opinv inverts:
-    z + opinv(u - shifted(z)), normalized, one solve more. Raises SolverContractViolation
-    after _SOLVES_PER_UNKNOWN solves per unknown without convergence.
+def _lanczos_nearest(sinv, sigma: float, v0: np.ndarray, bound: int, n_times, opinv, shifted) -> _Ritz:
+    """The eigenpair of Hs = [[0, N], [N^T, 0]] nearest sigma, from a Lanczos on S^{-1}, S =
+    N^T N - sigma^2 I, over the columns of N: omega = copysign(sqrt(sigma^2 + 1 / theta), sigma)
+    for the Ritz value theta of S^{-1} whose omega lies nearest |sigma| (T. Ericsson & A. Ruhe,
+    Math. Comp. 35, 1251 (1980)); the unit vector u of Hs along (N y, omega y) for its Ritz
+    vector y, the refined vector, and the solves and thick restarts taken.
+
+    sinv applies S^{-1} (and may overwrite its argument), n_times N; opinv and shifted apply
+    (Hs - sigma I)^{-1} and Hs - sigma I. Lanczos from v0 with full reorthogonalization (CGS2),
+    thick-restarted (K. Wu & H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)). Each step
+    applies sinv once, in place on the next basis column, and stops once |beta y_last| <=
+    _RITZ_TOL |theta|, the residual norm of the pair. theta = 1 / (omega^2 - sigma^2), so the
+    eigenvalue nearest |sigma| is the largest theta from above and the smallest from below: the
+    two ends of T's spectrum compete by |omega - |sigma||, not by |theta|, which would pick the
+    nearest in omega^2 and favour the lower side. A basis of _BASIS vectors restarts from the
+    residual vector with the _KEEP Ritz vectors nearest in that measure, T their Ritz values
+    bordered by its couplings. Through restarts too V satisfies sinv(V) = V T + w e_last^T, w the
+    residual vector before it is normalized, so s = theta y + y_last w is sinv(y) at no solve
+    (B. N. Parlett, The Symmetric Eigenvalue Problem, SIAM 1998), and with it opinv((N y, omega y))
+    = ((omega + sigma) N s, y + sigma (omega + sigma) s), whether y has converged or not: from
+    N^T N y = S y + sigma^2 y. The refined vector is that image z after one step of iterative
+    refinement against the exact Hs: z + opinv(u - shifted(z)), normalized, one solve more, as
+    the solves through S carry a roundoff that s keeps (see solve_windowed). Raises
+    SolverContractViolation after `bound` solves without convergence.
     """
     n = v0.size
     basis = np.empty((n, _BASIS + 1), order="F")  # the Lanczos vectors, as columns
     np.multiply(v0, 1.0 / math.sqrt(v0 @ v0), out=basis[:, 0])
     t = np.zeros((_BASIS, _BASIS))  # T, upper triangle
+    sigma2 = sigma * sigma
+
+    def gap(theta):  # |omega - |sigma|| of Ritz values of S^{-1}
+        return np.abs(np.sqrt(np.maximum(sigma2 + 1.0 / theta, 0.0)) - abs(sigma))
+
     j = restarts = 0  # the basis holds j + 1 vectors
-    bound = int(_SOLVES_PER_UNKNOWN * n)
     for solves in range(1, bound + 1):
         basis[:, j + 1] = basis[:, j]
-        w = opinv(basis[:, j + 1])  # the next vector, built in place
+        w = sinv(basis[:, j + 1])  # the next vector, built in place
         v = basis[:, : j + 1]
         h = blas.dgemv(1.0, v, w, trans=1)
         blas.dgemv(-1.0, v, h, beta=1.0, y=w, overwrite_y=1)
@@ -789,18 +803,25 @@ def _lanczos_nearest(opinv, shifted, v0: np.ndarray) -> _Ritz:
         t[: j + 1, j] = h + c
         beta = math.sqrt(w @ w)
         theta, y, _ = lapack.dsyevd(t[: j + 1, : j + 1], lower=0)
-        i = j if theta[j] > -theta[0] else 0  # theta ascends
+        i = j if gap(theta[j]) < gap(theta[0]) else 0  # theta ascends
         if abs(beta * y[j, i]) <= _RITZ_TOL * abs(theta[i]):
-            u = blas.dgemv(1.0, v, y[:, i])
-            z = blas.daxpy(u, w * y[j, i], a=theta[i])  # in place on y_last w
+            omega = math.copysign(math.sqrt(max(sigma2 + 1.0 / theta[i], 0.0)), sigma)
+            x = blas.dgemv(1.0, v, y[:, i])  # the Ritz vector
+            s = blas.daxpy(x, w * y[j, i], a=theta[i])  # sinv(x), in place on y_last w
+            p = omega + sigma
+            u = np.concatenate([n_times(x), omega * x])
+            z = np.concatenate([p * n_times(s), blas.daxpy(s, x, a=sigma * p)])  # opinv(u)
+            scale = 1.0 / math.sqrt(u @ u)
+            u *= scale
+            z *= scale
             z += opinv(u - shifted(z))
             np.multiply(z, 1.0 / math.sqrt(z @ z), out=z)
-            return _Ritz(float(theta[i]), u, z, solves + 1, restarts)
+            return _Ritz(omega, u, z, solves + 1, restarts)
         np.multiply(w, 1.0 / beta, out=basis[:, j + 1])
         if j + 1 < _BASIS:
             j += 1
             continue
-        keep = np.argsort(np.abs(theta))[-_KEEP:]
+        keep = np.argsort(gap(theta))[:_KEEP]
         basis[:, :_KEEP] = v @ y[:, keep]
         basis[:, _KEEP] = basis[:, _BASIS]
         t[:] = 0.0
@@ -877,18 +898,26 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     """The eigenpair nearest sigma. Its Krein-normalized full-space eigenvector is
     expanded only when read, so `surface_mode_frequency` builds none.
 
-    Shift-invert Lanczos (_lanczos_nearest, fixed start vector) for omega directly, in
-    standard form: with a = L L^T, the pencil H x = omega M x of _reduce becomes the
-    symmetric Jordan-Wielandt matrix Hs = [[0, N], [N^T, 0]] of N = zb L^{-T} = R L on
-    u = diag(I, L^T) x (G. H. Golub & C. F. Van Loan, Matrix Computations, 4th ed.,
-    section 8.6), whose positive eigenvalues are the singular values that solve_spectrum
-    takes. The Lanczos vectors hold u_O, then u_S. Each shift-invert solve eliminates the
-    -sigma I block of Hs - sigma I: (Hs - sigma I) (x, y) = (f, g) is S y = sigma g + N^T f
-    with the Schur complement S = N^T N - sigma^2 I, then x = (N y - f) / sigma. In grid
-    order S is a band matrix of half-bandwidth 3 over the n_s columns of N (_schur_band):
-    one LAPACK banded LU of it (dgbtrf) costs O(n), and each solve is one dgbtrs between two
-    band products of N (dgbmv). The residual is taken from zb and a themselves, by band
-    products, so it checks R too.
+    Shift-invert Lanczos (_lanczos_nearest, fixed start vector) in standard form: with
+    a = L L^T, the pencil H x = omega M x of _reduce becomes the symmetric Jordan-Wielandt
+    matrix Hs = [[0, N], [N^T, 0]] of N = zb L^{-T} = R L on u = diag(I, L^T) x (G. H. Golub
+    & C. F. Van Loan, Matrix Computations, 4th ed., section 8.6), whose positive eigenvalues
+    are the singular values that solve_spectrum takes, and whose squares are the eigenvalues of
+    N^T N. The Lanczos runs over the n_s columns of N on S^{-1}, S = N^T N - sigma^2 I the
+    Schur complement of Hs - sigma I, whose eigenvalues 1 / (omega^2 - sigma^2) are largest
+    in magnitude next to +/- sigma (the spectral transformation of T. Ericsson & A. Ruhe,
+    Math. Comp. 35, 1251 (1980)). In grid order S is a band matrix of half-bandwidth 3
+    over the n_s columns (_schur_band): one LAPACK banded LU of it (dgbtrf) costs O(n), and each
+    Lanczos step is one dgbtrs on an n_s-vector, with no band product. Of the pair +/- omega
+    that S^{-1} sees as one, the returned eigenvalue is copysign(omega, sigma), and of the
+    Ritz values the one nearest |sigma| in omega, not in omega^2. Its eigenvector of Hs is
+    (N y / omega, y) for the Ritz vector y. The residual is taken from zb and a themselves, by
+    band products, so it checks R too.
+
+    Zero eigenvalues. N has r rows and n_s columns; r = n_s + 1 in TM at k_par = 0, where Hs
+    has one zero eigenvalue (its vector (f, 0) with N^T f = 0) that N^T N has not, so the
+    Lanczos never sees it. The shapes say it is there: the solve raises when |sigma| is below
+    |omega - sigma|, zero then being nearer sigma than the returned omega.
 
     Why the squared block is safe here. The eigenvalues of S are omega^2 - sigma^2, so its
     condition number is about omega_max / (2 sigma) times that of Hs - sigma I, a factor
@@ -897,31 +926,33 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
     converges to the pair nearest sigma; its vector keeps the roundoff, which one step of
     iterative refinement against the exact Hs removes (_lanczos_nearest; N. J. Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 12): the
-    residual of the solve is taken from two band products of N, not through S, and one more
-    solve corrects it. Without that step the residual grows like omega_max^2: at k_par 1.12
-    (TM, sigma = 1.001 omega_s) the full-space residual is 2.7 times the 5e-12 bound of the
-    tests at n = 4000, and at n = 8000 it fails the gate below. The gate checks every
-    returned pair. sigma = 0 is refused before any factor: the elimination divides by sigma,
-    Hs is singular in TM at k_par = 0, and elsewhere +/- omega_min are equally near 0.
+    refinement solves with Hs - sigma I through S, one dgbtrs between two band products of
+    N (dgbmv), and the residual of that solve is taken from two band products of N, not
+    through S. Without that step the vector read off the Lanczos relation fails the gate
+    below at k_par 1.12 (TM, sigma = 1.001 omega_s) from n = 2000 on: 3.0, 36 and 268 times
+    it at n = 2000, 4000 and 8000; with it, the full-space residual is 0.20 and 0.69 of the
+    5e-12 bound of the tests at n = 4000 and 8000. The gate checks every returned pair. sigma = 0 is refused before any factor: the elimination divides by sigma, Hs is
+    singular in TM at k_par = 0, and elsewhere +/- omega_min are equally near 0.
 
     The Lanczos tests its Ritz pair after every solve: an isolated eigenvalue near sigma
     (a surface-mode sweep, n = 1000 to 4000) takes 6 or 7 solves and the refinement one
-    more, omega_L + 1e-4 (TM, k_par 0.8) 5 and one more at n = 128 and 1000, the
-    accumulation point omega_T 1110 in all at n = 1000. Its 24-vector basis restarts thick,
-    keeping 12 Ritz vectors (smaller pairs down to (12, 6) took up to 4.2 times as many
-    solves at omega_T). omega is the Rayleigh quotient 2 x_O^T zb x_S / (x_O^T x_O + x_S^T a
-    x_S) of the refined x = diag(I, L^{-T}) u. Over 40 log-spaced k_par in [1.12, 6] (TM,
-    sigma = 1.001 omega_s) the worst residual is 1.8e-4, 4.1e-4, 1.4e-3 and 3.5e-3 of the
-    gate below at n = 1000, 2000, 4000 and 8000, at a Ritz tolerance of 1e-10 (_RITZ_TOL).
-    Next to a cluster a tighter tolerance is met or missed by the roundoff of S: at 1e-12,
-    omega_L + 1e-4 at n = 1000 took 13 solves, and a sweep op one more. The solution
-    records the solves, the refinement's included, the thick restarts and the residual over
-    the gate (`stats`).
+    more, omega_L + 1e-4 (TM, k_par 0.8) 5 and one more at n = 128 and 4 and one more at
+    n = 1000, the accumulation point omega_T 91 in all at n = 128 and 1110 at n = 1000. Its
+    24-vector basis restarts thick, keeping the 12 Ritz vectors nearest sigma in omega
+    (smaller pairs down to (12, 6) took up to 4.2 times as many solves at omega_T). omega is
+    the Rayleigh quotient 2 x_O^T zb x_S / (x_O^T x_O + x_S^T a x_S) of the refined
+    x = diag(I, L^{-T}) u, which the Ritz value misses by up to 4.5e-13 relative over a sweep.
+    Over 40 log-spaced k_par in [1.12, 6] (TM, sigma = 1.001 omega_s) the worst residual is
+    2.2e-4, 4.3e-4, 1.3e-3 and 3.5e-3 of the gate below at n = 1000, 2000, 4000 and 8000, at a
+    Ritz tolerance of 1e-10 (_RITZ_TOL). Next to a cluster a tighter tolerance is met or
+    missed by the roundoff of S: at 1e-12, omega_L + 1e-4 at n = 1000 took 55 solves, and a
+    sweep op 7.6 on average instead of 7.1. The solution records the solves, the
+    refinement's included, the thick restarts and the residual over the gate (`stats`).
 
     Raises SolverContractViolation if sigma is 0, a is not positive definite, S is exactly
-    singular, the Lanczos does not converge within _SOLVES_PER_UNKNOWN solves per unknown,
-    the residual ||H x - omega M x|| exceeds 1e-10 max(|sigma|, 1) ||x||, or omega is zero
-    to that scale.
+    singular, the Lanczos does not converge within _SOLVES_PER_UNKNOWN solves per unknown of
+    Hs (r + n_s), a zero eigenvalue of Hs is nearer sigma than omega, the residual
+    ||H x - omega M x|| exceeds 1e-10 max(|sigma|, 1) ||x||, or omega is zero to that scale.
     """
     if sigma == 0:
         raise SolverContractViolation(f"no shift-invert at sigma = {sigma!r}: the eigenpair nearest it is not "
@@ -949,8 +980,17 @@ def solve_windowed(op: DiscreteOperator, sigma: float) -> DiscreteEigenSolution:
         blas.dgbmv(r, n_s, nl, nu, 1.0, nb, z[:r], beta=1.0, y=out[r:], trans=1, overwrite_y=1)
         return out
 
-    v0 = np.arange(r + n_s, dtype=float)
-    ritz = _lanczos_nearest(opinv, shifted, np.cos(v0, out=v0))  # fixed start, with weight on every block
+    def sinv(y: np.ndarray) -> np.ndarray:  # S^{-1} y, in place
+        return lapack.dgbtrs(lu, kl, kl, y, piv, overwrite_b=1)[0]
+
+    def n_times(y: np.ndarray) -> np.ndarray:  # N y
+        return blas.dgbmv(r, n_s, nl, nu, 1.0, nb, y)
+
+    v0 = np.arange(n_s, dtype=float)
+    ritz = _lanczos_nearest(sinv, sigma, np.cos(v0, out=v0), int(_SOLVES_PER_UNKNOWN * (r + n_s)),
+                            n_times, opinv, shifted)  # fixed start
+    if r > n_s and abs(sigma) < abs(ritz.omega - sigma):  # Hs has r - n_s zero eigenvalues
+        raise SolverContractViolation("zero frequency nearest sigma: no mode")
     u = ritz.refined
     # x = diag(I, L^{-T}) u, in the order of _reduce: the rows of zb, then S
     x_o, x_s = u[:r], blas.dtbsv(kd, l_band, u[r:], lower=1, trans=1)

@@ -422,9 +422,9 @@ class TestSurfaceMode:
 
     @staticmethod
     def _count_traffic(monkeypatch):
-        """Count the band factors, band solves and triangular band products of the windowed
-        solve, and every SuperLU factor; record the columns of each band factored."""
-        calls = {"dgbtrf": 0, "dgbtrs": 0, "dtbmv": 0, "splu": 0, "dgbtrf columns": []}
+        """Count the band factors, band solves, band products and triangular band products of the
+        windowed solve, and every SuperLU factor; record the columns of each band factored."""
+        calls = {"dgbtrf": 0, "dgbtrs": 0, "dgbmv": 0, "dtbmv": 0, "splu": 0, "dgbtrf columns": []}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -436,7 +436,8 @@ class TestSurfaceMode:
 
         for name in ("dgbtrf", "dgbtrs"):
             monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
-        monkeypatch.setattr(blas, "dtbmv", counted("dtbmv", blas.dtbmv))
+        for name in ("dgbmv", "dtbmv"):
+            monkeypatch.setattr(blas, name, counted(name, getattr(blas, name)))
         monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
         return calls
 
@@ -452,20 +453,25 @@ class TestSurfaceMode:
         # the Lanczos tests its Ritz pair after every solve, so an isolated eigenvalue near the
         # shift converges in 6 shift-invert solves, and one more refines its Ritz vector (ARPACK's
         # 12-vector basis took 13); each solve is one dgbtrs of the n_s-column Schur complement
-        # S = N^T N - sigma^2 I, with no triangular band product around it, and the solution
-        # records them
+        # S = N^T N - sigma^2 I on a vector of n_s entries, with no band product around it, and the
+        # solution records them. The band products of N, zb and a are a fixed 9 per solve: N y and
+        # N s for the Ritz vector and its image, two for the refinement's residual and two around
+        # its solve, and three for the residual gate
         op = assemble_operator(interface, Grid1D(1000, 40.0), 2.0, "TM", strict_resolution=False)
         calls = self._count_traffic(monkeypatch)
+        seen = _spy_lanczos(monkeypatch)
         sol = solve_windowed(op, surface_dispersion_omega(medium, 2.0) * 1.001)
         assert calls["dgbtrf"] == 1 and calls["dgbtrs"] <= 7 and calls["dtbmv"] == 0 and calls["splu"] == 0
-        assert calls["dgbtrf columns"] == [rs._reduce(op).shape[1]]
+        assert calls["dgbmv"] == 9
+        n_s = rs._reduce(op).shape[1]
+        assert calls["dgbtrf columns"] == [n_s] and seen["lengths"] == {n_s}
         assert sol.stats.solves == calls["dgbtrs"] and sol.stats.restarts == 0
         assert 0 < sol.stats.residual_over_gate <= 1.0
 
     @pytest.mark.parametrize("shift,bound", [("omega_L+1e-4", 12), ("omega_T", 210)])
     def test_solve_count_at_hard_shifts(self, medium, interface, monkeypatch, shift, bound):
         # next to the omega_L cluster and at the accumulation point omega_T (TM, k_par 0.8,
-        # n = 128) the thick-restarted Lanczos and its refinement take 6 and 92 solves (ARPACK
+        # n = 128) the thick-restarted Lanczos and its refinement take 6 and 91 solves (ARPACK
         # took 55 and 223)
         sigma = {"omega_L+1e-4": medium.omega_L + 1e-4, "omega_T": medium.omega_T}[shift]
         op = assemble_operator(interface, Grid1D(128, 40.0), 0.8, "TM", strict_resolution=False)
@@ -476,7 +482,7 @@ class TestSurfaceMode:
 
     def test_solve_bound_is_a_contract_violation(self, medium, interface, monkeypatch):
         # like ARPACK's maxiter, the bound on the shift-invert solves is part of the contract:
-        # at omega_T, which takes 92 solves at n = 128, a bound of 0.02 solves per unknown
+        # at omega_T, which takes 91 solves at n = 128, a bound of 0.02 solves per unknown of Hs
         # stops it unconverged
         op = assemble_operator(interface, Grid1D(128, 40.0), 0.8, "TM", strict_resolution=False)
         calls = self._count_traffic(monkeypatch)
@@ -486,30 +492,18 @@ class TestSurfaceMode:
         n = sum(rs._reduce(op).shape)
         assert 0 < calls["dgbtrs"] == int(0.02 * n) < 111
 
-    @staticmethod
-    def _spy_lanczos(monkeypatch):
-        """Record the shift-invert operator and the operator it inverts that the windowed solve
-        hands its Lanczos, and the result."""
-        seen, lanczos = {}, rs._lanczos_nearest
-
-        def spy(opinv, shifted, v0):
-            seen.update(opinv=opinv, shifted=shifted, ritz=lanczos(opinv, shifted, v0))
-            return seen["ritz"]
-
-        monkeypatch.setattr(rs, "_lanczos_nearest", spy)
-        return seen
-
     @pytest.mark.parametrize("case", ["sweep shift", "omega_T"])
     def test_refinement_is_one_inverse_iteration(self, medium, interface, monkeypatch, case):
-        # the refined vector, opinv(u) read off the Lanczos relation (theta u + y_last w) and
-        # corrected by one solve of its exact residual, is one explicit shift-invert solve of the
-        # Ritz vector u with one exact-residual correction, normalized: at a sweep shift and after
-        # thick restarts (sigma = omega_T, TM, k_par 0.8, n = 128: 6 restarts). The exact operator
-        # is held against the dense Hs in test_standard_form_operators.
+        # the refined vector, opinv(u) for u along (N y, omega y), read off the Lanczos relation of
+        # S^{-1} (s = theta y + y_last w) and corrected by one solve of its exact residual, is one
+        # explicit shift-invert solve of u with one exact-residual correction, normalized: at a
+        # sweep shift and after thick restarts (sigma = omega_T, TM, k_par 0.8, n = 128: 6
+        # restarts). The exact operator is held against the dense Hs in
+        # test_standard_form_operators.
         n, k_par, sigma = {"sweep shift": (1000, 2.0, surface_dispersion_omega(medium, 2.0) * 1.001),
                            "omega_T": (128, 0.8, medium.omega_T)}[case]
         op = assemble_operator(interface, Grid1D(n, 40.0), k_par, "TM", strict_resolution=False)
-        seen = self._spy_lanczos(monkeypatch)
+        seen = _spy_lanczos(monkeypatch)
         sol = solve_windowed(op, sigma)
         ritz, opinv = seen["ritz"], seen["opinv"]
         assert (ritz.restarts > 0) == (case == "omega_T") and sol.stats.restarts == ritz.restarts
@@ -520,11 +514,11 @@ class TestSurfaceMode:
     @pytest.mark.parametrize("n", [1000, 4000])
     def test_omega_is_the_rayleigh_quotient(self, medium, interface, monkeypatch, n):
         # omega is the Rayleigh quotient 2 x_O^T zb x_S / (x_O^T x_O + x_S^T a x_S) of the refined
-        # vector x = diag(I, L^-T) u, which sigma + 1 / theta misses by up to 2.9e-13 over a sweep;
+        # vector x = diag(I, L^-T) u, which the Ritz value misses by up to 4.5e-13 over a sweep;
         # held against the quotient summed in long double
         sigma = surface_dispersion_omega(medium, 1.12) * 1.001
         op = assemble_operator(interface, Grid1D(n, 40.0), 1.12, "TM", strict_resolution=False)
-        seen = self._spy_lanczos(monkeypatch)
+        seen = _spy_lanczos(monkeypatch)
         omega = solve_windowed(op, sigma).omegas[0]
         red = rs._reduce(op)
         a, zb, _ = reduced_blocks(red)
@@ -560,8 +554,8 @@ class TestSurfaceMode:
         # at the low end of the sweep band the Lanczos Ritz vector alone left full-space
         # residuals of 3e-11 at n = 4000. The solves through S = N^T N - sigma^2 I carry a
         # roundoff that grows like omega_max^2: without the refinement against the exact Hs the
-        # residual is 2.7 times this bound at n = 4000 and fails the solve's own gate at n = 8000;
-        # with it, 0.20 and 0.69 of the bound
+        # vector fails the solve's own gate at k_par 1.12 from n = 2000 on (36 times it at
+        # n = 4000); with it, 0.20 and 0.69 of this bound at n = 4000 and 8000
         sigma = surface_dispersion_omega(medium, k_par) * 1.001
         op = assemble_operator(interface, Grid1D(n, 40.0), k_par, "TM", strict_resolution=False)
         sol = solve_windowed(op, sigma)
@@ -581,9 +575,28 @@ class TestSurfaceMode:
         assert sol.omegas[0] == pytest.approx(nearest, rel=1e-10)
 
 
+def _spy_lanczos(monkeypatch):
+    """Record what the windowed solve hands its Lanczos: S^{-1}, N, the shift-invert operator of
+    Hs and the operator it inverts, the length of every vector S^{-1} is applied to, and the
+    result."""
+    seen, lanczos = {"lengths": set()}, rs._lanczos_nearest
+
+    def spy(sinv, sigma, v0, bound, n_times, opinv, shifted):
+        def counted(y):
+            seen["lengths"].add(y.size)
+            return sinv(y)
+
+        seen.update(sinv=sinv, n_times=n_times, opinv=opinv, shifted=shifted)
+        seen["ritz"] = lanczos(counted, sigma, v0, bound, n_times, opinv, shifted)
+        return seen["ritz"]
+
+    monkeypatch.setattr(rs, "_lanczos_nearest", spy)
+    return seen
+
+
 def _halves(red):
-    """Slots of the rows of zb (and of N) and of the kept S coordinates in the windowed
-    solve's Lanczos vectors: the rows first, then S."""
+    """Slots of the rows of zb (and of N) and of the kept S coordinates in the vectors of Hs
+    that the windowed solve refines: the rows first, then S."""
     r, n_s = red.shape
     return np.arange(r), r + np.arange(n_s)
 
@@ -659,6 +672,38 @@ class TestWindowedSolve:
             found = [solve_windowed(op, lo + 0.25 * (hi - lo)).omegas[0] for lo, hi in zip(w[:-1], w[1:])]
             np.testing.assert_allclose(found, w[:-1], rtol=1e-10)
 
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    @pytest.mark.parametrize("k_par", [0.0, 0.8])
+    def test_nearest_in_omega_not_omega_squared(self, medium, interface, polarization, k_par):
+        # the Lanczos runs on S^{-1}, whose eigenvalues 1 / (omega^2 - sigma^2) are largest in
+        # magnitude for the eigenvalue nearest sigma in omega^2; the contract is nearest in omega.
+        # A shift between the omega midpoint of two neighbouring eigenvalues and their omega^2
+        # midpoint sqrt((lo^2 + hi^2) / 2) is nearer hi in omega and nearer lo in omega^2
+        # (94 + 94 + 95 + 97 shifts; a pick by the largest |theta| returns lo at 379 of them)
+        op = assemble_operator(interface, Grid1D(64, 40.0), k_par, polarization, strict_resolution=False)
+        w = solve_spectrum(op).omegas
+        w = w[w > 0]
+        w = w[np.r_[True, np.diff(w) > 1e-10 * w[1:]]]
+        lo, hi = w[:-1], w[1:]
+        shifts = 0.5 * (0.5 * (lo + hi) + np.sqrt(0.5 * (lo**2 + hi**2)))
+        found = [solve_windowed(op, shift).omegas[0] for shift in shifts]
+        np.testing.assert_allclose(found, hi, rtol=1e-10)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_zero_eigenvalue_pinned_from_both_sides(self, dense_spectra, side):
+        # in TM at k_par = 0 the standard form Hs has one row of N more than it has columns, so one
+        # zero eigenvalue, which the Lanczos on S^{-1} never sees: the solve reads it from the
+        # shapes. Halfway to +/- omega_min is the border: nearer zero there is no mode, nearer
+        # omega_min the mode is +/- omega_min
+        dense = dense_spectra("TM", 0.0)
+        op = dense.operator
+        r, n_s = rs._reduce(op).shape
+        assert (r, n_s) == (256, 255)
+        w_min = dense.omegas[dense.omegas > 0].min()
+        with pytest.raises(SolverContractViolation, match="zero frequency"):
+            solve_windowed(op, side * 0.49 * w_min)
+        np.testing.assert_allclose(solve_windowed(op, side * 0.51 * w_min).omegas, [side * w_min], rtol=1e-10)
+
     @pytest.mark.parametrize("geometry", ["interface", "matter box", "vacuum box", "slab"])
     @pytest.mark.parametrize("polarization", ["TE", "TM"])
     @pytest.mark.parametrize("k_par", [0.0, 0.8])
@@ -702,20 +747,15 @@ class TestWindowedSolve:
 
     @pytest.mark.parametrize("polarization,k_par", [("TE", 0.8), ("TM", 0.0), ("TM", 2.0)])
     def test_standard_form_operators(self, interface, monkeypatch, rng, polarization, k_par):
-        # the Lanczos gets the shift-invert operator of the symmetric standard-form matrix
-        # Hs = diag(I, L^{-1}) H diag(I, L^{-T}), with a = L L^T among the S coordinates, over the
-        # rows of N and then S. Built densely here from N = R L, Hs equals that congruence of H,
-        # the operator the refinement applies is Hs - sigma, the shift-invert operator is its
-        # inverse, and the returned pair, with the Ritz vector and with its refinement, satisfies
-        # the standard form
+        # the Lanczos runs on S^{-1}, S = N^T N - sigma^2 I, and its refinement on the shift-invert
+        # operator of the symmetric standard-form matrix Hs = diag(I, L^{-1}) H diag(I, L^{-T}),
+        # with a = L L^T among the S coordinates, over the rows of N and then S. Built densely here
+        # from N = R L, Hs equals that congruence of H, the Lanczos gets N and the inverse of the
+        # Schur complement of Hs - sigma I, the operator the refinement applies is Hs - sigma, the
+        # shift-invert operator is its inverse, and the returned pair, with the Ritz vector and
+        # with its refinement, satisfies the standard form
         op = assemble_operator(interface, Grid1D(128, 40.0), k_par, polarization, strict_resolution=False)
-        seen, lanczos = {}, rs._lanczos_nearest
-
-        def spy(opinv, shifted, v0):
-            seen.update(opinv=opinv, shifted=shifted, result=lanczos(opinv, shifted, v0))
-            return seen["result"]
-
-        monkeypatch.setattr(rs, "_lanczos_nearest", spy)
+        seen = _spy_lanczos(monkeypatch)
         sigma = 1.1
         solve_windowed(op, sigma)
         red = rs._reduce(op)
@@ -742,12 +782,18 @@ class TestWindowedSolve:
         assert np.abs(seen["shifted"](v[:, 0]) - shifted).max() <= 1e-13 * scale * np.abs(v[:, 0]).max()
         back = opinv(shifted)
         assert np.linalg.norm(back - v[:, 0]) <= 1e-10 * np.linalg.norm(v[:, 0])
-        # the Lanczos three-term recurrence needs a symmetric operator (which solves in place)
         assert v[:, 1] @ opinv(v[:, 0].copy()) == pytest.approx(v[:, 0] @ opinv(v[:, 1].copy()), rel=1e-10)
-        ritz = seen["result"]
-        omega = sigma + 1.0 / ritz.theta
+        n_dense = hs[np.ix_(rows, s_slots)]
+        y = rng.standard_normal((s_slots.size, 2))
+        assert np.abs(seen["n_times"](y[:, 0]) - n_dense @ y[:, 0]).max() <= 1e-13 * scale * np.abs(y[:, 0]).max()
+        sinv = seen["sinv"]
+        back = sinv(n_dense.T @ (n_dense @ y[:, 0]) - sigma**2 * y[:, 0])
+        assert np.linalg.norm(back - y[:, 0]) <= 1e-10 * np.linalg.norm(y[:, 0])
+        # the Lanczos three-term recurrence needs a symmetric operator (which solves in place)
+        assert y[:, 1] @ sinv(y[:, 0].copy()) == pytest.approx(y[:, 0] @ sinv(y[:, 1].copy()), rel=1e-10)
+        ritz = seen["ritz"]
         for u in (ritz.u, ritz.refined):
-            assert np.linalg.norm(hs @ u - omega * u) <= 1e-10
+            assert np.linalg.norm(hs @ u - ritz.omega * u) <= 1e-10
 
     def test_multiple_eigenvalue_returns_one_copy(self, medium):
         # the TM box at k_par = 0 holds 128 degenerate matter modes at omega_L; the windowed

@@ -5,7 +5,8 @@ Output files are deterministic: CSV with a header row, comma delimiter, LF
 line endings, floats printed with 17 significant digits. Frequency-like
 quantities honor the --units flag (see config module for the convention).
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric error.
+Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric error or
+an allocation that fails.
 
 Each command imports what it runs: `solve` the real-space solver and `verify`
 the invariant registry, so importing this module loads no SciPy.
@@ -84,6 +85,8 @@ def _run(out_dir: str, parse, compute):
         _fail(exc, 3)
     except ArithmeticError as exc:
         _fail(f"{type(exc).__name__}: {exc}", 3)
+    except MemoryError as exc:  # an allocation too large for this machine, before any write
+        _fail(f"MemoryError: {exc}", 3)
     except OSError as exc:
         for path in written:
             path.unlink(missing_ok=True)

@@ -58,11 +58,12 @@ column: `polmodes solve` expands only the profiles it writes, a surface-mode fre
 Both solves write the reduced blocks from the stencil coefficients (_reduce) as plain
 (row, col, data) arrays: a windowed solve builds no full-space matrix, no curl and no
 sparse matrix. The curls (checked when built), B0 with the unprojected coupling, and K
-are built on first use, each from its triplets in one sparse construction, for the
-eigenvector expansion, `apply`, the Krein products and the checks. The projected coupling
-enters only through one correction on alpha (_coupling_correction), which `apply` and the
-field reconstruction share, from one LU of LAP = DIV GRAD; K B0 does not see it. The
-dense B0 is built only on request, for residual checks.
+are built on first use from SciPy's sparse constructors, B0 and K in one block layout
+(_block_layout), for the eigenvector expansion, `apply`, the Krein products and the
+checks. The projected coupling enters only through one correction on alpha
+(_coupling_correction), which `apply` and the field reconstruction share, from one LU of
+LAP = DIV GRAD; K B0 does not see it. The dense B0 is built only on request, for
+residual checks.
 """
 
 from __future__ import annotations
@@ -213,34 +214,22 @@ class _Operators:
             raise SolverContractViolation("curl GRAD is not zero: the discrete sequence is not exact")
 
 
-def _csr(shape, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix from its triplets, listed row by row with ascending columns, in one
-    construction and without a sort, and without the zero entries: the i k_par entries at
-    k_par = 0, which SciPy's diagonal constructors leave out too."""
-    keep = data != 0
-    indptr = np.searchsorted(rows[keep], np.arange(shape[0] + 1))
-    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=shape)
-
-
 def _build_operators(grid: Grid1D, k_par: float, polarization: str) -> _Operators:
-    """C and DIV from their triplets, G = C^H and GRAD = -DIV^H by transposition. d/dz takes
-    the half points i and i + 1 to the interior node i as (v[i + 1] - v[i]) / h."""
+    """C and DIV from SciPy's sparse constructors, G = C^H and GRAD = -DIV^H. d/dz takes the
+    half points i and i + 1 to the interior node i as (v[i + 1] - v[i]) / h; the i k_par
+    blocks hold no entry at k_par = 0."""
     n, h = grid.n, grid.h
-    i, j = np.arange(n - 1), np.arange(n)  # interior nodes, half points
+    d_z = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n), format="csr")
     div = grad = None
     if polarization == "TE":
         # beta = (beta_par at half points, beta_z at nodes) -> alpha: [d/dz, i k_par]
-        c = _csr((n - 1, 2 * n - 1), np.repeat(i, 3), np.column_stack((i, i + 1, n + i)).ravel(),
-                 np.tile([-1.0 / h, 1.0 / h, 1j * k_par], n - 1))
+        c = sp.hstack([d_z, 1j * k_par * sp.eye(n - 1)], format="csr")
     else:
         # beta at half points -> alpha = (alpha_par at nodes, alpha_z at half points): [-d/dz; -i k_par]
-        c = _csr((2 * n - 1, n), np.concatenate((np.repeat(i, 2), n - 1 + j)),
-                 np.concatenate((np.column_stack((i, i + 1)).ravel(), j)),
-                 np.concatenate((np.tile([1.0 / h, -1.0 / h], n - 1), np.full(n, -1j * k_par))))
+        c = sp.vstack([-d_z, -1j * k_par * sp.eye(n)], format="csr")
         # [-i k_par, d/dz]: alpha_par and alpha_z to interior nodes
-        div = _csr((n - 1, 2 * n - 1), np.repeat(i, 3), np.column_stack((i, n - 1 + i, n + i)).ravel(),
-                   np.tile([-1j * k_par, -1.0 / h, 1.0 / h], n - 1))
-        grad = sp.csc_matrix((-div.data.conj(), div.indices, div.indptr), shape=div.shape[::-1])
+        div = sp.diags([-1j * k_par, -1.0 / h, 1.0 / h], [0, n - 1, n], shape=(n - 1, 2 * n - 1), format="csr")
+        grad = -div.conj().T
     return _Operators(c, c.conj().T.tocsr(), div, grad)
 
 
@@ -282,52 +271,12 @@ def _resolution_check(geom: LayeredGeometry, grid: Grid1D, k_par: float, strict:
         warnings.warn(msg)
 
 
-def _triplets(m: sp.csr_matrix):
-    """(rows, cols, data) of a CSR matrix, read off its arrays."""
-    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
-
-
-def _sparse_b0(ops: _Operators, rows: np.ndarray, kap, rho, w_t) -> sp.csr_matrix:
-    """B0, with the unprojected matter coupling, over the blocks (alpha, beta, gamma, eta),
-    from its triplets in one construction. Matter degree of freedom m couples to the
-    alpha-space row rows[m].
-
-    alpha-beta -i c^2 C, alpha-gamma (i / eps0) kappa, beta-alpha i G, gamma-eta i / rho,
-    eta-beta i c^2 kappa C[rows] and eta-gamma -i rho omega_L^2.
-    """
-    n_a, n_b = ops.curl_ba.shape
-    g0, e0 = n_a + n_b, n_a + n_b + rows.size
-    m = np.arange(rows.size)
-    c_r, c_c, c_d = _triplets(ops.curl_ba)
-    g_r, g_c, g_d = _triplets(ops.curl_ab)
-    # eta-beta: the entries of C in the rows that matter couples to; a zero product (kappa = 0)
-    # is left out, as the sparse product E^H C leaves it out
-    matter_of = np.full(n_a, -1)
-    matter_of[rows] = m
-    coupled = np.flatnonzero(matter_of[c_r] >= 0)
-    e_m = matter_of[c_r[coupled]]
-    eb = kap[e_m] * c_d[coupled]
-    nz = eb != 0
-    rho_wl2 = rho * _Materials.omega_L2(kap, rho, w_t)
-    return sp.csr_matrix((np.concatenate((c_d * (-1j * C**2), kap * (1j / EPS0), g_d * 1j, (1.0 / rho) * 1j,
-                                          eb[nz] * (1j * C**2), rho_wl2 * -1j)),
-                          (np.concatenate((c_r, rows, n_a + g_r, g0 + m, e0 + e_m[nz], e0 + m)),
-                           np.concatenate((n_a + c_c, g0 + m, g_c, e0 + m, n_a + c_c[coupled[nz]], g0 + m)))),
-                         shape=(e0 + m.size, e0 + m.size))
-
-
-def _sparse_krein(ops: _Operators, n_matter: int, w: float) -> sp.csr_matrix:
-    """K over the blocks (alpha, beta, gamma, eta), from its triplets in one construction:
-    w times -i C, i G, i and -i at alpha-beta, beta-alpha, gamma-eta and eta-gamma (1/mu0 = 1)."""
-    n_a, n_b = ops.curl_ba.shape
-    g0, e0 = n_a + n_b, n_a + n_b + n_matter
-    m = np.arange(n_matter)
-    c_r, c_c, c_d = _triplets(ops.curl_ba)
-    g_r, g_c, g_d = _triplets(ops.curl_ab)
-    ones = np.ones(n_matter)
-    return sp.csr_matrix((np.concatenate((c_d * (-1j * w), g_d * (1j * w), ones * (1j * w), ones * (-1j * w))),
-                          (np.concatenate((c_r, n_a + g_r, g0 + m, e0 + m)),
-                           np.concatenate((n_a + c_c, g_c, e0 + m, g0 + m)))), shape=(e0 + n_matter, e0 + n_matter))
+def _block_layout(ab, ag, ba, ge, eb, eg) -> sp.csr_matrix:
+    """The matrix over the blocks (alpha, beta, gamma, eta) that holds the given blocks at
+    alpha-beta, alpha-gamma, beta-alpha, gamma-eta, eta-beta and eta-gamma (None: no entry):
+    the layout of both B0 and K."""
+    return sp.bmat([[None, ab, ag, None], [ba, None, None, None], [None, None, None, ge], [None, eb, eg, None]],
+                   format="csr")
 
 
 @dataclass
@@ -354,21 +303,30 @@ class DiscreteOperator:
 
     @functools.cached_property
     def b0_sparse(self) -> sp.csr_matrix:
-        """Sparse B0 with the unprojected matter coupling, built on first use."""
-        b0 = _sparse_b0(self.ops, *_matter_coefficients(self.layout, self.mats))
+        """Sparse B0 with the unprojected matter coupling, built on first use: -i c^2 C,
+        (i / eps0) E, i G, i / rho, i c^2 E^H C and -i rho omega_L^2 in the block layout, with
+        E the kappa embedding."""
+        _, kap, rho, w_t = _matter_coefficients(self.layout, self.mats)
+        c, e = self.ops.curl_ba, self.kappa_embed
+        b0 = _block_layout(-1j * C**2 * c, (1j / EPS0) * e, 1j * self.ops.curl_ab, 1j * sp.diags(1.0 / rho),
+                           1j * C**2 * (e.conj().T @ c), -1j * sp.diags(rho * _Materials.omega_L2(kap, rho, w_t)))
         if b0.shape != (self.layout.dim, self.layout.dim):
             raise SolverContractViolation("sparse assembly dimension mismatch")
         return b0
 
     @functools.cached_property
     def krein(self) -> sp.csr_matrix:
-        """Sparse Krein matrix K, built on first use."""
+        """Sparse Krein matrix K, built on first use: w = hbar h A times -i C, i G, i and -i
+        in the block layout (1/mu0 = 1)."""
+        w = HBAR * self.grid.h * self.geom.area
         g_sl = self.layout._span("gamma")
-        return _sparse_krein(self.ops, g_sl.stop - g_sl.start, HBAR * self.grid.h * self.geom.area)
+        eye = sp.eye(g_sl.stop - g_sl.start)
+        return _block_layout(-1j * w * self.ops.curl_ba, None, 1j * w * self.ops.curl_ab, 1j * w * eye, None,
+                             -1j * w * eye)
 
     @functools.cached_property
     def kappa_embed(self) -> sp.csr_matrix:
-        """alpha-space x matter-space matrix with kappa at matching positions, built on first use."""
+        """alpha-space x matter-space matrix E with kappa at matching positions, built on first use."""
         rows, kap, _, _ = _matter_coefficients(self.layout, self.mats)
         return sp.csr_matrix((kap, (rows, np.arange(rows.size))), shape=(self.ops.curl_ba.shape[0], rows.size))
 
@@ -708,10 +666,6 @@ class DiscreteEigenSolution:
         vecs = _expand(self.operator, pairs.reduction, pairs.s[:, used], pairs.omegas[used])[:, col]
         vecs[np.ix_(pairs.reduction.side, np.nonzero(self.omegas[idx] != pairs.omegas[pair])[0])] *= -1
         return vecs
-
-    @property
-    def krein(self) -> sp.csr_matrix:
-        return self.operator.krein
 
 
 def solve_spectrum(op: DiscreteOperator) -> DiscreteEigenSolution:
@@ -1064,11 +1018,12 @@ def completeness_check(sol: DiscreteEigenSolution, test_vectors: np.ndarray) -> 
     if sol.omegas.size != rank:
         raise IncompleteSpectrum(f"need all {rank} eigenpairs, have {sol.omegas.size}")
     tv = np.asarray(test_vectors, dtype=complex)
-    if tv.ndim != 2 or tv.shape[0] != sol.vectors.shape[0]:
-        raise ValueError(f"test vectors must be a ({sol.vectors.shape[0]}, k) array, got {tv.shape}")
+    dim = sol.operator.layout.dim
+    if tv.ndim != 2 or tv.shape[0] != dim:
+        raise ValueError(f"test vectors must be a ({dim}, k) array, got {tv.shape}")
     proj = project(tv)
     signs = np.sign(sol.omegas)
-    coeff = sol.vectors.conj().T @ (sol.krein @ proj)
+    coeff = sol.vectors.conj().T @ (sol.operator.krein @ proj)
     recon = project(sol.vectors @ (signs[:, None] * coeff))
     devs = np.linalg.norm(recon - proj, axis=0) / np.maximum(np.linalg.norm(proj, axis=0), 1e-300)
     return CompletenessReport(float(devs.max()), devs)

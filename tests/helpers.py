@@ -11,7 +11,7 @@ def krein_inner(sol, m: int, n: int) -> complex:
     """Discrete indefinite inner product <<Psi_m | Psi_n>> of two eigenvectors of a
     `DiscreteEigenSolution`; only the two columns are expanded."""
     psi = sol.columns([m, n])
-    return complex(psi[:, 0].conj() @ (sol.krein @ psi[:, 1]))
+    return complex(psi[:, 0].conj() @ (sol.operator.krein @ psi[:, 1]))
 
 
 def reduced_blocks(red):

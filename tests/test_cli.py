@@ -273,6 +273,24 @@ class TestErrorHandling:
         assert "(at /phi/components)" in res.stderr
         assert not out.exists()
 
+    def test_failed_allocation_exit_3(self, runner, tmp_path, monkeypatch):
+        # a grid.n the config allows can ask for more memory than the machine has; the
+        # allocation is made to fail here rather than asked for
+        import polmodes.realspace as rs
+
+        def solve_spectrum(op):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(rs, "solve_spectrum", solve_spectrum)
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, {"material": MATERIAL, "grid": {"n": 128}, "k_par": 2.0,
+                                   "polarization": "TM", "strict_resolution": False})
+        res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "Traceback" not in res.stderr and "error: MemoryError: Unable to allocate" in res.stderr
+        assert not out.exists()
+
     def test_numeric_error_exit_3(self, runner, tmp_path):
         # surface mode below the light-line edge is a numeric-domain error
         cfg = write_cfg(tmp_path, {"material": MATERIAL,

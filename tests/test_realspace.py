@@ -34,7 +34,7 @@ from helpers import krein_inner, reduced_blocks
 
 
 def gram(sol):
-    return sol.vectors.conj().T @ (sol.krein @ sol.vectors)
+    return sol.vectors.conj().T @ (sol.operator.krein @ sol.vectors)
 
 
 class TestVacuumBox:
@@ -158,6 +158,10 @@ class TestKreinStructure:
         for wrong in (v, v[None, :]):  # test vectors are columns; nothing else is guessed
             with pytest.raises(ValueError):
                 completeness_check(sol, wrong)
+        fresh = solve_spectrum(op)
+        with pytest.raises(ValueError):
+            completeness_check(fresh, v)
+        assert "vectors" not in fresh.__dict__  # a malformed argument expands no eigenvector
 
 
 class TestSingleAssembly:
@@ -192,14 +196,14 @@ class TestSingleAssembly:
     @pytest.mark.parametrize("k_par", [0.0, 0.37, 2.0])
     @pytest.mark.parametrize("geometry", ["interface", "vacuum box", "kappa = 0"])
     def test_triplets_match_sparse_constructors(self, medium, polarization, k_par, geometry):
-        # the same arrays, bit for bit, as the sparse constructors give: no explicit zero for
-        # the k_par blocks at k_par = 0, an explicit zero coupling where kappa = 0, signed zeros
+        # the same arrays, bit for bit, as triplets written from the stencils: no explicit zero
+        # for the k_par blocks at k_par = 0, an explicit zero coupling where kappa = 0, signed zeros
         geom = {"interface": vacuum_interface(medium, 40.0), "vacuum box": homogeneous_box(None, 40.0),
                 "kappa = 0": vacuum_interface(MediumParams(1.0, 1.0, 0.0), 40.0)}[geometry]
         op = assemble_operator(geom, Grid1D(64, 40.0), k_par, polarization, strict_resolution=False)
         got = {"curl_ba": op.ops.curl_ba, "curl_ab": op.ops.curl_ab, "div": op.ops.div, "grad": op.ops.grad,
                "b0_sparse": op.b0_sparse, "krein": op.krein}
-        for name, ref in _reference_assembly(op).items():
+        for name, ref in _triplet_assembly(op).items():
             mat = got[name]
             if ref is None:
                 assert mat is None, name
@@ -247,39 +251,52 @@ class TestSingleAssembly:
         assert np.linalg.norm(op.apply(v[:, 1]) - got[:, 1]) <= 1e-14 * np.linalg.norm(got[:, 1])  # one vector
 
 
-def _reference_assembly(op):
-    """C, G, DIV, GRAD, B0 and K from SciPy's sparse constructors: the reference that
-    assemble_operator's triplets must reproduce bit for bit."""
+def _triplet_assembly(op):
+    """C, G, DIV, GRAD, B0 and K written entry by entry from the stencils, as (row, col, data)
+    triplets row by row with ascending columns: the reference that assemble_operator's sparse
+    constructors must reproduce bit for bit. Their rules for zeros are written out: no entry
+    for i k_par at k_par = 0, none for a zero product kappa C in eta-beta, but an explicit zero
+    for kappa = 0 in alpha-gamma."""
     n, h, k_par = op.grid.n, op.grid.h, op.k_par
-    d_hi = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n), format="csr")
+    i, j = np.arange(n - 1), np.arange(n)
+
+    def csr(shape, rows, cols, data):
+        keep = data != 0
+        return sp.csr_matrix((data[keep], cols[keep], np.searchsorted(rows[keep], np.arange(shape[0] + 1))),
+                             shape=shape)
+
+    div = grad = None
     if op.polarization == "TE":
-        c = sp.hstack([d_hi, 1j * k_par * sp.eye(n - 1)], format="csr")
-        div = grad = None
+        c = csr((n - 1, 2 * n - 1), np.repeat(i, 3), np.column_stack((i, i + 1, n + i)).ravel(),
+                np.tile([-1.0 / h, 1.0 / h, 1j * k_par], n - 1))
     else:
-        c = sp.vstack([-d_hi, -1j * k_par * sp.eye(n)], format="csr")
-        div = sp.diags([-1j * k_par, -1.0 / h, 1.0 / h], [0, n - 1, n], shape=(n - 1, 2 * n - 1), format="csr")
-        grad = -div.conj().T
+        c = csr((2 * n - 1, n), np.concatenate((np.repeat(i, 2), n - 1 + j)),
+                np.concatenate((np.column_stack((i, i + 1)).ravel(), j)),
+                np.concatenate((np.tile([1.0 / h, -1.0 / h], n - 1), np.full(n, -1j * k_par))))
+        div = csr((n - 1, 2 * n - 1), np.repeat(i, 3), np.column_stack((i, n - 1 + i, n + i)).ravel(),
+                  np.tile([-1j * k_par, -1.0 / h, 1.0 / h], n - 1))
+        grad = sp.csc_matrix((-div.data.conj(), div.indices, div.indptr), shape=div.shape[::-1])
     g = c.conj().T.tocsr()
+    (n_a, n_b), (c_r, g_r) = c.shape, (np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)) for m in (c, g))
     rows, kap, rho, w_t = rs._matter_coefficients(op.layout, op.mats)
-    e_kappa = sp.csr_matrix((kap, (rows, np.arange(rows.size))), shape=(c.shape[0], rows.size))
-
-    def block_layout(ab, ag, ba, ge, eb, eg):
-        n_a, n_b, n_m = ba.shape[1], ba.shape[0], ge.shape[0]
-        g0, e0 = n_a + n_b, n_a + n_b + n_m
-        placed = [(blk.tocoo(), r0, c0) for blk, r0, c0 in
-                  ((ab, 0, n_a), (ag, 0, g0), (ba, n_a, 0), (ge, g0, e0), (eb, e0, n_a), (eg, e0, g0))
-                  if blk is not None]
-        data = np.concatenate([blk.data for blk, _, _ in placed]).astype(complex, copy=False)
-        rows = np.concatenate([blk.row + r0 for blk, r0, _ in placed])
-        cols = np.concatenate([blk.col + c0 for blk, _, c0 in placed])
-        return sp.csr_matrix((data, (rows, cols)), shape=(e0 + n_m, e0 + n_m))
-
+    m = np.arange(rows.size)
+    g0, e0 = n_a + n_b, n_a + n_b + m.size
+    matter_of = np.full(n_a, -1)
+    matter_of[rows] = m
+    coupled = np.flatnonzero(matter_of[c_r] >= 0)  # eta-beta: the entries of C in the rows matter couples to
+    e_m = matter_of[c_r[coupled]]
+    eb = kap[e_m] * c.data[coupled]
+    nz = eb != 0
     rho_wl2 = rho * rs._Materials.omega_L2(kap, rho, w_t)
-    b0 = block_layout(-1j * rs.C**2 * c, (1j / rs.EPS0) * e_kappa, 1j * g, 1j * sp.diags(1.0 / rho),
-                      1j * rs.C**2 * (e_kappa.conj().T @ c), -1j * sp.diags(rho_wl2))
-    w = rs.HBAR * h * op.geom.area
-    eye = sp.eye(rows.size)
-    krein = block_layout(-1j * w * c, None, 1j * w * g, 1j * w * eye, None, -1j * w * eye)
+    b0 = sp.csr_matrix((np.concatenate((c.data * (-1j * rs.C**2), kap * (1j / rs.EPS0), g.data * 1j, (1.0 / rho) * 1j,
+                                        eb[nz] * (1j * rs.C**2), rho_wl2 * -1j)),
+                        (np.concatenate((c_r, rows, n_a + g_r, g0 + m, e0 + e_m[nz], e0 + m)),
+                         np.concatenate((n_a + c.indices, g0 + m, g.indices, e0 + m, n_a + c.indices[coupled[nz]],
+                                         g0 + m)))), shape=(e0 + m.size, e0 + m.size))
+    w, ones = rs.HBAR * h * op.geom.area, np.ones(m.size)
+    krein = sp.csr_matrix((np.concatenate((c.data * (-1j * w), g.data * (1j * w), ones * (1j * w), ones * (-1j * w))),
+                           (np.concatenate((c_r, n_a + g_r, g0 + m, e0 + m)),
+                            np.concatenate((n_a + c.indices, g.indices, e0 + m, g0 + m)))), shape=b0.shape)
     return {"curl_ba": c, "curl_ab": g, "div": div, "grad": grad, "b0_sparse": b0, "krein": krein}
 
 
@@ -1012,7 +1029,7 @@ class TestOnDemandVectors:
         m = sol.omegas.size // 2
         value = krein_inner(sol, 3, m + 3)
         assert "vectors" not in sol.__dict__
-        assert value == complex(sol.vectors[:, 3].conj() @ (sol.krein @ sol.vectors[:, m + 3]))
+        assert value == complex(sol.vectors[:, 3].conj() @ (sol.operator.krein @ sol.vectors[:, m + 3]))
 
     def test_solve_path_holds_less_than_all_vectors(self, interface):
         # the solve path of `polmodes solve` on the default interface at twice its n
